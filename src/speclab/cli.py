@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -23,7 +24,6 @@ import numpy as np
 
 from ._errors import ComputationError, ContractError
 from .hankel import ArcSymbol, nehari_bound, power_essential_radius, truncated_norm
-from .linalg import DEFAULT_SEED
 from .models import (
     extremal_vector,
     heisenberg_commutator,
@@ -62,24 +62,27 @@ def _sidecar(path: str, payload: dict) -> None:
 # norms sweep
 # ---------------------------------------------------------------------------
 
+def _report(family: str, n: int, a: float, b: float):
+    """The commutator report of one family at size n and thresholds a, b
+    (for ring the Fourier window is n, for se2 n is the window)."""
+    if family in ("su2", "su2_interval"):
+        return su2_commutator(n, a, b)
+    if family == "su2_caps":
+        return su2_caps_commutator(n, a)
+    if family == "ring":
+        return ring_commutator(n, n) if a == 0.0 else ring_commutator_shifted(n, n, a)
+    if family == "heisenberg":
+        return heisenberg_commutator(n) if a == 0.0 else heisenberg_commutator_shifted(n, a)
+    if family == "se2":
+        return se2_commutator(n)
+    raise ContractError(f"unknown family {family!r}")
+
+
 def _norm_point(task):
     """Worker for one sweep point; returns (csv key, row dict, wall ms)."""
     family, n, a, b = task
     t0 = time.perf_counter()
-    if family in ("su2", "su2_interval"):
-        report = su2_commutator(n, a, b)
-    elif family == "su2_caps":
-        report = su2_caps_commutator(n, a)
-    elif family == "ring":
-        report = ring_commutator(n, n) if a == 0.0 else ring_commutator_shifted(n, n, a)
-    elif family == "heisenberg":
-        report = (
-            heisenberg_commutator(n) if a == 0.0 else heisenberg_commutator_shifted(n, a)
-        )
-    elif family == "se2":
-        report = se2_commutator(n)
-    else:
-        raise ContractError(f"unknown family {family!r}")
+    report = _report(family, n, a, b)
     wall_ms = int(round(1000 * (time.perf_counter() - t0)))
     if family == "su2_caps":
         a_out, b_out = a, a          # both projections thresholded at a
@@ -100,7 +103,7 @@ def _norm_point(task):
     return (n, a_out, b_out), row, wall_ms
 
 
-MAX_SWEEP_N = 2048  # keeps desk-scale runtimes; one dense eigensolve per point
+MAX_SWEEP_N = 2048  # keeps desk-scale runtimes; one dense block SVD per point
 
 
 def _sweep_tasks(args) -> list:
@@ -118,11 +121,20 @@ def _sweep_tasks(args) -> list:
     return [(args.family, n, a, b) for n in ns for a in a_list for b in b_list]
 
 
+def _worker_count(jobs: int, tasks: int, cpus: int) -> int:
+    """Worker processes for a sweep: the requested count, but never more than
+    there are tasks or CPUs."""
+    if jobs < 1:
+        raise ContractError(f"--jobs must be >= 1, got {jobs}")
+    return min(jobs, tasks, cpus)
+
+
 def cmd_norms(args) -> int:
     tasks = _sweep_tasks(args)
+    workers = _worker_count(args.jobs, len(tasks), os.cpu_count() or 1)
     t0 = time.perf_counter()
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_norm_point, tasks, chunksize=1))
     else:
         results = [_norm_point(t) for t in tasks]
@@ -148,8 +160,8 @@ def cmd_norms(args) -> int:
         {
             "command": "norms",
             "family": args.family,
-            "seed": DEFAULT_SEED,
             "jobs": args.jobs,
+            "workers": workers,
             "wall_ms_total": int(round(1000 * (time.perf_counter() - t0))),
             "wall_ms_points": [r[2] for r in results],
         },
@@ -161,8 +173,13 @@ def cmd_norms(args) -> int:
 # hankel table
 # ---------------------------------------------------------------------------
 
+MAX_HANKEL_N = 4096  # largest dense truncation the tests certify (N^2 floats)
+
+
 def cmd_hankel(args) -> int:
     sizes = args.N if args.N else [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
+    if max(sizes) > MAX_HANKEL_N:
+        raise ContractError(f"hankel cap is N <= {MAX_HANKEL_N}, got {max(sizes)}")
     a_list = args.a if args.a else [0.0]
     t0 = time.perf_counter()
     lines = [HANKEL_HEADER]
@@ -259,18 +276,8 @@ def _vector_labels(family: str, n: int):
 
 def cmd_vectors(args) -> int:
     a = args.a[0] if args.a else 0.0
-    if args.family in ("su2", "su2_interval"):
-        report = su2_commutator(args.n, a, args.b[0] if args.b else 1.0)
-    elif args.family == "su2_caps":
-        report = su2_caps_commutator(args.n, a)
-    elif args.family == "ring":
-        report = ring_commutator(args.n, args.n)
-    elif args.family == "heisenberg":
-        report = heisenberg_commutator(args.n)
-    elif args.family == "se2":
-        report = se2_commutator(args.n)
-    else:
-        raise ContractError(f"unknown family {args.family!r}")
+    b = args.b[0] if args.b else 1.0
+    report = _report(args.family, args.n, a, b)
     vec = extremal_vector(report, args.which)
     labels = _vector_labels(args.family, args.n)
     moduli = np.abs(vec.coefficients)

@@ -59,7 +59,6 @@ def fourier_coeff(sym: ArcSymbol, p: int) -> float:
 def _coeff_grid(sym: ArcSymbol, p: np.ndarray) -> np.ndarray:
     """Vectorized fourier_coeff over an integer array (same values bitwise)."""
     p = np.asarray(p, dtype=np.int64)
-    out = np.empty(p.shape)
     if sym.a == 0.0:
         r = np.mod(p, 4)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -67,9 +66,10 @@ def _coeff_grid(sym: ArcSymbol, p: np.ndarray) -> np.ndarray:
         out = np.where(r % 2 == 0, 0.0, odd)
         out = np.where(p == 0, 0.5, out)
         return out
-    flat = p.ravel()
-    vals = np.array([fourier_coeff(sym, int(q)) for q in flat])
-    return vals.reshape(p.shape)
+    # one scalar evaluation per distinct frequency, then a gather
+    lo = int(p.min())
+    vals = np.array([fourier_coeff(sym, q) for q in range(lo, int(p.max()) + 1)])
+    return vals[p - lo]
 
 
 def hankel_truncation(sym: ArcSymbol, n: int) -> np.ndarray:

@@ -1,33 +1,18 @@
 """Dense linear-algebra kernel: tridiagonal eigensolver, operator norms, commutators.
 
 Everything here is a pure function of its inputs.  Matrices are plain numpy
-arrays (row-major), real or complex.  Determinism matters: the power-iteration
-starting vector is the all-ones vector plus a perturbation drawn from a fixed
-seed (override with the LAB_SEED environment variable), so repeated runs are
-bit-identical.
+arrays (row-major), real or complex.  Norms come from a single LAPACK call
+with no random start, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
-import math
-import os
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from ._errors import ComputationError, ContractError
-
-DEFAULT_SEED = 20250809
-
-# power iteration controls
-RAYLEIGH_TOL = 1e-13
-VERIFY_TOL = 1e-12
-STAGNATION_WINDOW = 25
-
-
-def _calibration_seed() -> int:
-    return int(os.environ.get("LAB_SEED", DEFAULT_SEED))
 
 
 class EigenDecomposition(NamedTuple):
@@ -103,79 +88,27 @@ def _is_diagonal(a) -> bool:
 
 
 def _exact_norm(a) -> float:
-    """LAPACK-grade largest singular value (termination guarantee path)."""
+    """LAPACK-grade largest singular value."""
     if a.shape[0] == a.shape[1] and np.array_equal(a, a.conj().T):
         w = np.linalg.eigvalsh(a)
         return float(max(abs(w[0]), abs(w[-1])))
     return float(np.linalg.norm(a, 2))
 
 
-def _power_start(n: int) -> np.ndarray:
-    rng = np.random.default_rng(_calibration_seed())
-    v = np.ones(n) + 1e-2 * rng.standard_normal(n)
-    return v / np.linalg.norm(v)
-
-
 def operator_norm(a) -> float:
     """Largest singular value of a dense matrix.
 
-    Diagonal matrices take an exact fast path.  Otherwise runs power iteration
-    on A*A with Rayleigh-quotient stopping (tol 1e-13) from a deterministic
-    start vector, accepts the result only if the two-sided singular-pair
-    residual passes, and falls back to a full dense solve whenever iteration
-    stagnates (clustered top singular values) or the cap is reached.
+    Zero and diagonal matrices take exact fast paths; everything else is one
+    LAPACK solve (a Hermitian eigensolve when the input is exactly Hermitian,
+    an SVD otherwise).
     """
     A = np.asarray(a)
     if A.ndim != 2 or A.size == 0:
         raise ContractError(f"operator_norm needs a non-empty matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A.real)) or (np.iscomplexobj(A) and not np.all(np.isfinite(A.imag))):
         raise ContractError("operator_norm: non-finite entries")
-    scale = _max_abs(A)
-    if scale == 0.0:
+    if _max_abs(A) == 0.0:
         return 0.0
     if A.shape[0] == A.shape[1] and _is_diagonal(A):
         return float(np.max(np.abs(np.diag(A))))
-
-    rows, cols = A.shape
-    cap = 50 * max(rows, cols)
-    AH = A.conj().T
-    v = _power_start(cols).astype(complex if np.iscomplexobj(A) else float)
-    lam_prev = -np.inf
-    changes: list[float] = []
-    converged = False
-    for it in range(cap):
-        w = AH @ (A @ v)
-        lam = float(np.real(np.vdot(v, w)))
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            break
-        v = w / nw
-        change = abs(lam - lam_prev)
-        if np.isfinite(lam_prev) and change <= RAYLEIGH_TOL * max(abs(lam), 1e-300):
-            converged = True
-            break
-        if np.isfinite(change):
-            changes.append(change)
-        lam_prev = lam
-        # clustered spectra make the Rayleigh quotient creep; if the geometric
-        # decay rate projects past the cap, bail to the exact solver now
-        if len(changes) > STAGNATION_WINDOW and it % STAGNATION_WINDOW == 0:
-            old = changes[-STAGNATION_WINDOW - 1]
-            recent = changes[-1]
-            if old > 0 and recent > 0:
-                rate = (recent / old) ** (1.0 / STAGNATION_WINDOW)
-                if rate >= 1.0:
-                    break
-                target = RAYLEIGH_TOL * max(abs(lam), 1e-300)
-                projected = math.log(target / recent) / math.log(rate)
-                if it + projected > cap:
-                    break
-    if converged:
-        u = A @ v
-        sigma = float(np.linalg.norm(u))
-        if sigma > 0.0:
-            u = u / sigma
-            resid = float(np.linalg.norm(AH @ u - sigma * v))
-            if resid <= VERIFY_TOL * max(sigma, 1e-300) * np.sqrt(max(rows, cols)):
-                return sigma
     return _exact_norm(A)

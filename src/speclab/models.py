@@ -1,10 +1,12 @@
 """The commutator families: SU(2) spin, ring, finite Heisenberg, SE(2)/line.
 
 Each builder returns a CommutatorReport bundling the commutator matrix, its
-operator norm, and model-specific diagnostics.  Circle-grid membership tests
-(which grid points lie on the open arc Re z > a) run on exact integers when
-a = 0, where cos(2*pi*k/n) = 0 exactly at the quarter points and the strict
-inequality must exclude them.
+operator norm, and model-specific diagnostics.  Every family is a commutator
+[P, D] of a Hermitian P with a diagonal 0/1 projection D; one kernel forms it
+as a masked product and takes its norm on one off-diagonal block.
+Circle-grid membership tests (which grid points lie on the open arc Re z > a)
+run on exact integers when a = 0, where cos(2*pi*k/n) = 0 exactly at the
+quarter points and the strict inequality must exclude them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from ._errors import ComputationError, ContractError
 from .hankel import HALF_CIRCLE, ArcSymbol, _coeff_grid
-from .linalg import commutator, operator_norm
+from .linalg import operator_norm
 from .spinrep import (
     HalfInt,
     SpinRep,
@@ -49,6 +51,22 @@ class CommutatorReport:
             )
 
 
+def _projection_pair(p: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, float]:
+    """The commutator [P, diag d] and its operator norm, for Hermitian P and a
+    0/1 membership vector d.
+
+    Entry (k, l) is P_kl * (d_l - d_k), so the commutator vanishes unless
+    exactly one of k, l lies in D's range: it is block off-diagonal with
+    blocks -P[in, out] and P[out, in] = P[in, out]^*, and its norm is
+    ||P[in, out]|| (exactly 0 when either index set is empty).
+    """
+    d = np.asarray(d, dtype=float)
+    c = p * (d[None, :] - d[:, None])
+    inside = d != 0.0
+    block = p[np.ix_(inside, ~inside)]
+    return c, operator_norm(block) if block.size else 0.0
+
+
 # ---------------------------------------------------------------------------
 # SU(2)
 # ---------------------------------------------------------------------------
@@ -58,8 +76,7 @@ def su2_commutator(n: int, a: float = 0.0, b: float = 1.0) -> CommutatorReport:
     projection onto (0, b*(j+1/2)].
 
     For the plain case (a, b) = (0, 1) the matrix is block anti-diagonal in
-    the z-basis; the block structure is verified and the norm is taken from
-    the off-diagonal block.
+    the z-basis, and the block structure is verified entry by entry.
     """
     rep = SpinRep(n)
     if not 0.0 <= a < 1.0:
@@ -67,8 +84,7 @@ def su2_commutator(n: int, a: float = 0.0, b: float = 1.0) -> CommutatorReport:
     if not 0.0 < b <= 1.0:
         raise ContractError(f"su2_commutator: b must lie in (0, 1], got {b}")
     p = projection_x(rep, a)
-    q = projection_z_interval(rep, b)
-    c = commutator(p, q)
+    c, norm = _projection_pair(p, np.diag(projection_z_interval(rep, b)))
     plain = a == 0.0 and b == 1.0
     block_check = None
     if plain:
@@ -78,9 +94,6 @@ def su2_commutator(n: int, a: float = 0.0, b: float = 1.0) -> CommutatorReport:
         expected[:n_pos, n_pos:] = -p2
         expected[n_pos:, :n_pos] = p2.T
         block_check = float(np.max(np.abs(c - expected)))
-        norm = operator_norm(p2)
-    else:
-        norm = operator_norm(c)
     return CommutatorReport(
         family="su2" if plain else "su2_interval",
         params={"n": n, "a": a, "b": b},
@@ -101,12 +114,12 @@ def su2_caps_commutator(n: int, a: float) -> CommutatorReport:
     if not 0.0 <= a < 1.0:
         raise ContractError(f"su2_caps_commutator: a must lie in [0, 1), got {a}")
     p = projection_x(rep, a)
-    q = np.diag([1.0 if weight_exceeds(w.twice, a, n) else 0.0 for w in rep.weights])
-    c = commutator(p, q)
+    d = [1.0 if weight_exceeds(w.twice, a, n) else 0.0 for w in rep.weights]
+    c, norm = _projection_pair(p, d)
     return CommutatorReport(
         family="su2_caps",
         params={"n": n, "a": a},
-        norm=operator_norm(c),
+        norm=norm,
         dim=n,
         matrix=c,
     )
@@ -162,13 +175,12 @@ def grid_in_arc(k: int, n: int, a: float = 0.0) -> bool:
 def _ring_report(n: int, window: int, a: float) -> CommutatorReport:
     ks = np.arange(-window, window + 1, dtype=np.int64)
     memb = np.array([1.0 if grid_in_arc(int(k), n, a) else 0.0 for k in ks])
-    sym = ArcSymbol(a)
-    t = _coeff_grid(sym, np.subtract.outer(ks, ks))
-    c = (memb[None, :] - memb[:, None]) * t
+    t = _coeff_grid(ArcSymbol(a), np.subtract.outer(ks, ks))
+    c, norm = _projection_pair(t, memb)
     return CommutatorReport(
         family="ring",
         params={"n": n, "K": window, "a": a},
-        norm=operator_norm(c),
+        norm=norm,
         dim=2 * window + 1,
         matrix=c,
     )
@@ -220,16 +232,9 @@ def ring_submatrix(n: int, size: int, a: float = 0.0) -> np.ndarray:
 # finite Heisenberg
 # ---------------------------------------------------------------------------
 
-def _heis_pairing(n: int, p: int, a: float) -> complex:
-    """Discretized pairing (1/n) * sum over arc grid points of exp(-2*pi*i*p*m/n)."""
-    ms = np.array([m for m in range(n) if grid_in_arc(m, n, a)], dtype=np.int64)
-    if len(ms) == 0:
-        return 0.0 + 0.0j
-    return complex(np.sum(np.exp(-2j * math.pi * p * ms / n)) / n)
-
-
 def _heis_pairing_table(n: int, a: float) -> np.ndarray:
-    """Pairing values for every difference p = -(n-1)..(n-1), vectorized."""
+    """Discretized pairings (1/n) * sum over arc grid points m of
+    exp(-2*pi*i*p*m/n), for every difference p = -(n-1)..(n-1) (entry p + n - 1)."""
     ms = np.array([m for m in range(n) if grid_in_arc(m, n, a)], dtype=np.int64)
     ps = np.arange(-(n - 1), n, dtype=np.int64)
     if len(ms) == 0:
@@ -240,17 +245,16 @@ def _heis_pairing_table(n: int, a: float) -> np.ndarray:
 def _heis_report(n: int, a: float) -> CommutatorReport:
     memb = np.array([1.0 if grid_in_arc(k, n, a) else 0.0 for k in range(n)])
     grid = np.arange(n)
-    f = np.exp(-2j * math.pi * np.outer(grid, grid) / n) / math.sqrt(n)
-    p1 = (f.conj().T * memb[None, :]) @ f
-    p2 = np.diag(memb.astype(complex))
-    c = commutator(p1, p2)
+    lag = np.subtract.outer(grid, grid)  # lag[j, k] = j - k
+    # DFT conjugation F^* diag(memb) F, F the unitary DFT, is the circulant
+    # with entry (j, k) = fft(memb)[(k - j) mod n] / n
+    p1 = (np.fft.fft(memb) / n)[-lag % n]
+    c, norm = _projection_pair(p1, memb)
     # cross-check the matrix elements in the shift-operator eigenbasis
+    # (E^* c E with E_jk = exp(2*pi*i*j*k/n) / sqrt(n), done as two FFTs)
     # against the closed form (ind(k) - ind(l)) * pairing(k - l)
-    ebasis = np.exp(2j * math.pi * np.outer(grid, grid) / n) / math.sqrt(n)
-    c_e = ebasis.conj().T @ c @ ebasis
-    table = _heis_pairing_table(n, a)
-    diffs = np.subtract.outer(grid, grid) + (n - 1)  # index into the table
-    closed = (memb[:, None] - memb[None, :]) * table[diffs]
+    c_e = np.fft.ifft(np.fft.fft(c, axis=0, norm="ortho"), axis=1, norm="ortho")
+    closed = (memb[:, None] - memb[None, :]) * _heis_pairing_table(n, a)[lag + (n - 1)]
     residual = float(np.max(np.abs(c_e - closed)))
     if residual > 1e-12:
         raise ComputationError(
@@ -259,7 +263,7 @@ def _heis_report(n: int, a: float) -> CommutatorReport:
     return CommutatorReport(
         family="heisenberg",
         params={"n": n, "a": a},
-        norm=operator_norm(c),
+        norm=norm,
         dim=n,
         matrix=c,
         diagnostics={"closed_form_residual": residual},
@@ -272,8 +276,9 @@ def heisenberg_commutator(n: int) -> CommutatorReport:
     unitary DFT.
 
     The projection for the shift operator is built by DFT conjugation of the
-    diagonal one and the result is validated against the closed-form matrix
-    elements in the shift eigenbasis (residual kept in diagnostics).
+    diagonal one (with FFTs) and the result is validated against the
+    closed-form matrix elements in the shift eigenbasis (residual kept in
+    diagnostics).
     """
     if n < 2:
         raise ContractError(f"heisenberg_commutator: n must be >= 2, got {n}")
@@ -331,7 +336,7 @@ def se2_commutator(window: int) -> CommutatorReport:
     ks = np.arange(-window, window + 1, dtype=np.int64)
     t = _coeff_grid(HALF_CIRCLE, np.subtract.outer(ks, ks))
     hardy = (ks >= 0).astype(float)
-    c = t * hardy[None, :] - hardy[:, None] * t
+    c, norm = _projection_pair(t, hardy)
     neg = ks < 0
     pos = ks >= 0
     block = c[np.ix_(neg, pos)]
@@ -342,7 +347,7 @@ def se2_commutator(window: int) -> CommutatorReport:
     return CommutatorReport(
         family="se2",
         params={"K": window},
-        norm=operator_norm(block),
+        norm=norm,
         dim=2 * window + 1,
         matrix=c,
         submatrix=block[::-1, :],

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from speclab.cli import main, regress_rows
+from speclab import ContractError, heisenberg_commutator_shifted, ring_commutator_shifted
+from speclab.cli import _worker_count, main, regress_rows
 
 HEADER = "family,n,a,b,norm,n_mod_4,wall_ms"
 
@@ -100,6 +101,23 @@ def test_exit_codes(tmp_path):
     assert run(["norms", "--n-stop", "4", "--out", "/nonexistent-dir/x.csv"]) == 2
 
 
+def test_worker_count_clamp():
+    assert _worker_count(1, 10, 8) == 1
+    assert _worker_count(64, 10, 8) == 8
+    assert _worker_count(64, 3, 8) == 3
+    assert _worker_count(4, 10, 2) == 2
+    with pytest.raises(ContractError):
+        _worker_count(0, 10, 8)
+
+
+def test_out_of_bounds_requests_exit_1(tmp_path):
+    out = tmp_path / "x.csv"
+    assert run(["norms", "--n-stop", "4", "--jobs", "0", "--out", str(out)]) == 1
+    assert run(["norms", "--n-stop", "4", "--jobs", "-3", "--out", str(out)]) == 1
+    assert run(["hankel", "--N", "4,4097", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_hankel_table(tmp_path):
     out = tmp_path / "h.csv"
     assert run(["hankel", "--N", "1,2,4,8,64", "--out", str(out)]) == 0
@@ -171,6 +189,19 @@ def test_vectors_unit_norm_and_interior_max(tmp_path):
     k = int(np.argmax(moduli))
     assert 5 <= k <= 95
     assert svg.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("family", ["ring", "heisenberg"])
+def test_vectors_honours_threshold(tmp_path, family):
+    shifted = {
+        "ring": lambda n, a: ring_commutator_shifted(n, n, a),
+        "heisenberg": heisenberg_commutator_shifted,
+    }[family]
+    out = tmp_path / "v.csv"
+    assert run(["vectors", "--family", family, "--n", "13", "--a", "0.3", "--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "v.csv.meta.json").read_text())
+    assert meta["norm"] == shifted(13, 0.3).norm
+    assert meta["norm"] != shifted(13, 0.0).norm
 
 
 def test_vectors_deterministic(tmp_path):

@@ -13,6 +13,7 @@ from speclab import (
     power_essential_radius,
     truncated_norm,
 )
+from speclab.hankel import _coeff_grid
 
 
 def test_arc_symbol_contract():
@@ -63,6 +64,17 @@ def test_truncation_antidiagonal_structure(a):
     for k in range(9):
         for l in range(9):
             assert h[k, l] == fourier_coeff(sym, -(k + l) - 1)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.3, 0.77])
+def test_coeff_grid_bitwise_equals_per_entry_loop(a):
+    sym = ArcSymbol(a)
+    ks = np.arange(-23, 24, dtype=np.int64)
+    for grid in (np.subtract.outer(ks, ks), 1 - np.add.outer(ks[23:], ks[23:])):
+        loop = np.array([[fourier_coeff(sym, int(q)) for q in row] for row in grid])
+        fast = _coeff_grid(sym, grid)
+        assert fast.shape == grid.shape
+        assert np.array_equal(fast.view(np.int64), loop.view(np.int64))
 
 
 def test_truncation_even_antidiagonals_vanish_exactly():

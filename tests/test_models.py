@@ -1,13 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speclab import (
     ContractError,
     HALF_CIRCLE,
     HalfInt,
     SpinRep,
+    commutator,
     extremal_vector,
     fourier_coeff,
     grid_in_arc,
@@ -25,7 +29,8 @@ from speclab import (
     su2_commutator,
     su2_submatrix,
 )
-from speclab.models import _heis_pairing
+from speclab import models
+from speclab.models import _heis_pairing_table
 
 # frozen by oracle runs (see tests/test_acceptance.py for the committed values)
 SU2_SUBMATRIX_TOL_N4001 = 2.5e-4
@@ -258,7 +263,7 @@ def test_heisenberg_riemann_rate():
     # on this grid family the decay is in fact quadratic
     for p in (1, 3):
         errs = [
-            abs(_heis_pairing(n, p, 0.0) - fourier_coeff(HALF_CIRCLE, p))
+            abs(_heis_pairing_table(n, 0.0)[p + n - 1] - fourier_coeff(HALF_CIRCLE, p))
             for n in (64, 128, 256)
         ]
         assert errs[0] > errs[1] > errs[2]
@@ -297,7 +302,7 @@ def test_heisenberg_shifted():
     a = 1 / math.sqrt(2)
     count = sum(grid_in_arc(k, n, a) for k in range(n))
     assert abs(count / n - 0.25) <= 2e-3
-    assert abs(_heis_pairing(n, 0, a).real - 0.25) <= 2e-3
+    assert abs(_heis_pairing_table(n, a)[n - 1].real - 0.25) <= 2e-3
 
 
 def test_heisenberg_contracts():
@@ -404,3 +409,42 @@ def test_every_family_respects_the_half_bound():
     ]
     for r in reports:
         assert 0.0 <= r.norm <= 0.5 + 1e-10, r.family
+
+
+# ---------------------------------------------------------------------------
+# projection-pair kernel against the dense path
+# ---------------------------------------------------------------------------
+
+BUILDERS = {
+    "su2": lambda n, a, b: su2_commutator(n, a, b),
+    "su2_caps": lambda n, a, b: su2_caps_commutator(n, a),
+    "ring": lambda n, a, b: ring_commutator_shifted(n, n, a),
+    "heisenberg": lambda n, a, b: heisenberg_commutator_shifted(n, a),
+    "se2": lambda n, a, b: se2_commutator(n),
+}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(
+    family=st.sampled_from(sorted(BUILDERS)),
+    n=st.integers(2, 64),
+    a=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+    b=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+)
+def test_projection_pair_matches_dense_path(family, n, a, b):
+    seen = []
+    kernel = models._projection_pair
+
+    def spy(p, d):
+        out = kernel(p, d)
+        seen.append((p, d, out))
+        return out
+
+    with mock.patch.object(models, "_projection_pair", spy):
+        report = BUILDERS[family](n, a, b)
+    [(p, d, (matrix, norm))] = seen
+    assert report.norm == norm and report.matrix is matrix
+    assert abs(norm - np.linalg.norm(matrix, 2)) <= 1e-12
+    dense = commutator(p, np.diag(np.asarray(d, dtype=float)))
+    assert np.max(np.abs(matrix - dense)) <= 1e-15
+    assert norm <= 0.5 + 1e-12
