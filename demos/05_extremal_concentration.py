@@ -12,10 +12,11 @@ import numpy as np
 
 from speclab import extremal_vector, su2_commutator
 from speclab.cli import _svg_bars
+from speclab.models import FAMILIES
 
 n = 101
 report = su2_commutator(n)
-weights = [(n - 1 - 2 * i) / 2.0 for i in range(n)]
+weights = FAMILIES["su2"].labels(n)
 
 for which in ("max", "min"):
     vec = extremal_vector(report, which)

@@ -23,10 +23,8 @@ from .models import (
     extremal_vector,
     grid_in_arc,
     heisenberg_commutator,
-    heisenberg_commutator_shifted,
     heisenberg_submatrix,
     ring_commutator,
-    ring_commutator_shifted,
     ring_submatrix,
     se2_commutator,
     su2_caps_commutator,
@@ -73,7 +71,6 @@ __all__ = [
     "grid_in_arc",
     "hankel_truncation",
     "heisenberg_commutator",
-    "heisenberg_commutator_shifted",
     "heisenberg_submatrix",
     "hilbert_bessel_at_zero",
     "jacobi_p",
@@ -84,7 +81,6 @@ __all__ = [
     "projection_x_entries",
     "projection_z_interval",
     "ring_commutator",
-    "ring_commutator_shifted",
     "ring_submatrix",
     "se2_commutator",
     "su2_caps_commutator",

@@ -24,21 +24,11 @@ import numpy as np
 
 from ._errors import ComputationError, ContractError
 from .hankel import ArcSymbol, nehari_bound, power_essential_radius, truncated_norm
-from .models import (
-    extremal_vector,
-    heisenberg_commutator,
-    heisenberg_commutator_shifted,
-    ring_commutator,
-    ring_commutator_shifted,
-    se2_commutator,
-    su2_caps_commutator,
-    su2_commutator,
-)
+from .models import FAMILIES, extremal_vector
 from .validate import run_validation
 
 NORMS_HEADER = "family,n,a,b,norm,n_mod_4,wall_ms"
 HANKEL_HEADER = "a,N,truncated_norm,nehari_upper,power_lower"
-FAMILIES = ("su2", "su2_interval", "su2_caps", "ring", "heisenberg", "se2")
 HALF_SLACK = 1e-10  # rows this close to 1/2 count as exactly half in regression
 
 
@@ -62,62 +52,45 @@ def _sidecar(path: str, payload: dict) -> None:
 # norms sweep
 # ---------------------------------------------------------------------------
 
-def _report(family: str, n: int, a: float, b: float):
-    """The commutator report of one family at size n and thresholds a, b
-    (for ring the Fourier window is n, for se2 n is the window)."""
-    if family in ("su2", "su2_interval"):
-        return su2_commutator(n, a, b)
-    if family == "su2_caps":
-        return su2_caps_commutator(n, a)
-    if family == "ring":
-        return ring_commutator(n, n) if a == 0.0 else ring_commutator_shifted(n, n, a)
-    if family == "heisenberg":
-        return heisenberg_commutator(n) if a == 0.0 else heisenberg_commutator_shifted(n, a)
-    if family == "se2":
-        return se2_commutator(n)
-    raise ContractError(f"unknown family {family!r}")
-
-
-def _norm_point(task):
-    """Worker for one sweep point; returns (csv key, row dict, wall ms)."""
-    family, n, a, b = task
-    t0 = time.perf_counter()
-    report = _report(family, n, a, b)
-    wall_ms = int(round(1000 * (time.perf_counter() - t0)))
-    if family == "su2_caps":
-        a_out, b_out = a, a          # both projections thresholded at a
-    elif family in ("ring", "heisenberg"):
-        a_out, b_out = a, 0.0
-    elif family == "se2":
-        a_out, b_out = 0.0, 0.0
-    else:
-        a_out, b_out = a, b
-    row = {
-        "family": report.family,
-        "n": n,
-        "a": a_out,
-        "b": b_out,
-        "norm": report.norm,
-        "n_mod_4": n % 4,
-    }
-    return (n, a_out, b_out), row, wall_ms
+def _family_args(args) -> tuple:
+    """The family of a norms or vectors call and the a and b values to build
+    it with (defaults 0 and 1); a threshold it does not read is a contract error."""
+    if args.family not in FAMILIES:
+        raise ContractError(f"unknown family {args.family!r}")
+    family = FAMILIES[args.family]
+    for flag in ("a", "b"):
+        if getattr(args, flag) and flag not in family.reads:
+            raise ContractError(f"family {args.family} reads no --{flag}")
+    return family, args.a or [0.0], args.b or [1.0]
 
 
 MAX_SWEEP_N = 2048  # keeps desk-scale runtimes; one dense block SVD per point
 
 
+def _check_size(n: int) -> None:
+    if n > MAX_SWEEP_N:
+        raise ContractError(f"sweep cap is n <= {MAX_SWEEP_N}, got {n}")
+
+
+def _norm_point(task):
+    """Worker for one sweep point; returns (csv key, csv row, wall ms)."""
+    family, n, a, b = task
+    t0 = time.perf_counter()
+    report = FAMILIES[family].build(n, a, b)
+    wall_ms = int(round(1000 * (time.perf_counter() - t0)))
+    a_out, b_out = report.params.get("a", 0.0), report.params.get("b", 0.0)
+    cells = [report.family, str(n), _fmt(a_out), _fmt(b_out), _fmt(report.norm), str(n % 4), "0"]
+    return (n, a_out, b_out), ",".join(cells), wall_ms
+
+
 def _sweep_tasks(args) -> list:
+    if args.n_step < 1:
+        raise ContractError(f"--n-step must be >= 1, got {args.n_step}")
     ns = list(range(args.n_start, args.n_stop + 1, args.n_step))
     if not ns:
         raise ContractError("empty n range")
-    if ns[-1] > MAX_SWEEP_N:
-        raise ContractError(f"sweep cap is n <= {MAX_SWEEP_N}, got {ns[-1]}")
-    a_list = args.a if args.a else [0.0]
-    b_list = args.b if args.b else [1.0]
-    if args.family in ("ring", "heisenberg", "se2", "su2_caps"):
-        b_list = [1.0]
-    if args.family == "se2":
-        a_list = [0.0]
+    _check_size(ns[-1])
+    _, a_list, b_list = _family_args(args)
     return [(args.family, n, a, b) for n in ns for a in a_list for b in b_list]
 
 
@@ -139,21 +112,7 @@ def cmd_norms(args) -> int:
     else:
         results = [_norm_point(t) for t in tasks]
     results.sort(key=lambda r: r[0])
-    lines = [NORMS_HEADER]
-    for _, row, _ in results:
-        lines.append(
-            ",".join(
-                [
-                    row["family"],
-                    str(row["n"]),
-                    _fmt(row["a"]),
-                    _fmt(row["b"]),
-                    _fmt(row["norm"]),
-                    str(row["n_mod_4"]),
-                    "0",
-                ]
-            )
-        )
+    lines = [NORMS_HEADER] + [row for _, row, _ in results]
     _write_text(args.out, "\n".join(lines) + "\n")
     _sidecar(
         args.out,
@@ -240,17 +199,23 @@ def regress_rows(rows, residue: int) -> dict:
 
 
 def _read_norms_csv(path: str):
+    """(n, norm) rows of a norms CSV that holds one (family, a, b) group."""
     with open(path, "r", newline="") as fh:
         header = fh.readline().strip()
         if header != NORMS_HEADER:
             raise ContractError(f"unexpected CSV header {header!r}")
-        rows = []
+        rows, groups = [], set()
         for line in fh:
             parts = line.strip().split(",")
             if len(parts) != 7:
                 raise ContractError(f"malformed CSV row: {line!r}")
+            groups.add((parts[0], float(parts[2]), float(parts[3])))
             rows.append((int(parts[1]), float(parts[4])))
+    if len(groups) > 1:
+        names = ", ".join(f"{f} a={a!r} b={b!r}" for f, a, b in sorted(groups))
+        raise ContractError(f"regress fits one (family, a, b) group; the CSV holds {names}")
     return rows
+
 
 def cmd_regress(args) -> int:
     result = regress_rows(_read_norms_csv(args.csv), args.mod_residue)
@@ -266,20 +231,14 @@ def cmd_regress(args) -> int:
 # extremal vectors
 # ---------------------------------------------------------------------------
 
-def _vector_labels(family: str, n: int):
-    if family in ("su2", "su2_interval", "su2_caps"):
-        return [(n - 1 - 2 * i) / 2.0 for i in range(n)]
-    if family in ("ring", "se2"):
-        return list(range(-n, n + 1))
-    return list(range(n))
-
-
 def cmd_vectors(args) -> int:
-    a = args.a[0] if args.a else 0.0
-    b = args.b[0] if args.b else 1.0
-    report = _report(args.family, args.n, a, b)
+    family, a_list, b_list = _family_args(args)
+    _check_size(args.n)
+    if len(a_list) > 1 or len(b_list) > 1:
+        raise ContractError("vectors takes one value of --a and of --b")
+    report = family.build(args.n, a_list[0], b_list[0])
     vec = extremal_vector(report, args.which)
-    labels = _vector_labels(args.family, args.n)
+    labels = family.labels(args.n)
     moduli = np.abs(vec.coefficients)
     lines = ["m,modulus"]
     for label, mod in zip(labels, moduli):
@@ -409,19 +368,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+CONFIG_LISTS = {"a": float, "b": float, "N": int}  # config keys holding lists of numbers
+CONFIG_INTS = ("n_start", "n_stop", "n_step", "jobs")
+
+
+def _numbers(items, kind) -> bool:
+    """Whether every JSON value is an integer (kind int) or a number (kind float)."""
+    allowed = int if kind is int else (int, float)
+    return all(isinstance(x, allowed) and not isinstance(x, bool) for x in items)
+
+
+def _config_value(attr: str, value):
+    """A config value checked against its option's type and cast to it."""
+    if attr in CONFIG_LISTS:
+        kind = CONFIG_LISTS[attr]
+        if not (isinstance(value, list) and _numbers(value, kind)):
+            what = f"a list of {kind.__name__}s"
+            raise ContractError(f"config key {attr!r} needs {what}, got {value!r}")
+        return [kind(x) for x in value]
+    if attr in CONFIG_INTS and not _numbers([value], int):
+        raise ContractError(f"config key {attr!r} needs an int, got {value!r}")
+    return value
+
+
 def _apply_config(args) -> None:
     """Merge a JSON config under explicit flags, then fill hard defaults."""
     path = getattr(args, "config", None)
     if path:
         with open(path) as fh:
             cfg = json.load(fh)
-        if cfg.get("schema_version") != 1:
+        if not isinstance(cfg, dict) or cfg.get("schema_version") != 1:
             raise ContractError("config must carry schema_version 1")
-        casts = {
-            "a": lambda v: [float(x) for x in v],
-            "b": lambda v: [float(x) for x in v],
-            "N": lambda v: [int(x) for x in v],
-        }
         for key, value in cfg.items():
             if key == "schema_version":
                 continue
@@ -429,7 +406,7 @@ def _apply_config(args) -> None:
             if not hasattr(args, attr):
                 raise ContractError(f"config key {key!r} is not a recognized option")
             if getattr(args, attr) is None:
-                setattr(args, attr, casts.get(attr, lambda v: v)(value))
+                setattr(args, attr, _config_value(attr, value))
     for attr, value in getattr(args, "_fallbacks", {}).items():
         if getattr(args, attr) is None:
             setattr(args, attr, value)

@@ -1,9 +1,11 @@
 """The commutator families: SU(2) spin, ring, finite Heisenberg, SE(2)/line.
 
 Each builder returns a CommutatorReport bundling the commutator matrix, its
-operator norm, and model-specific diagnostics.  Every family is a commutator
-[P, D] of a Hermitian P with a diagonal 0/1 projection D; one kernel forms it
-as a masked product and takes its norm on one off-diagonal block.
+operator norm, and model-specific diagnostics; FAMILIES maps each family name
+to its builder, the thresholds it reads and its basis labels.  Every family
+is a commutator [P, D] of a Hermitian P with a diagonal 0/1 projection D; one
+kernel forms it as a masked product and takes its norm on one off-diagonal
+block.
 Circle-grid membership tests (which grid points lie on the open arc Re z > a)
 run on exact integers when a = 0, where cos(2*pi*k/n) = 0 exactly at the
 quarter points and the strict inequality must exclude them.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -38,7 +41,6 @@ class CommutatorReport:
     family: str
     params: dict
     norm: float
-    dim: int
     matrix: np.ndarray
     submatrix: np.ndarray | None = None
     block_check: float | None = None
@@ -98,7 +100,6 @@ def su2_commutator(n: int, a: float = 0.0, b: float = 1.0) -> CommutatorReport:
         family="su2" if plain else "su2_interval",
         params={"n": n, "a": a, "b": b},
         norm=norm,
-        dim=n,
         matrix=c,
         block_check=block_check,
     )
@@ -118,9 +119,8 @@ def su2_caps_commutator(n: int, a: float) -> CommutatorReport:
     c, norm = _projection_pair(p, d)
     return CommutatorReport(
         family="su2_caps",
-        params={"n": n, "a": a},
+        params={"n": n, "a": a, "b": a},  # both projections thresholded at a
         norm=norm,
-        dim=n,
         matrix=c,
     )
 
@@ -137,18 +137,9 @@ def su2_submatrix(n: int, size: int) -> np.ndarray:
         raise ContractError("su2_submatrix: size must be >= 1")
     if rep.j.twice <= 2 * size:
         raise ContractError(f"su2_submatrix requires j > N, got j = {rep.j}, N = {size}")
-    if n % 2 == 1:
-        pairs = [
-            (HalfInt(2 * k), HalfInt(2 * (1 - l)))
-            for k in range(1, size + 1)
-            for l in range(1, size + 1)
-        ]
-    else:
-        pairs = [
-            (HalfInt(2 * k - 1), HalfInt(1 - 2 * l))
-            for k in range(1, size + 1)
-            for l in range(1, size + 1)
-        ]
+    half = 1 - n % 2  # even dimensions sit half a step lower
+    idx = range(1, size + 1)
+    pairs = [(HalfInt(2 * k - half), HalfInt(2 - 2 * l - half)) for k in idx for l in idx]
     return projection_x_entries(rep, 0.0, pairs).reshape(size, size)
 
 
@@ -168,45 +159,37 @@ def grid_in_arc(k: int, n: int, a: float = 0.0) -> bool:
     return math.cos(2 * math.pi * (k % n) / n) > a
 
 
+def _arc_membership(ks, n: int, a: float) -> np.ndarray:
+    """1.0 where the grid point exp(2*pi*i*k/n) lies on the arc Re z > a, else 0.0."""
+    return np.array([1.0 if grid_in_arc(int(k), n, a) else 0.0 for k in ks])
+
+
 # ---------------------------------------------------------------------------
 # ring
 # ---------------------------------------------------------------------------
 
-def _ring_report(n: int, window: int, a: float) -> CommutatorReport:
-    ks = np.arange(-window, window + 1, dtype=np.int64)
-    memb = np.array([1.0 if grid_in_arc(int(k), n, a) else 0.0 for k in ks])
-    t = _coeff_grid(ArcSymbol(a), np.subtract.outer(ks, ks))
-    c, norm = _projection_pair(t, memb)
-    return CommutatorReport(
-        family="ring",
-        params={"n": n, "K": window, "a": a},
-        norm=norm,
-        dim=2 * window + 1,
-        matrix=c,
-    )
-
-
-def ring_commutator(n: int, window: int) -> CommutatorReport:
+def ring_commutator(n: int, window: int, a: float = 0.0) -> CommutatorReport:
     """Ring commutator on the Fourier modes -K..K.
 
     Entry (k, l) is (ind(l) - ind(k)) * coeff(k - l), where ind marks grid
-    points exp(2*pi*i*k/n) on the right half-circle and coeff is the arc
-    indicator's Fourier coefficient.
+    points exp(2*pi*i*k/n) on the arc Re z > a (the right half-circle at
+    a = 0) and coeff is the arc indicator's Fourier coefficient.
     """
     if n < 2:
         raise ContractError(f"ring_commutator: n must be >= 2, got {n}")
     if window < 1:
         raise ContractError(f"ring_commutator: window must be >= 1, got {window}")
-    return _ring_report(n, window, 0.0)
-
-
-def ring_commutator_shifted(n: int, window: int, a: float) -> CommutatorReport:
-    """Ring commutator with both projections shifted to the arc Re z > a."""
-    if n < 2 or window < 1:
-        raise ContractError("ring_commutator_shifted: need n >= 2 and window >= 1")
     if not 0.0 <= a < 1.0:
-        raise ContractError(f"ring_commutator_shifted: a must lie in [0, 1), got {a}")
-    return _ring_report(n, window, a)
+        raise ContractError(f"ring_commutator: a must lie in [0, 1), got {a}")
+    ks = np.arange(-window, window + 1, dtype=np.int64)
+    t = _coeff_grid(ArcSymbol(a), np.subtract.outer(ks, ks))
+    c, norm = _projection_pair(t, _arc_membership(ks, n, a))
+    return CommutatorReport(
+        family="ring",
+        params={"n": n, "K": window, "a": a},
+        norm=norm,
+        matrix=c,
+    )
 
 
 def ring_submatrix(n: int, size: int, a: float = 0.0) -> np.ndarray:
@@ -219,32 +202,43 @@ def ring_submatrix(n: int, size: int, a: float = 0.0) -> np.ndarray:
     if n <= 4 * size:
         raise ContractError(f"ring_submatrix requires n > 4N, got n = {n}, N = {size}")
     q = -(-n // 4)  # ceil(n/4)
-    sym = ArcSymbol(a)
-    rows = np.array([q - k for k in range(1, size + 1)], dtype=np.int64)
-    cols = np.array([q + l - 1 for l in range(1, size + 1)], dtype=np.int64)
-    memb_r = np.array([1.0 if grid_in_arc(int(k), n, a) else 0.0 for k in rows])
-    memb_c = np.array([1.0 if grid_in_arc(int(l), n, a) else 0.0 for l in cols])
-    t = _coeff_grid(sym, np.subtract.outer(rows, cols))
-    return (memb_c[None, :] - memb_r[:, None]) * t
+    rows = q - np.arange(1, size + 1, dtype=np.int64)
+    cols = q + np.arange(size, dtype=np.int64)
+    t = _coeff_grid(ArcSymbol(a), np.subtract.outer(rows, cols))
+    return (_arc_membership(cols, n, a)[None, :] - _arc_membership(rows, n, a)[:, None]) * t
 
 
 # ---------------------------------------------------------------------------
 # finite Heisenberg
 # ---------------------------------------------------------------------------
 
-def _heis_pairing_table(n: int, a: float) -> np.ndarray:
+def _heis_pairing_table(n: int, a: float, ps=None) -> np.ndarray:
     """Discretized pairings (1/n) * sum over arc grid points m of
-    exp(-2*pi*i*p*m/n), for every difference p = -(n-1)..(n-1) (entry p + n - 1)."""
-    ms = np.array([m for m in range(n) if grid_in_arc(m, n, a)], dtype=np.int64)
-    ps = np.arange(-(n - 1), n, dtype=np.int64)
+    exp(-2*pi*i*p*m/n) for an array of differences ps; by default for every
+    p = -(n-1)..(n-1) (entry p + n - 1)."""
+    ms = np.flatnonzero(_arc_membership(range(n), n, a))
+    ps = np.arange(-(n - 1), n, dtype=np.int64) if ps is None else np.asarray(ps)
     if len(ms) == 0:
-        return np.zeros(len(ps), dtype=complex)
-    return np.exp(-2j * math.pi * np.outer(ps, ms) / n).sum(axis=1) / n
+        return np.zeros(ps.shape, dtype=complex)
+    return np.exp(-2j * math.pi * (ps[..., None] * ms) / n).sum(axis=-1) / n
 
 
-def _heis_report(n: int, a: float) -> CommutatorReport:
-    memb = np.array([1.0 if grid_in_arc(k, n, a) else 0.0 for k in range(n)])
+def heisenberg_commutator(n: int, a: float = 0.0) -> CommutatorReport:
+    """Commutator of the two arc projections (Re z > a; half-circles at
+    a = 0) of the finite Heisenberg pair (cyclic shift and modulation),
+    conjugate under the unitary DFT.
+
+    The projection for the shift operator is built by DFT conjugation of the
+    diagonal one (with FFTs) and the result is validated against the
+    closed-form matrix elements in the shift eigenbasis (residual kept in
+    diagnostics).
+    """
+    if n < 2:
+        raise ContractError(f"heisenberg_commutator: n must be >= 2, got {n}")
+    if not 0.0 <= a < 1.0:
+        raise ContractError(f"heisenberg_commutator: a must lie in [0, 1), got {a}")
     grid = np.arange(n)
+    memb = _arc_membership(grid, n, a)
     lag = np.subtract.outer(grid, grid)  # lag[j, k] = j - k
     # DFT conjugation F^* diag(memb) F, F the unitary DFT, is the circulant
     # with entry (j, k) = fft(memb)[(k - j) mod n] / n
@@ -264,34 +258,9 @@ def _heis_report(n: int, a: float) -> CommutatorReport:
         family="heisenberg",
         params={"n": n, "a": a},
         norm=norm,
-        dim=n,
         matrix=c,
         diagnostics={"closed_form_residual": residual},
     )
-
-
-def heisenberg_commutator(n: int) -> CommutatorReport:
-    """Commutator of the two half-circle projections of the finite
-    Heisenberg pair (cyclic shift and modulation), conjugate under the
-    unitary DFT.
-
-    The projection for the shift operator is built by DFT conjugation of the
-    diagonal one (with FFTs) and the result is validated against the
-    closed-form matrix elements in the shift eigenbasis (residual kept in
-    diagnostics).
-    """
-    if n < 2:
-        raise ContractError(f"heisenberg_commutator: n must be >= 2, got {n}")
-    return _heis_report(n, 0.0)
-
-
-def heisenberg_commutator_shifted(n: int, a: float) -> CommutatorReport:
-    """Heisenberg commutator with both projections shifted to Re z > a."""
-    if n < 2:
-        raise ContractError(f"heisenberg_commutator_shifted: n must be >= 2, got {n}")
-    if not 0.0 <= a < 1.0:
-        raise ContractError(f"heisenberg_commutator_shifted: a must lie in [0, 1), got {a}")
-    return _heis_report(n, a)
 
 
 def heisenberg_submatrix(n: int, size: int, a: float = 0.0) -> np.ndarray:
@@ -303,19 +272,11 @@ def heisenberg_submatrix(n: int, size: int, a: float = 0.0) -> np.ndarray:
     if n <= 4 * size:
         raise ContractError(f"heisenberg_submatrix requires n > 4N, got n = {n}, N = {size}")
     q = -(-n // 4)
-    ms = np.array([m for m in range(n) if grid_in_arc(m, n, a)], dtype=np.int64)
-    out = np.empty((size, size))
-    for k in range(1, size + 1):
-        for l in range(1, size + 1):
-            row, col = q - k, q + l - 1
-            pref = (1.0 if grid_in_arc(row, n, a) else 0.0) - (
-                1.0 if grid_in_arc(col, n, a) else 0.0
-            )
-            # the pairing is real: the arc grid is symmetric under m -> n - m
-            out[k - 1, l - 1] = pref * float(
-                np.sum(np.cos(2 * math.pi * (row - col) * ms / n)) / n
-            )
-    return out
+    rows = q - np.arange(1, size + 1, dtype=np.int64)
+    cols = q + np.arange(size, dtype=np.int64)
+    # the pairing is real: the arc grid is symmetric under m -> n - m
+    pairing = _heis_pairing_table(n, a, np.subtract.outer(rows, cols)).real
+    return (_arc_membership(rows, n, a)[:, None] - _arc_membership(cols, n, a)[None, :]) * pairing
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +296,9 @@ def se2_commutator(window: int) -> CommutatorReport:
         raise ContractError(f"se2_commutator: window must be >= 1, got {window}")
     ks = np.arange(-window, window + 1, dtype=np.int64)
     t = _coeff_grid(HALF_CIRCLE, np.subtract.outer(ks, ks))
-    hardy = (ks >= 0).astype(float)
-    c, norm = _projection_pair(t, hardy)
-    neg = ks < 0
     pos = ks >= 0
+    neg = ~pos
+    c, norm = _projection_pair(t, pos.astype(float))
     block = c[np.ix_(neg, pos)]
     expected = np.zeros_like(c)
     expected[np.ix_(neg, pos)] = block
@@ -348,11 +308,50 @@ def se2_commutator(window: int) -> CommutatorReport:
         family="se2",
         params={"K": window},
         norm=norm,
-        dim=2 * window + 1,
         matrix=c,
         submatrix=block[::-1, :],
         block_check=block_check,
     )
+
+
+# ---------------------------------------------------------------------------
+# family table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Family:
+    """One commutator family as a sweep sees it: ``build(n, a, b)`` at sweep
+    size n (the Fourier window K = n for ring, the window itself for se2),
+    the thresholds it ``reads`` ("ab", "a" or ""), and ``labels(n)``, the
+    basis of the built matrix in order."""
+
+    build: Callable[[int, float, float], CommutatorReport]
+    reads: str
+    labels: Callable[[int], list]
+
+
+def _weights(n: int) -> list:
+    return [(n - 1 - 2 * i) / 2.0 for i in range(n)]
+
+
+def _modes(n: int) -> list:
+    return list(range(-n, n + 1))
+
+
+def _sites(n: int) -> list:
+    return list(range(n))
+
+
+# lambdas look the builders up by name at call time, so a wrapper installed
+# on a module attribute sees every call
+FAMILIES = {
+    "su2": Family(lambda n, a, b: su2_commutator(n, a, b), "ab", _weights),
+    "su2_interval": Family(lambda n, a, b: su2_commutator(n, a, b), "ab", _weights),
+    "su2_caps": Family(lambda n, a, b: su2_caps_commutator(n, a), "a", _weights),
+    "ring": Family(lambda n, a, b: ring_commutator(n, n, a), "a", _modes),
+    "heisenberg": Family(lambda n, a, b: heisenberg_commutator(n, a), "a", _sites),
+    "se2": Family(lambda n, a, b: se2_commutator(n), "", _modes),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -387,15 +386,11 @@ def extremal_vector(source, which: str = "max") -> ExtremalVector:
     if float(np.max(np.abs(mat + mat.conj().T))) > 1e-10 * scale:
         raise ContractError("extremal_vector expects a skew-adjoint commutator matrix")
     evals, evecs = np.linalg.eigh(1j * mat)
-    if which == "max":
-        vec, val = evecs[:, -1], evals[-1]
-        gap = float(evals[-1] - evals[-2]) if len(evals) > 1 else math.inf
-    else:
-        vec, val = evecs[:, 0], evals[0]
-        gap = float(evals[1] - evals[0]) if len(evals) > 1 else math.inf
+    end, next_in = (-1, -2) if which == "max" else (0, 1)
+    gap = float(abs(evals[end] - evals[next_in])) if len(evals) > 1 else math.inf
     return ExtremalVector(
-        coefficients=vec,
-        value=float(abs(val)),
+        coefficients=evecs[:, end],
+        value=float(abs(evals[end])),
         which=which,
         gap=gap,
         degenerate=gap < 1e-10,

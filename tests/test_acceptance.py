@@ -47,7 +47,7 @@ CENTRAL_TOLS = {
 MONOTONE_FLOOR = 1e-12
 
 
-def _report(num: int, ok: bool, detail: str):
+def _verdict(num: int, ok: bool, detail: str):
     print(f"criterion {num:02d} {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, detail
 
@@ -56,7 +56,7 @@ def test_criterion_01_su2_exact_half_ladder():
     t0 = time.perf_counter()
     worst = max(abs(su2_commutator(n).norm - 0.5) for n in LADDER)
     elapsed = time.perf_counter() - t0
-    _report(
+    _verdict(
         1,
         worst <= 1e-10 and elapsed < 10.0,
         f"su2 ladder n=2..102 max |norm - 1/2| = {worst:.3e} in {elapsed:.2f}s (tol 1e-10, < 10s)",
@@ -67,7 +67,7 @@ def test_criterion_02_heisenberg_exact_half_ladder():
     t0 = time.perf_counter()
     worst = max(abs(heisenberg_commutator(n).norm - 0.5) for n in LADDER)
     elapsed = time.perf_counter() - t0
-    _report(
+    _verdict(
         2,
         worst <= 1e-10 and elapsed < 5.0,
         f"heisenberg ladder max |norm - 1/2| = {worst:.3e} in {elapsed:.2f}s (tol 1e-10, < 5s)",
@@ -78,7 +78,7 @@ def test_criterion_03_small_case_closed_forms():
     e3 = abs(su2_commutator(3).norm - math.sqrt(3) / 4)
     e2 = abs(su2_commutator(2).norm - 0.5)
     e2h = abs(heisenberg_commutator(2).norm - 0.5)
-    _report(
+    _verdict(
         3,
         e3 <= 1e-12 and e2 <= 1e-12 and e2h <= 1e-12,
         f"|C_3 - sqrt(3)/4| = {e3:.2e}, |C_2 - 1/2| = {e2:.2e}, |C^(3)_2 - 1/2| = {e2h:.2e} (tol 1e-12)",
@@ -89,7 +89,7 @@ def test_criterion_04_lower_bound():
     t0 = time.perf_counter()
     low = min(su2_commutator(n).norm for n in range(2, 301))
     elapsed = time.perf_counter() - t0
-    _report(
+    _verdict(
         4,
         low >= 0.25 - 1e-10 and elapsed < 120.0,
         f"min norm over n = 2..300 is {low:.12f} in {elapsed:.1f}s (bound 0.25 - 1e-10, < 2min)",
@@ -105,12 +105,12 @@ def test_criterion_05_ring_exact_identity():
             np.max(np.abs(-ring_submatrix(n, size) - hankel_truncation(HALF_CIRCLE, size)))
         )
         ok = ok and residual == 0.0
-    _report(5, ok, "ring extraction equals -[H_E]_N with zero residual at (64,15) and (101,25)")
+    _verdict(5, ok, "ring extraction equals -[H_E]_N with zero residual at (64,15) and (101,25)")
 
 
 def test_criterion_06_se2_block_identity():
     worst = max(se2_commutator(k).block_check for k in (8, 64))
-    _report(6, worst <= 1e-12, f"se2 block decomposition residual = {worst:.2e} (tol 1e-12)")
+    _verdict(6, worst <= 1e-12, f"se2 block decomposition residual = {worst:.2e} (tol 1e-12)")
 
 
 def test_criterion_07_projection_cross_path():
@@ -122,12 +122,12 @@ def test_criterion_07_projection_cross_path():
                 worst,
                 float(np.max(np.abs(projection_x(rep, a) - projection_from_sum(rep, a)))),
             )
-    _report(7, worst <= 1e-8, f"eigen vs sum-formula projections, max entry diff = {worst:.2e} (tol 1e-8)")
+    _verdict(7, worst <= 1e-8, f"eigen vs sum-formula projections, max entry diff = {worst:.2e} (tol 1e-8)")
 
 
 def test_criterion_08_integral_formula_identity():
     worst = max(verify_hilbert_formula(SpinRep(n)) for n in range(2, 32))
-    _report(8, worst <= 1e-9, f"integral-formula residual over n <= 31 is {worst:.2e} (tol 1e-9)")
+    _verdict(8, worst <= 1e-9, f"integral-formula residual over n <= 31 is {worst:.2e} (tol 1e-9)")
 
 
 def test_criterion_09_central_element_limits():
@@ -148,7 +148,7 @@ def test_criterion_09_central_element_limits():
         details.append(f"({mp},{m}): final {seq[-1]:.2e} <= {tol:.0e}")
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 180.0
-    _report(9, ok, "central elements monotone to targets; " + "; ".join(details) + f" in {elapsed:.1f}s")
+    _verdict(9, ok, "central elements monotone to targets; " + "; ".join(details) + f" in {elapsed:.1f}s")
 
 
 @pytest.fixture(scope="module")
@@ -171,7 +171,7 @@ def test_criterion_10_hankel_convergence(hankel_curve):
         and upper == 0.5
         and lower == 0.5
     )
-    _report(
+    _verdict(
         10,
         ok,
         f"truncated norms nondecreasing <= 1/2, value(4096) = {vals[-1]:.8f} >= {T_STAR_4096}, "
@@ -198,12 +198,12 @@ def test_criterion_11_szego_error_scaling():
         dev = abs(ratio / 2**1.5 - 1.0)
         ok = ok and dev <= 0.35
         details.append(f"j={j}: ratio {ratio:.3f} vs 2^1.5 (dev {dev:.1%})")
-    _report(11, ok, "; ".join(details) + " (tol 35%)")
+    _verdict(11, ok, "; ".join(details) + " (tol 35%)")
 
 
 def test_criterion_12_cap_transition():
     gap = su2_caps_commutator(301, 0.25).norm - su2_caps_commutator(301, 0.75).norm
-    _report(12, gap >= 0.1, f"norm gap at n=301 between a=0.25 and a=0.75 is {gap:.4f} (>= 0.1)")
+    _verdict(12, gap >= 0.1, f"norm gap at n=301 between a=0.25 and a=0.75 is {gap:.4f} (>= 0.1)")
 
 
 def test_criterion_13_riemann_sum_rate():
@@ -218,7 +218,7 @@ def test_criterion_13_riemann_sum_rate():
         decreasing = errs[0] > errs[1] > errs[2]
         ok = ok and halved and decreasing
         details.append(f"p={p}: ratios {errs[1]/errs[0]:.3f}, {errs[2]/errs[1]:.3f}")
-    _report(13, ok, "pairing error at least halves per doubling (25% slack); " + "; ".join(details))
+    _verdict(13, ok, "pairing error at least halves per doubling (25% slack); " + "; ".join(details))
 
 
 def test_criterion_14_reproducibility(tmp_path):
@@ -227,4 +227,4 @@ def test_criterion_14_reproducibility(tmp_path):
     assert cli_main(args + ["--out", str(out1)]) == 0
     assert cli_main(args + ["--out", str(out2)]) == 0
     identical = out1.read_bytes() == out2.read_bytes()
-    _report(14, identical, "norms sweep n = 2..60 run twice produced byte-identical CSV")
+    _verdict(14, identical, "norms sweep n = 2..60 run twice produced byte-identical CSV")

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from speclab import ContractError, heisenberg_commutator_shifted, ring_commutator_shifted
+from speclab import ContractError
 from speclab.cli import _worker_count, main, regress_rows
+from speclab.models import FAMILIES
 
 HEADER = "family,n,a,b,norm,n_mod_4,wall_ms"
 
@@ -94,6 +95,8 @@ def test_config_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema_version": 99}))
     assert run(["norms", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
+    bad.write_text("[1]")
+    assert run(["norms", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
 
 
 def test_exit_codes(tmp_path):
@@ -115,6 +118,63 @@ def test_out_of_bounds_requests_exit_1(tmp_path):
     assert run(["norms", "--n-stop", "4", "--jobs", "0", "--out", str(out)]) == 1
     assert run(["norms", "--n-stop", "4", "--jobs", "-3", "--out", str(out)]) == 1
     assert run(["hankel", "--N", "4,4097", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_n_step_below_one_exits_1(tmp_path):
+    out = tmp_path / "x.csv"
+    assert run(["norms", "--n-stop", "4", "--n-step", "0", "--out", str(out)]) == 1
+    assert run(["norms", "--n-start", "9", "--n-stop", "4", "--n-step", "-1",
+                "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("norms", "jobs", "2"),
+        ("norms", "n_stop", 4.5),
+        ("norms", "n_step", True),
+        ("norms", "a", "0.3"),
+        ("norms", "a", 0.3),
+        ("norms", "b", [0.5, "1"]),
+        ("hankel", "N", [4, 8.0]),
+        ("hankel", "a", None),
+        ("norms", "family", "bogus"),
+    ],
+)
+def test_config_wrong_types_exit_1(tmp_path, command, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, key: value}))
+    out = tmp_path / "x.csv"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_vectors_size_cap(tmp_path):
+    out = tmp_path / "v.csv"
+    assert run(["vectors", "--family", "su2", "--n", "2049", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, family, flags",
+    [
+        ("norms", "su2_caps", ["--b", "0.5"]),
+        ("norms", "ring", ["--b", "0.5"]),
+        ("norms", "heisenberg", ["--b", "0.5"]),
+        ("norms", "se2", ["--b", "0.5"]),
+        ("norms", "se2", ["--a", "0.3"]),
+        ("vectors", "su2_caps", ["--b", "0.5"]),
+        ("vectors", "se2", ["--a", "0.3"]),
+        ("vectors", "ring", ["--a", "0.3,0.4"]),
+        ("vectors", "su2", ["--b", "0.5,1"]),
+    ],
+)
+def test_unread_or_repeated_thresholds_exit_1(tmp_path, command, family, flags):
+    size = ["--n-stop", "6"] if command == "norms" else ["--n", "6"]
+    out = tmp_path / "x.csv"
+    assert run([command, "--family", family, *size, *flags, "--out", str(out)]) == 1
     assert not out.exists()
 
 
@@ -158,6 +218,19 @@ def test_regress_negative_slope(tmp_path):
     assert data["points_used"] == 30
 
 
+def test_regress_rejects_mixed_groups(tmp_path, capsys):
+    out = tmp_path / "caps.csv"
+    run([
+        "norms", "--family", "su2_caps", "--n-start", "20", "--n-stop", "60", "--n-step", "4",
+        "--a", "0.25,0.75", "--out", str(out),
+    ])
+    res = tmp_path / "r.json"
+    assert run(["regress", "--csv", str(out), "--mod-residue", "0", "--out", str(res)]) == 1
+    assert not res.exists()
+    err = capsys.readouterr().err
+    assert "su2_caps a=0.25 b=0.25" in err and "su2_caps a=0.75 b=0.75" in err
+
+
 def test_regress_two_points_interpolate(tmp_path):
     csv = tmp_path / "two.csv"
     csv.write_text(HEADER + "\nsu2,4,0,1,0.25,0,0\nsu2,8,0,1,0.3,0,0\n")
@@ -193,10 +266,9 @@ def test_vectors_unit_norm_and_interior_max(tmp_path):
 
 @pytest.mark.parametrize("family", ["ring", "heisenberg"])
 def test_vectors_honours_threshold(tmp_path, family):
-    shifted = {
-        "ring": lambda n, a: ring_commutator_shifted(n, n, a),
-        "heisenberg": heisenberg_commutator_shifted,
-    }[family]
+    def shifted(n, a):
+        return FAMILIES[family].build(n, a, 1.0)
+
     out = tmp_path / "v.csv"
     assert run(["vectors", "--family", family, "--n", "13", "--a", "0.3", "--out", str(out)]) == 0
     meta = json.loads((tmp_path / "v.csv.meta.json").read_text())

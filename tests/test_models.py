@@ -17,12 +17,10 @@ from speclab import (
     grid_in_arc,
     hankel_truncation,
     heisenberg_commutator,
-    heisenberg_commutator_shifted,
     heisenberg_submatrix,
     operator_norm,
     projection_x,
     ring_commutator,
-    ring_commutator_shifted,
     ring_submatrix,
     se2_commutator,
     su2_caps_commutator,
@@ -220,7 +218,7 @@ def test_ring_norm_bounded_and_growing():
 
 def test_ring_shifted_reduces_to_plain():
     plain = ring_commutator(24, 10)
-    shifted = ring_commutator_shifted(24, 10, 0.0)
+    shifted = ring_commutator(24, 10, 0.0)
     assert np.array_equal(plain.matrix, shifted.matrix)
 
 
@@ -229,6 +227,8 @@ def test_ring_contracts():
         ring_commutator(1, 4)
     with pytest.raises(ContractError):
         ring_commutator(8, 0)
+    with pytest.raises(ContractError):
+        ring_commutator(8, 4, 1.0)
     with pytest.raises(ContractError):
         ring_submatrix(16, 4)
 
@@ -295,7 +295,7 @@ def test_heisenberg_submatrix_nesting():
 
 def test_heisenberg_shifted():
     plain = heisenberg_commutator(12)
-    shifted = heisenberg_commutator_shifted(12, 0.0)
+    shifted = heisenberg_commutator(12, 0.0)
     assert np.array_equal(plain.matrix, shifted.matrix)
     # quarter-arc occupancy tends to alpha/pi = 1/4
     n = 2048
@@ -311,7 +311,7 @@ def test_heisenberg_contracts():
     with pytest.raises(ContractError):
         heisenberg_submatrix(16, 4)
     with pytest.raises(ContractError):
-        heisenberg_commutator_shifted(8, 1.0)
+        heisenberg_commutator(8, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +404,8 @@ def test_every_family_respects_the_half_bound():
         ring_commutator(20, 14),
         heisenberg_commutator(11),
         se2_commutator(9),
-        ring_commutator_shifted(18, 12, 0.5),
-        heisenberg_commutator_shifted(13, 0.5),
+        ring_commutator(18, 12, 0.5),
+        heisenberg_commutator(13, 0.5),
     ]
     for r in reports:
         assert 0.0 <= r.norm <= 0.5 + 1e-10, r.family
@@ -415,18 +415,9 @@ def test_every_family_respects_the_half_bound():
 # projection-pair kernel against the dense path
 # ---------------------------------------------------------------------------
 
-BUILDERS = {
-    "su2": lambda n, a, b: su2_commutator(n, a, b),
-    "su2_caps": lambda n, a, b: su2_caps_commutator(n, a),
-    "ring": lambda n, a, b: ring_commutator_shifted(n, n, a),
-    "heisenberg": lambda n, a, b: heisenberg_commutator_shifted(n, a),
-    "se2": lambda n, a, b: se2_commutator(n),
-}
-
-
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
 @given(
-    family=st.sampled_from(sorted(BUILDERS)),
+    family=st.sampled_from(sorted(models.FAMILIES)),
     n=st.integers(2, 64),
     a=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
     b=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
@@ -441,10 +432,49 @@ def test_projection_pair_matches_dense_path(family, n, a, b):
         return out
 
     with mock.patch.object(models, "_projection_pair", spy):
-        report = BUILDERS[family](n, a, b)
+        report = models.FAMILIES[family].build(n, a, b)
     [(p, d, (matrix, norm))] = seen
     assert report.norm == norm and report.matrix is matrix
     assert abs(norm - np.linalg.norm(matrix, 2)) <= 1e-12
     dense = commutator(p, np.diag(np.asarray(d, dtype=float)))
     assert np.max(np.abs(matrix - dense)) <= 1e-15
     assert norm <= 0.5 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# family table
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(models.FAMILIES))
+def test_family_table_labels_and_thresholds(name):
+    family = models.FAMILIES[name]
+    n = 10
+    base = family.build(n, 0.0, 1.0)
+    assert len(family.labels(n)) == base.matrix.shape[0]
+    # a threshold counts as read exactly when the report records it
+    assert ("a" in family.reads) == (family.build(n, 0.4, 1.0).params.get("a") == 0.4)
+    assert ("b" in family.reads) == (family.build(n, 0.0, 0.5).params.get("b") == 0.5)
+    for flag in {"a", "b"} - set(family.reads):
+        other = family.build(n, 0.4 if flag == "a" else 0.0, 0.5 if flag == "b" else 1.0)
+        assert np.array_equal(other.matrix, base.matrix)
+
+
+# ---------------------------------------------------------------------------
+# exact identities under random sizes
+# ---------------------------------------------------------------------------
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(size=st.integers(1, 32), extra=st.integers(1, 200))
+def test_ring_identity_is_bitwise_at_random_sizes(size, extra):
+    sub = ring_submatrix(4 * size + extra, size)
+    target = -hankel_truncation(HALF_CIRCLE, size)
+    assert np.array_equal(sub.view(np.int64), target.view(np.int64))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(window=st.integers(1, 64))
+def test_se2_block_identity_is_bitwise_at_random_sizes(window):
+    r = se2_commutator(window)
+    assert r.block_check == 0.0
+    target = hankel_truncation(HALF_CIRCLE, window + 1)[:window]
+    assert np.array_equal(r.submatrix.view(np.int64), target.view(np.int64))
