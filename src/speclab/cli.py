@@ -206,11 +206,12 @@ def _read_norms_csv(path: str):
             raise ContractError(f"unexpected CSV header {header!r}")
         rows, groups = [], set()
         for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != 7:
-                raise ContractError(f"malformed CSV row: {line!r}")
-            groups.add((parts[0], float(parts[2]), float(parts[3])))
-            rows.append((int(parts[1]), float(parts[4])))
+            try:
+                family, n, a, b, norm, _, _ = line.strip().split(",")
+                groups.add((family, float(a), float(b)))
+                rows.append((int(n), float(norm)))
+            except ValueError:
+                raise ContractError(f"malformed CSV row: {line!r}") from None
     if len(groups) > 1:
         names = ", ".join(f"{f} a={a!r} b={b!r}" for f, a, b in sorted(groups))
         raise ContractError(f"regress fits one (family, a, b) group; the CSV holds {names}")
@@ -396,7 +397,10 @@ def _apply_config(args) -> None:
     path = getattr(args, "config", None)
     if path:
         with open(path) as fh:
-            cfg = json.load(fh)
+            try:
+                cfg = json.load(fh)
+            except ValueError as exc:
+                raise ContractError(f"config {path} is not valid JSON: {exc}") from None
         if not isinstance(cfg, dict) or cfg.get("schema_version") != 1:
             raise ContractError("config must carry schema_version 1")
         for key, value in cfg.items():

@@ -8,9 +8,11 @@ anti-diagonals.  Truncations are monotone in size and certified from above
 by the Nehari witness and from below by the essential-spectrum radius for
 piecewise-continuous symbols, both of which evaluate to 1/2 here.
 
-For a = 0 the coefficients are evaluated by integer logic (sin(pi*p/2) is
-exactly 0, +1 or -1), so entries that vanish do so exactly and identical
-formulas elsewhere in the package reproduce them bit for bit.
+For a = 0 fourier_coeff evaluates the coefficients by integer logic
+(sin(pi*p/2) is exactly 0, +1 or -1), so entries that vanish do so exactly.
+Every coefficient grid in the package is fourier_coeff tabulated once per
+frequency and gathered, so the Hankel truncations and the ring and SE(2)
+matrices built from them agree bit for bit.
 """
 
 from __future__ import annotations
@@ -57,16 +59,9 @@ def fourier_coeff(sym: ArcSymbol, p: int) -> float:
 
 
 def _coeff_grid(sym: ArcSymbol, p: np.ndarray) -> np.ndarray:
-    """Vectorized fourier_coeff over an integer array (same values bitwise)."""
+    """fourier_coeff over an integer array: tabulated once per frequency in
+    [min p, max p], then gathered, so the values are fourier_coeff's bitwise."""
     p = np.asarray(p, dtype=np.int64)
-    if sym.a == 0.0:
-        r = np.mod(p, 4)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            odd = np.where(r == 1, 1.0, -1.0) / (math.pi * p)
-        out = np.where(r % 2 == 0, 0.0, odd)
-        out = np.where(p == 0, 0.5, out)
-        return out
-    # one scalar evaluation per distinct frequency, then a gather
     lo = int(p.min())
     vals = np.array([fourier_coeff(sym, q) for q in range(lo, int(p.max()) + 1)])
     return vals[p - lo]

@@ -1,8 +1,8 @@
 """Dense linear-algebra kernel: tridiagonal eigensolver, operator norms, commutators.
 
 Everything here is a pure function of its inputs.  Matrices are plain numpy
-arrays (row-major), real or complex.  Norms come from a single LAPACK call
-with no random start, so repeated runs are bit-identical.
+arrays (row-major), real or complex.  Every norm is one LAPACK solve, with no
+fast paths and no random start, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -82,11 +82,6 @@ def _is_hermitian(a, tol: float = 1e-12) -> bool:
     return _max_abs(a - a.conj().T) <= tol * max(1.0, _max_abs(a))
 
 
-def _is_diagonal(a) -> bool:
-    off = a - np.diag(np.diag(a))
-    return not np.any(off)
-
-
 def _exact_norm(a) -> float:
     """LAPACK-grade largest singular value."""
     if a.shape[0] == a.shape[1] and np.array_equal(a, a.conj().T):
@@ -98,17 +93,13 @@ def _exact_norm(a) -> float:
 def operator_norm(a) -> float:
     """Largest singular value of a dense matrix.
 
-    Zero and diagonal matrices take exact fast paths; everything else is one
-    LAPACK solve (a Hermitian eigensolve when the input is exactly Hermitian,
-    an SVD otherwise).
+    One LAPACK solve with no fast paths: a Hermitian eigensolve when the
+    input is exactly Hermitian, an SVD otherwise.  LAPACK returns exactly 0.0
+    for a zero matrix and max|d| for a real diagonal one.
     """
     A = np.asarray(a)
     if A.ndim != 2 or A.size == 0:
         raise ContractError(f"operator_norm needs a non-empty matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A.real)) or (np.iscomplexobj(A) and not np.all(np.isfinite(A.imag))):
         raise ContractError("operator_norm: non-finite entries")
-    if _max_abs(A) == 0.0:
-        return 0.0
-    if A.shape[0] == A.shape[1] and _is_diagonal(A):
-        return float(np.max(np.abs(np.diag(A))))
     return _exact_norm(A)

@@ -192,6 +192,15 @@ def ring_commutator(n: int, window: int, a: float = 0.0) -> CommutatorReport:
     )
 
 
+def _designated(name: str, n: int, size: int):
+    """Rows ceil(n/4) - k and columns ceil(n/4) + l - 1 (k, l = 1..N) of the
+    designated N x N window; requires n > 4N."""
+    if n <= 4 * size:
+        raise ContractError(f"{name} requires n > 4N, got n = {n}, N = {size}")
+    q = -(-n // 4)  # ceil(n/4)
+    return q - np.arange(1, size + 1, dtype=np.int64), q + np.arange(size, dtype=np.int64)
+
+
 def ring_submatrix(n: int, size: int, a: float = 0.0) -> np.ndarray:
     """Designated N x N extraction at rows ceil(n/4) - k, columns
     ceil(n/4) + l - 1 (k, l = 1..N); requires n > 4N.
@@ -199,11 +208,7 @@ def ring_submatrix(n: int, size: int, a: float = 0.0) -> np.ndarray:
     For a = 0 this equals minus the Hankel truncation exactly (identical
     formula evaluation, not merely to roundoff).
     """
-    if n <= 4 * size:
-        raise ContractError(f"ring_submatrix requires n > 4N, got n = {n}, N = {size}")
-    q = -(-n // 4)  # ceil(n/4)
-    rows = q - np.arange(1, size + 1, dtype=np.int64)
-    cols = q + np.arange(size, dtype=np.int64)
+    rows, cols = _designated("ring_submatrix", n, size)
     t = _coeff_grid(ArcSymbol(a), np.subtract.outer(rows, cols))
     return (_arc_membership(cols, n, a)[None, :] - _arc_membership(rows, n, a)[:, None]) * t
 
@@ -269,11 +274,7 @@ def heisenberg_submatrix(n: int, size: int, a: float = 0.0) -> np.ndarray:
 
     Entries converge to the arc-symbol Hankel truncation as n grows.
     """
-    if n <= 4 * size:
-        raise ContractError(f"heisenberg_submatrix requires n > 4N, got n = {n}, N = {size}")
-    q = -(-n // 4)
-    rows = q - np.arange(1, size + 1, dtype=np.int64)
-    cols = q + np.arange(size, dtype=np.int64)
+    rows, cols = _designated("heisenberg_submatrix", n, size)
     # the pairing is real: the arc grid is symmetric under m -> n - m
     pairing = _heis_pairing_table(n, a, np.subtract.outer(rows, cols)).real
     return (_arc_membership(rows, n, a)[:, None] - _arc_membership(cols, n, a)[None, :]) * pairing

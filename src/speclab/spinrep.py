@@ -250,6 +250,15 @@ def wigner_d_pi_half(rep: SpinRep) -> np.ndarray:
     return d
 
 
+def _kept_vectors(rep: SpinRep, a: float, name: str) -> np.ndarray:
+    """J_x eigenvectors (columns) whose weights exceed a*(j+1/2); may be n x 0."""
+    if not 0.0 <= a < 1.0:
+        raise ContractError(f"{name}: a must lie in [0, 1), got {a}")
+    tw, v = _jx_eigensystem(rep.n)
+    keep = [i for i, t in enumerate(tw) if weight_exceeds(int(t), a, rep.n)]
+    return v[:, keep]
+
+
 def projection_x(rep: SpinRep, a: float) -> np.ndarray:
     """Matrix of the spectral projection of J_x onto (a*(j+1/2), infinity).
 
@@ -257,13 +266,7 @@ def projection_x(rep: SpinRep, a: float) -> np.ndarray:
     lattice before the strict threshold test, so classification is immune to
     float drift even when a*(j+1/2) grazes an eigenvalue.
     """
-    if not 0.0 <= a < 1.0:
-        raise ContractError(f"projection_x: a must lie in [0, 1), got {a}")
-    tw, v = _jx_eigensystem(rep.n)
-    keep = [i for i, t in enumerate(tw) if weight_exceeds(int(t), a, rep.n)]
-    if not keep:
-        return np.zeros((rep.n, rep.n))
-    vs = v[:, keep]
+    vs = _kept_vectors(rep, a, "projection_x")
     p = vs @ vs.T
     return (p + p.T) / 2
 
@@ -274,15 +277,9 @@ def projection_x_entries(rep: SpinRep, a: float, pairs) -> np.ndarray:
     ``pairs`` is an iterable of (m', m); useful at dimensions where the full
     n x n projection would be wasteful.
     """
-    if not 0.0 <= a < 1.0:
-        raise ContractError(f"projection_x_entries: a must lie in [0, 1), got {a}")
-    tw, v = _jx_eigensystem(rep.n)
-    keep = [i for i, t in enumerate(tw) if weight_exceeds(int(t), a, rep.n)]
+    vs = _kept_vectors(rep, a, "projection_x_entries")
     pairs = list(pairs)
     out = np.zeros(len(pairs))
-    if not keep:
-        return out
-    vs = v[:, keep]
     for i, (mp, m) in enumerate(pairs):
         out[i] = float(vs[rep.index_of(mp)] @ vs[rep.index_of(m)])
     return out

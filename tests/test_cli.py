@@ -151,6 +151,16 @@ def test_config_wrong_types_exit_1(tmp_path, command, key, value):
     assert not out.exists()
 
 
+def test_config_not_json_exits_1(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"schema_version": 1,')
+    out = tmp_path / "x.csv"
+    assert run(["norms", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    # a file that cannot be opened stays an i/o error
+    assert run(["norms", "--config", str(tmp_path / "missing.json"), "--out", str(out)]) == 2
+
+
 def test_vectors_size_cap(tmp_path):
     out = tmp_path / "v.csv"
     assert run(["vectors", "--family", "su2", "--n", "2049", "--out", str(out)]) == 1
@@ -229,6 +239,16 @@ def test_regress_rejects_mixed_groups(tmp_path, capsys):
     assert not res.exists()
     err = capsys.readouterr().err
     assert "su2_caps a=0.25 b=0.25" in err and "su2_caps a=0.75 b=0.75" in err
+
+
+def test_regress_non_numeric_field_exits_1(tmp_path, capsys):
+    csv = tmp_path / "bad.csv"
+    csv.write_text(HEADER + "\nsu2,4,0,1,0.25,0,0\nsu2,x,0,1,0.25,0,0\n")
+    res = tmp_path / "r.json"
+    assert run(["regress", "--csv", str(csv), "--mod-residue", "0", "--out", str(res)]) == 1
+    assert not res.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("contract error") and "su2,x,0,1,0.25,0,0" in err
 
 
 def test_regress_two_points_interpolate(tmp_path):

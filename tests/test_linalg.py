@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speclab import ContractError, commutator, operator_norm, tridiag_eigh
 from speclab.linalg import _exact_norm
@@ -110,6 +112,20 @@ def test_operator_norm_zero_and_contracts():
         operator_norm(np.array([[np.inf, 0.0], [0.0, 1.0]]))
     with pytest.raises(ContractError):
         operator_norm(np.zeros((0, 3)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(d=st.lists(st.tuples(st.floats(1e-100, 1e100), st.booleans()), min_size=1, max_size=40))
+def test_operator_norm_exact_on_real_diagonal(d):
+    # no fast path: the LAPACK solve itself returns max|d| exactly
+    diag = np.array([-x if neg else x for x, neg in d])
+    assert operator_norm(np.diag(diag)) == np.max(np.abs(diag))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(rows=st.integers(1, 24), cols=st.integers(1, 24), dtype=st.sampled_from([float, complex]))
+def test_operator_norm_exact_on_zero(rows, cols, dtype):
+    assert operator_norm(np.zeros((rows, cols), dtype=dtype)) == 0.0
 
 
 def test_exact_norm_hermitian_branch():
