@@ -54,14 +54,22 @@ def _sidecar(path: str, payload: dict) -> None:
 
 def _family_args(args) -> tuple:
     """The family of a norms or vectors call and the a and b values to build
-    it with (defaults 0 and 1); a threshold it does not read is a contract error."""
+    it with (defaults 0 and 1); a threshold it does not read, an a outside
+    [0, 1) and a b outside (0, 1] are contract errors."""
     if args.family not in FAMILIES:
         raise ContractError(f"unknown family {args.family!r}")
     family = FAMILIES[args.family]
     for flag in ("a", "b"):
         if getattr(args, flag) and flag not in family.reads:
             raise ContractError(f"family {args.family} reads no --{flag}")
-    return family, args.a or [0.0], args.b or [1.0]
+    a_list, b_list = args.a or [0.0], args.b or [1.0]
+    for a in a_list:
+        if not 0.0 <= a < 1.0:
+            raise ContractError(f"--a must lie in [0, 1), got {a}")
+    for b in b_list:
+        if not 0.0 < b <= 1.0:
+            raise ContractError(f"--b must lie in (0, 1], got {b}")
+    return family, a_list, b_list
 
 
 MAX_SWEEP_N = 2048  # keeps desk-scale runtimes; one dense block SVD per point
@@ -136,26 +144,29 @@ MAX_HANKEL_N = 4096  # largest dense truncation the tests certify (N^2 floats)
 
 
 def cmd_hankel(args) -> int:
-    sizes = args.N if args.N else [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
-    if max(sizes) > MAX_HANKEL_N:
-        raise ContractError(f"hankel cap is N <= {MAX_HANKEL_N}, got {max(sizes)}")
-    a_list = args.a if args.a else [0.0]
+    sizes = sorted(args.N if args.N else [1, 2, 4, 8, 16, 32, 64, 128, 256, 512])
+    if sizes[0] < 1:
+        raise ContractError(f"truncation size must be >= 1, got {sizes[0]}")
+    if sizes[-1] > MAX_HANKEL_N:
+        raise ContractError(f"hankel cap is N <= {MAX_HANKEL_N}, got {sizes[-1]}")
+    symbols = [ArcSymbol(a) for a in sorted(args.a if args.a else [0.0])]
     t0 = time.perf_counter()
-    lines = [HANKEL_HEADER]
-    for a in sorted(a_list):
-        sym = ArcSymbol(a)
+    lines, wall_ms = [HANKEL_HEADER], []
+    for sym in symbols:
         upper = nehari_bound(sym)
         lower = power_essential_radius(sym)
-        for n in sorted(sizes):
-            lines.append(
-                ",".join([_fmt(a), str(n), _fmt(truncated_norm(sym, n)), _fmt(upper), _fmt(lower)])
-            )
+        for n in sizes:
+            t1 = time.perf_counter()
+            norm = truncated_norm(sym, n)
+            wall_ms.append(int(round(1000 * (time.perf_counter() - t1))))
+            lines.append(",".join([_fmt(sym.a), str(n), _fmt(norm), _fmt(upper), _fmt(lower)]))
     _write_text(args.out, "\n".join(lines) + "\n")
     _sidecar(
         args.out,
         {
             "command": "hankel",
             "wall_ms_total": int(round(1000 * (time.perf_counter() - t0))),
+            "wall_ms_points": wall_ms,
         },
     )
     return 0

@@ -200,6 +200,14 @@ def _suite_hankel_truncations():
     return worst, 0.0
 
 
+def _suite_hankel_odd_block():
+    worst = 0.0
+    for n in (1, 2, 3, 4, 8, 16, 32, 64, 128):  # odd-block norm vs the full truncation's
+        dense = operator_norm(hankel.hankel_truncation(hankel.HALF_CIRCLE, n))
+        worst = max(worst, abs(hankel.truncated_norm(hankel.HALF_CIRCLE, n) - dense))
+    return worst, 1e-14
+
+
 def _suite_certificates():
     worst = abs(hankel.nehari_bound(hankel.HALF_CIRCLE) - 0.5)
     worst = max(worst, abs(hankel.power_essential_radius(hankel.HALF_CIRCLE) - 0.5))
@@ -275,6 +283,7 @@ def run_validation(inject_sign_flip: bool = False) -> dict:
         ("spinrep.projection_cross_path", _suite_projection_cross_path),
         ("spinrep.hilbert_formula", _suite_hilbert_formula),
         ("hankel.truncation_monotone_bounded", _suite_hankel_truncations),
+        ("hankel.odd_block_matches_dense", _suite_hankel_odd_block),
         ("hankel.certificates", _suite_certificates),
         ("models.universal_bound", _suite_universal_bound),
         ("models.su2_block_structure", _suite_su2_block_structure),

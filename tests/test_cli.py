@@ -161,6 +161,42 @@ def test_config_not_json_exits_1(tmp_path):
     assert run(["norms", "--config", str(tmp_path / "missing.json"), "--out", str(out)]) == 2
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("work started before the request was checked")
+
+
+def test_hankel_checks_every_request_before_any_row(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("speclab.cli.truncated_norm", _never_called)
+    out = tmp_path / "h.csv"
+    for flags in (["--N", "2048", "--a", "0.3,1.5"], ["--N", "8,0"], ["--N=-3,8", "--a", "0.3"]):
+        assert run(["hankel", *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("contract error")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, family, builder, flags",
+    [
+        ("norms", "ring", "ring_commutator", ["--a", "0.3,1.5"]),
+        ("norms", "ring", "ring_commutator", ["--a", "0.3,1.5", "--jobs", "2"]),
+        ("norms", "heisenberg", "heisenberg_commutator", ["--a", "0.3,-0.1"]),
+        ("norms", "su2", "su2_commutator", ["--b", "1,0"]),
+        ("norms", "su2_interval", "su2_commutator", ["--a", "0.3", "--b", "0.5,1.5"]),
+        ("vectors", "ring", "ring_commutator", ["--a", "1.5"]),
+    ],
+)
+def test_out_of_range_thresholds_exit_1_before_any_point(
+    tmp_path, capsys, monkeypatch, command, family, builder, flags
+):
+    monkeypatch.setattr(f"speclab.models.{builder}", _never_called)
+    monkeypatch.setattr("speclab.cli.ProcessPoolExecutor", _never_called)
+    size = ["--n-start", "300", "--n-stop", "300"] if command == "norms" else ["--n", "300"]
+    out = tmp_path / "x.csv"
+    assert run([command, "--family", family, *size, *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("contract error")
+    assert not out.exists()
+
+
 def test_vectors_size_cap(tmp_path):
     out = tmp_path / "v.csv"
     assert run(["vectors", "--family", "su2", "--n", "2049", "--out", str(out)]) == 1
@@ -203,6 +239,16 @@ def test_hankel_table(tmp_path):
     for r in rows:
         assert float(r[3]) == 0.5 and float(r[4]) == 0.5
         assert float(r[2]) <= 0.5
+
+
+def test_hankel_sidecar_per_row_timings(tmp_path):
+    out = tmp_path / "h.csv"
+    assert run(["hankel", "--N", "1,2,8", "--a", "0,0.3", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 6
+    meta = json.loads((tmp_path / "h.csv.meta.json").read_text())
+    points = meta["wall_ms_points"]
+    assert len(points) == 6
+    assert all(isinstance(t, int) and t >= 0 for t in points)
 
 
 def test_regress_degenerate_on_exact_half_ladder(tmp_path):

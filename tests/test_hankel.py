@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speclab import (
     ArcSymbol,
@@ -10,6 +12,7 @@ from speclab import (
     fourier_coeff,
     hankel_truncation,
     nehari_bound,
+    operator_norm,
     power_essential_radius,
     truncated_norm,
 )
@@ -102,6 +105,28 @@ def test_truncated_norm_monotone_bounded():
 def test_truncated_norm_contract():
     with pytest.raises(ContractError):
         hankel_truncation(HALF_CIRCLE, 0)
+
+
+def test_truncated_norm_rejects_nonpositive_size():
+    for n in (0, -3):
+        with pytest.raises(ContractError):
+            truncated_norm(HALF_CIRCLE, n)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(n=st.integers(1, 600), a=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_half_circle_norm_from_odd_block_matches_dense(n, a):
+    h = hankel_truncation(HALF_CIRCLE, n)
+    k = np.arange(1, n + 1)
+    assert np.all(h[(k[:, None] - k[None, :]) % 2 == 1] == 0.0)  # two parity blocks
+    fast = truncated_norm(HALF_CIRCLE, n)
+    assert fast == operator_norm(h[0::2, 0::2])
+    if n > 1:
+        assert fast >= operator_norm(h[1::2, 1::2])
+    assert abs(fast - operator_norm(h)) <= 1e-14
+    # a != 0 has no parity split and keeps the full truncation
+    sym = ArcSymbol(a)
+    assert truncated_norm(sym, n) == operator_norm(hankel_truncation(sym, n))
 
 
 def test_nehari_bound():
