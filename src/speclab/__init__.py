@@ -15,8 +15,16 @@ from .hankel import (
     nehari_bound,
     power_essential_radius,
     truncated_norm,
+    truncated_norm_record,
 )
-from .linalg import EigenDecomposition, commutator, operator_norm, tridiag_eigh
+from .linalg import (
+    EigenDecomposition,
+    NormRecord,
+    commutator,
+    lanczos_top,
+    operator_norm,
+    tridiag_eigh,
+)
 from .models import (
     CommutatorReport,
     ExtremalVector,
@@ -59,6 +67,7 @@ __all__ = [
     "ExtremalVector",
     "HALF_CIRCLE",
     "HalfInt",
+    "NormRecord",
     "SpinOperators",
     "SpinRep",
     "bessel_j",
@@ -74,6 +83,7 @@ __all__ = [
     "heisenberg_submatrix",
     "hilbert_bessel_at_zero",
     "jacobi_p",
+    "lanczos_top",
     "nehari_bound",
     "operator_norm",
     "power_essential_radius",
@@ -89,6 +99,7 @@ __all__ = [
     "szego_approximation",
     "tridiag_eigh",
     "truncated_norm",
+    "truncated_norm_record",
     "verify_hilbert_formula",
     "wigner_d_pi_half",
     "wigner_d_sum",

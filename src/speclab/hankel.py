@@ -12,11 +12,16 @@ For a = 0 fourier_coeff evaluates the coefficients by integer logic
 (sin(pi*p/2) is exactly 0, +1 or -1), so entries that vanish do so exactly.
 Then h_{k,l} = 0.0 unless k = l (mod 2), so the truncation is the direct
 sum of its odd-index and even-index blocks, both sign-conjugated Cauchy
-(generalized Hilbert) matrices; the odd one carries the norm, and
-truncated_norm solves it alone (an eighth of the flops of the full solve).
+(generalized Hilbert) matrices, and the odd one carries the norm.
 Every coefficient grid in the package is fourier_coeff tabulated once per
 frequency and gathered, so the Hankel truncations and the ring and SE(2)
 matrices built from them agree bit for bit.
+
+Norms are matrix-free: a Hankel matrix H[i, j] = c[i + j] is applied by one
+FFT convolution, its eigenvalue of largest modulus comes from Lanczos, and
+each norm comes with a certificate (truncated_norm_record).
+hankel_truncation builds the dense matrix, which the tests and validate
+solve as the reference.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._errors import ContractError
-from .linalg import operator_norm
+from .linalg import NormRecord, lanczos_top
 
 
 @dataclass(frozen=True)
@@ -71,31 +76,70 @@ def _coeff_grid(sym: ArcSymbol, p: np.ndarray) -> np.ndarray:
     return vals[p - lo]
 
 
-def _hankel_block(sym: ArcSymbol, k: np.ndarray) -> np.ndarray:
-    """Rows and columns k (1-based) of the Hankel matrix: coeff(1 - k_i - k_j)."""
-    return _coeff_grid(sym, 1 - np.add.outer(k, k))
-
-
 def hankel_truncation(sym: ArcSymbol, n: int) -> np.ndarray:
     """N x N truncated Hankel matrix h_{k,l} = coeff(1 - k - l), 1-based k, l."""
     if n < 1:
         raise ContractError(f"truncation size must be >= 1, got {n}")
-    return _hankel_block(sym, np.arange(1, n + 1, dtype=np.int64))
+    k = np.arange(1, n + 1, dtype=np.int64)
+    return _coeff_grid(sym, 1 - np.add.outer(k, k))
 
 
-def truncated_norm(sym: ArcSymbol, n: int) -> float:
-    """Operator norm of the N x N truncation (nondecreasing in N).
+def _hankel_matvec(c: np.ndarray, m: int):
+    """x -> H x for the m x m Hankel matrix H[i, j] = c[i + j] (len(c) = 2m - 1).
 
-    At a = 0 the truncation is the direct sum of its odd-index and even-index
-    blocks, and the odd block carries the norm: up to diagonal signs it is the
-    Cauchy matrix 1/(pi(2(i+j) - 3)), which dominates the even block's
-    1/(pi(2(i+j) - 1)) entrywise, so by Perron-Frobenius its norm is the larger.
-    Only the ceil(N/2) x ceil(N/2) odd block is built and solved.
+    (H x)_i = sum_j c[i + j] x[j] is entry m - 1 + i of the linear convolution
+    of c with x reversed, computed by one rfft/irfft pair of length
+    2^ceil(log2(3m - 2)), the convolution's length.
+    """
+    size = 1 << (3 * m - 3).bit_length()
+    c_hat = np.fft.rfft(c, size)
+    return lambda x: np.fft.irfft(c_hat * np.fft.rfft(x[::-1], size), size)[m - 1 : 2 * m - 1]
+
+
+def truncated_norm_record(sym: ArcSymbol, n: int) -> NormRecord:
+    """Operator norm of the N x N truncation, with its certificate.
+
+    At a = 0 only the ceil(N/2) x ceil(N/2) odd-index block is solved.  Up to
+    diagonal signs it is the positive Hankel matrix C[i, j] = |coeff(-(2(i+j)
+    + 1))| = 1/(pi(2(i+j) + 1)) (0-based i, j), which dominates the even
+    block entrywise, so by Perron-Frobenius its norm, its top eigenvalue, is
+    ||H_N||.  For any x > 0 the Collatz-Wielandt inequality min_i (Cx)_i/x_i
+    <= ||C|| <= max_i (Cx)_i/x_i brackets it; x is the modulus of the Lanczos
+    Ritz vector, and each ratio is widened by 2 eps max(Cx)/x_i for the FFT's
+    rounding.  That is an allowance, not a proven bound: against a
+    long-double evaluation the FFT product was off by at most 0.7 eps
+    max|Hx| in any entry (N <= 16384, a = 0 and a != 0).  method "perron".
+
+    At a != 0 the whole truncation is solved, and the norm is the modulus of
+    the Ritz value theta of largest modulus.  With r = ||Hx - theta x|| some
+    eigenvalue lies within r of theta, so |theta| - r <= ||H_N|| <= 1/2, the
+    upper end being the Nehari certificate.  method "lanczos".
     """
     if n < 1:
         raise ContractError(f"truncation size must be >= 1, got {n}")
-    k = np.arange(1, n + 1, dtype=np.int64)
-    return operator_norm(_hankel_block(sym, k[0::2] if sym.a == 0.0 else k))
+    if sym.a == 0.0:
+        m = (n + 1) // 2
+        c = np.abs(_coeff_grid(sym, -(2 * np.arange(2 * m - 1) + 1)))
+    else:
+        m = n
+        c = _coeff_grid(sym, -np.arange(1, 2 * m))
+    matvec = _hankel_matvec(c, m)
+    ritz = lanczos_top(matvec, m)
+    value = abs(ritz.value)
+    if sym.a == 0.0:
+        x = np.abs(ritz.vector)
+        cx = matvec(x)
+        slack = 2.0 * np.finfo(float).eps * cx.max()
+        lower, upper = np.min((cx - slack) / x), np.max((cx + slack) / x)
+        return NormRecord(value, "perron", ritz.matvecs + 1, float(lower), float(upper))
+    residual = float(np.linalg.norm(matvec(ritz.vector) - ritz.value * ritz.vector))
+    return NormRecord(value, "lanczos", ritz.matvecs + 1, value - residual, nehari_bound(sym))
+
+
+def truncated_norm(sym: ArcSymbol, n: int) -> float:
+    """Operator norm of the N x N truncation (nondecreasing in N); the value
+    of truncated_norm_record."""
+    return truncated_norm_record(sym, n).value
 
 
 def nehari_bound(sym: ArcSymbol) -> float:

@@ -1,18 +1,44 @@
-"""Dense linear-algebra kernel: tridiagonal eigensolver, operator norms, commutators.
+"""Linear-algebra kernel: tridiagonal eigensolver, operator norms, commutators,
+and a matrix-free Lanczos eigensolver.
 
 Everything here is a pure function of its inputs.  Matrices are plain numpy
-arrays (row-major), real or complex.  Every norm is one LAPACK solve, with no
-fast paths and no random start, so repeated runs are bit-identical.
+arrays (row-major), real or complex.  A dense norm is one LAPACK solve with
+no fast paths; the Lanczos solver starts from a fixed vector.  Nothing draws
+random numbers, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from ._errors import ComputationError, ContractError
+
+
+class NormRecord(NamedTuple):
+    """An operator norm and how it was obtained and certified.
+
+    ``method`` names the solver (``"perron"`` or ``"lanczos"``), ``matvecs``
+    counts the products with the operator it took, and ``lower <= value <=
+    upper`` is the certificate that comes with it.
+    """
+
+    value: float
+    method: str
+    matvecs: int
+    lower: float
+    upper: float
+
+
+class RitzPair(NamedTuple):
+    """A converged Ritz value, its unit Ritz vector, and the matvecs spent."""
+
+    value: float
+    vector: np.ndarray
+    matvecs: int
 
 
 class EigenDecomposition(NamedTuple):
@@ -103,3 +129,52 @@ def operator_norm(a) -> float:
     if not np.all(np.isfinite(A.real)) or (np.iscomplexobj(A) and not np.all(np.isfinite(A.imag))):
         raise ContractError("operator_norm: non-finite entries")
     return _exact_norm(A)
+
+
+LANCZOS_STEPS = 24   # Krylov dimension of one cycle
+LANCZOS_CYCLES = 20  # cycles before lanczos_top gives up
+LANCZOS_TOL = 4.0    # stop at residual bound <= LANCZOS_TOL * eps * |Ritz value|
+
+
+def lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], m: int) -> RitzPair:
+    """Eigenvalue of largest modulus of a real symmetric m x m operator.
+
+    Explicitly restarted Lanczos: each cycle runs up to LANCZOS_STEPS steps
+    from the unit vector ones/sqrt(m) (then from the last cycle's Ritz
+    vector), reorthogonalising each new vector against the whole cycle's
+    basis, and stops as soon as the residual bound |beta_j s_j| of the Ritz
+    pair of largest modulus is at most LANCZOS_TOL * eps * |theta|.  An
+    invariant Krylov space (beta_j = 0) is converged by the same test, so a
+    1 x 1 operator takes one matvec.  The start vector is fixed, so the
+    result is bit-reproducible.  Raises ComputationError if LANCZOS_CYCLES
+    cycles do not converge.
+    """
+    if m < 1:
+        raise ContractError(f"lanczos_top needs m >= 1, got {m}")
+    eps = np.finfo(float).eps
+    steps = min(LANCZOS_STEPS, m)
+    basis = np.empty((steps, m))
+    alpha, beta = np.empty(steps), np.empty(steps)
+    start = np.full(m, 1.0 / math.sqrt(m))
+    matvecs = 0
+    for _ in range(LANCZOS_CYCLES):
+        basis[0] = start
+        for j in range(steps):
+            w = matvec(basis[j])
+            matvecs += 1
+            alpha[j] = basis[j] @ w
+            q = basis[: j + 1]
+            w = w - q.T @ (q @ w)
+            w = w - q.T @ (q @ w)  # twice is enough (Kahan-Parlett)
+            beta[j] = np.linalg.norm(w)
+            theta, s = eigh_tridiagonal(alpha[: j + 1], beta[:j])
+            top = int(np.argmax(np.abs(theta)))
+            if abs(beta[j] * s[j, top]) <= LANCZOS_TOL * eps * abs(theta[top]):
+                return RitzPair(float(theta[top]), s[:, top] @ q, matvecs)
+            if j + 1 < steps:
+                basis[j + 1] = w / beta[j]
+        start = s[:, top] @ basis
+        start /= np.linalg.norm(start)
+    raise ComputationError(
+        f"Lanczos did not converge in {LANCZOS_CYCLES} cycles of {steps} steps (m = {m})"
+    )

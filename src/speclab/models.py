@@ -323,12 +323,13 @@ def se2_commutator(window: int) -> CommutatorReport:
 class Family:
     """One commutator family as a sweep sees it: ``build(n, a, b)`` at sweep
     size n (the Fourier window K = n for ring, the window itself for se2),
-    the thresholds it ``reads`` ("ab", "a" or ""), and ``labels(n)``, the
-    basis of the built matrix in order."""
+    the thresholds it ``reads`` ("ab", "a" or ""), ``labels(n)``, the basis
+    of the built matrix in order, and ``min_n``, the smallest n it builds."""
 
     build: Callable[[int, float, float], CommutatorReport]
     reads: str
     labels: Callable[[int], list]
+    min_n: int
 
 
 def _weights(n: int) -> list:
@@ -346,12 +347,12 @@ def _sites(n: int) -> list:
 # lambdas look the builders up by name at call time, so a wrapper installed
 # on a module attribute sees every call
 FAMILIES = {
-    "su2": Family(lambda n, a, b: su2_commutator(n, a, b), "ab", _weights),
-    "su2_interval": Family(lambda n, a, b: su2_commutator(n, a, b), "ab", _weights),
-    "su2_caps": Family(lambda n, a, b: su2_caps_commutator(n, a), "a", _weights),
-    "ring": Family(lambda n, a, b: ring_commutator(n, n, a), "a", _modes),
-    "heisenberg": Family(lambda n, a, b: heisenberg_commutator(n, a), "a", _sites),
-    "se2": Family(lambda n, a, b: se2_commutator(n), "", _modes),
+    "su2": Family(lambda n, a, b: su2_commutator(n, a, b), "ab", _weights, 2),
+    "su2_interval": Family(lambda n, a, b: su2_commutator(n, a, b), "ab", _weights, 2),
+    "su2_caps": Family(lambda n, a, b: su2_caps_commutator(n, a), "a", _weights, 2),
+    "ring": Family(lambda n, a, b: ring_commutator(n, n, a), "a", _modes, 2),
+    "heisenberg": Family(lambda n, a, b: heisenberg_commutator(n, a), "a", _sites, 2),
+    "se2": Family(lambda n, a, b: se2_commutator(n), "", _modes, 1),
 }
 
 

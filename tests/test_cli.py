@@ -117,7 +117,7 @@ def test_out_of_bounds_requests_exit_1(tmp_path):
     out = tmp_path / "x.csv"
     assert run(["norms", "--n-stop", "4", "--jobs", "0", "--out", str(out)]) == 1
     assert run(["norms", "--n-stop", "4", "--jobs", "-3", "--out", str(out)]) == 1
-    assert run(["hankel", "--N", "4,4097", "--out", str(out)]) == 1
+    assert run(["hankel", "--N", "4,262145", "--out", str(out)]) == 1
     assert not out.exists()
 
 
@@ -166,7 +166,7 @@ def _never_called(*args, **kwargs):
 
 
 def test_hankel_checks_every_request_before_any_row(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("speclab.cli.truncated_norm", _never_called)
+    monkeypatch.setattr("speclab.cli.truncated_norm_record", _never_called)
     out = tmp_path / "h.csv"
     for flags in (["--N", "2048", "--a", "0.3,1.5"], ["--N", "8,0"], ["--N=-3,8", "--a", "0.3"]):
         assert run(["hankel", *flags, "--out", str(out)]) == 1
@@ -183,6 +183,9 @@ def test_hankel_checks_every_request_before_any_row(tmp_path, capsys, monkeypatc
         ("norms", "su2", "su2_commutator", ["--b", "1,0"]),
         ("norms", "su2_interval", "su2_commutator", ["--a", "0.3", "--b", "0.5,1.5"]),
         ("vectors", "ring", "ring_commutator", ["--a", "1.5"]),
+        ("norms", "ring", "ring_commutator", ["--n-start", "1", "--jobs", "2"]),
+        ("norms", "se2", "se2_commutator", ["--n-start", "0", "--jobs", "2"]),
+        ("norms", "su2", "su2_commutator", ["--n-start", "1", "--jobs", "2"]),
     ],
 )
 def test_out_of_range_thresholds_exit_1_before_any_point(
@@ -249,6 +252,22 @@ def test_hankel_sidecar_per_row_timings(tmp_path):
     points = meta["wall_ms_points"]
     assert len(points) == 6
     assert all(isinstance(t, int) and t >= 0 for t in points)
+
+
+def test_hankel_sidecar_norm_records(tmp_path):
+    csvs = []
+    for name in ("h.csv", "h2.csv"):
+        out = tmp_path / name
+        assert run(["hankel", "--N", "1,8,4096", "--a", "0,0.3", "--out", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+    norms = [float(line.split(",")[2]) for line in csvs[0].decode().splitlines()[1:]]
+    records = json.loads((tmp_path / "h.csv.meta.json").read_text())["norm_records"]
+    assert len(records) == len(norms) == 6
+    assert [r["method"] for r in records] == ["perron"] * 3 + ["lanczos"] * 3
+    for record, norm in zip(records, norms):
+        assert isinstance(record["matvecs"], int) and record["matvecs"] >= 1
+        assert record["lower"] <= record["value"] == norm <= record["upper"]
 
 
 def test_regress_degenerate_on_exact_half_ladder(tmp_path):

@@ -15,8 +15,9 @@ from speclab import (
     operator_norm,
     power_essential_radius,
     truncated_norm,
+    truncated_norm_record,
 )
-from speclab.hankel import _coeff_grid
+from speclab.hankel import _coeff_grid, _hankel_matvec
 
 
 def test_arc_symbol_contract():
@@ -119,14 +120,43 @@ def test_half_circle_norm_from_odd_block_matches_dense(n, a):
     h = hankel_truncation(HALF_CIRCLE, n)
     k = np.arange(1, n + 1)
     assert np.all(h[(k[:, None] - k[None, :]) % 2 == 1] == 0.0)  # two parity blocks
-    fast = truncated_norm(HALF_CIRCLE, n)
-    assert fast == operator_norm(h[0::2, 0::2])
+    dense = operator_norm(h)
+    record = truncated_norm_record(HALF_CIRCLE, n)
+    assert record.method == "perron" and record.value == truncated_norm(HALF_CIRCLE, n)
     if n > 1:
-        assert fast >= operator_norm(h[1::2, 1::2])
-    assert abs(fast - operator_norm(h)) <= 1e-14
-    # a != 0 has no parity split and keeps the full truncation
+        assert record.value >= operator_norm(h[1::2, 1::2])  # the odd block carries the norm
+    assert abs(record.value - dense) <= 1e-14
+    assert record.lower <= dense <= record.upper
+    # a != 0 has no parity split: Lanczos on the full truncation
     sym = ArcSymbol(a)
-    assert truncated_norm(sym, n) == operator_norm(hankel_truncation(sym, n))
+    assert abs(truncated_norm(sym, n) - operator_norm(hankel_truncation(sym, n))) <= 1e-14
+
+
+@pytest.mark.parametrize("a", [0.0, 0.3])
+def test_large_truncation_norm_is_bounded_certified_and_reproducible(a):
+    sym = ArcSymbol(a)
+    record = truncated_norm_record(sym, 2**16)
+    assert truncated_norm(sym, 4096) <= record.value <= 0.5
+    assert record.lower <= record.value <= record.upper
+    if a == 0.0:
+        assert record.upper - record.lower <= 1e-12
+    else:
+        assert record.upper == 0.5
+    assert truncated_norm_record(sym, 2**16) == record  # floats compared bitwise
+
+
+@pytest.mark.parametrize("a, n", [(0.0, 64), (0.0, 4096), (0.3, 777)])
+def test_fft_matvec_within_the_rounding_allowance(a, n):
+    # the Hankel matrix c[i + j] applied by one FFT convolution, against the
+    # same product in long double; the bracket allows 2 eps max(Hx) per entry
+    sym = ArcSymbol(a)
+    m = (n + 1) // 2 if a == 0.0 else n
+    lags = 2 * np.arange(2 * m - 1) + 1 if a == 0.0 else np.arange(1, 2 * m)
+    c = _coeff_grid(sym, -lags)
+    x = 1.0 / np.sqrt(np.arange(1.0, m + 1))
+    fast = _hankel_matvec(c, m)(x)
+    exact = c.astype(np.longdouble)[np.add.outer(np.arange(m), np.arange(m))] @ x
+    assert np.max(np.abs(fast - exact)) <= 2 * np.finfo(float).eps * np.max(np.abs(fast))
 
 
 def test_nehari_bound():

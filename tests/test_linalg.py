@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speclab import ContractError, commutator, operator_norm, tridiag_eigh
+from speclab import (
+    ComputationError,
+    ContractError,
+    commutator,
+    lanczos_top,
+    operator_norm,
+    tridiag_eigh,
+)
 from speclab.linalg import _exact_norm
 
 
@@ -175,3 +182,43 @@ def test_projection_commutator_bound():
             p = q1[:, :k1] @ q1[:, :k1].T
             q = q2[:, :k2] @ q2[:, :k2].T
             assert operator_norm(commutator(p, q)) <= 0.5 + 1e-12
+
+
+def _diagonal(d):
+    return lambda x: d * x
+
+
+@pytest.mark.parametrize("m", [1, 2, 23, 24, 25, 300])
+def test_lanczos_top_matches_dense_on_random_symmetric(m):
+    a = np.random.default_rng(m).standard_normal((m, m))
+    a = a + a.T
+    top = lanczos_top(lambda x: a @ x, m)
+    w = np.linalg.eigvalsh(a)
+    want = w[0] if abs(w[0]) > abs(w[-1]) else w[-1]
+    assert abs(top.value - want) <= 1e-12 * abs(want)
+    assert abs(np.linalg.norm(top.vector) - 1.0) <= 1e-12
+    assert np.linalg.norm(a @ top.vector - top.value * top.vector) <= 1e-10 * abs(want)
+
+
+def test_lanczos_top_restarts_until_converged():
+    # an evenly spaced spectrum needs several 24-step cycles
+    d = np.linspace(-1.0, 0.5, 100)
+    top = lanczos_top(_diagonal(d), 100)
+    assert top.matvecs > 24
+    assert abs(top.value + 1.0) <= 1e-14
+
+
+def test_lanczos_top_invariant_start_takes_one_matvec():
+    one = lanczos_top(_diagonal(np.array([0.25])), 1)
+    assert (one.value, one.vector.tolist(), one.matvecs) == (0.25, [1.0], 1)
+    zero = lanczos_top(lambda x: 0.0 * x, 5)
+    assert zero.value == 0.0 and zero.matvecs == 1
+
+
+def test_lanczos_top_raises_instead_of_returning_unconverged():
+    d = np.linspace(0.0, 1.0, 200)
+    d[-2] = 1.0 - 1e-13  # a pair Lanczos cannot separate in 20 cycles
+    with pytest.raises(ComputationError):
+        lanczos_top(_diagonal(d), 200)
+    with pytest.raises(ContractError):
+        lanczos_top(_diagonal(np.ones(1)), 0)
