@@ -72,7 +72,10 @@ def _family_args(args) -> tuple:
     return family, a_list, b_list
 
 
-MAX_SWEEP_N = 2048  # keeps desk-scale runtimes; one dense block SVD per point
+# Keeps desk-scale runtimes.  An SU(2) point is one k x k eigvalsh on the
+# principal angles after the cached J_x eigensystem; a ring, Heisenberg or
+# SE(2) point is one dense block SVD, O(n^3).
+MAX_SWEEP_N = 2048
 
 
 def _check_sizes(name: str, lo: int, hi: int) -> None:
@@ -85,14 +88,15 @@ def _check_sizes(name: str, lo: int, hi: int) -> None:
 
 
 def _norm_point(task):
-    """Worker for one sweep point; returns (csv key, csv row, wall ms)."""
+    """Worker for one sweep point; returns (csv key, csv row, wall ms, norm
+    record as a dict)."""
     family, n, a, b = task
     t0 = time.perf_counter()
     report = FAMILIES[family].build(n, a, b)
     wall_ms = int(round(1000 * (time.perf_counter() - t0)))
     a_out, b_out = report.params.get("a", 0.0), report.params.get("b", 0.0)
     cells = [report.family, str(n), _fmt(a_out), _fmt(b_out), _fmt(report.norm), str(n % 4), "0"]
-    return (n, a_out, b_out), ",".join(cells), wall_ms
+    return (n, a_out, b_out), ",".join(cells), wall_ms, report.record._asdict()
 
 
 def _sweep_tasks(args) -> list:
@@ -124,7 +128,7 @@ def cmd_norms(args) -> int:
     else:
         results = [_norm_point(t) for t in tasks]
     results.sort(key=lambda r: r[0])
-    lines = [NORMS_HEADER] + [row for _, row, _ in results]
+    lines = [NORMS_HEADER] + [r[1] for r in results]
     _write_text(args.out, "\n".join(lines) + "\n")
     _sidecar(
         args.out,
@@ -135,6 +139,7 @@ def cmd_norms(args) -> int:
             "workers": workers,
             "wall_ms_total": int(round(1000 * (time.perf_counter() - t0))),
             "wall_ms_points": [r[2] for r in results],
+            "norm_records": [r[3] for r in results],
         },
     )
     return 0

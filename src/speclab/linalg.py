@@ -21,9 +21,11 @@ from ._errors import ComputationError, ContractError
 class NormRecord(NamedTuple):
     """An operator norm and how it was obtained and certified.
 
-    ``method`` names the solver (``"perron"`` or ``"lanczos"``), ``matvecs``
-    counts the products with the operator it took, and ``lower <= value <=
-    upper`` is the certificate that comes with it.
+    ``method`` names the solver (``"perron"`` or ``"lanczos"`` for a Hankel
+    truncation; ``"principal_angles"`` or ``"dense"`` for a commutator
+    family), ``matvecs`` counts the products with the operator it took (0 for
+    a direct solve), and ``lower <= value <= upper`` is the certificate that
+    comes with it (both ends equal to the value for a direct solve).
     """
 
     value: float

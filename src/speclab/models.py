@@ -1,11 +1,13 @@
 """The commutator families: SU(2) spin, ring, finite Heisenberg, SE(2)/line.
 
-Each builder returns a CommutatorReport bundling the commutator matrix, its
-operator norm, and model-specific diagnostics; FAMILIES maps each family name
-to its builder, the thresholds it reads and its basis labels.  Every family
-is a commutator [P, D] of a Hermitian P with a diagonal 0/1 projection D; one
-kernel forms it as a masked product and takes its norm on one off-diagonal
-block.
+Each builder returns a CommutatorReport bundling the commutator's norm
+record, the matrix on demand, and model-specific diagnostics; FAMILIES maps
+each family name to its builder, the thresholds it reads and its basis
+labels.  Every family is a commutator [P, D] of a Hermitian P with a
+diagonal 0/1 projection D.  The SU(2) families take the norm from the
+principal angles between the range of P and that of D, without forming P;
+the ring, Heisenberg and SE(2) families form [P, D] as a masked product and
+take its norm on one off-diagonal block with one dense solve.
 Circle-grid membership tests (which grid points lie on the open arc Re z > a)
 run on exact integers when a = 0, where cos(2*pi*k/n) = 0 exactly at the
 quarter points and the strict inequality must exclude them.
@@ -15,20 +17,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
 
 from ._errors import ComputationError, ContractError
 from .hankel import HALF_CIRCLE, ArcSymbol, _coeff_grid
-from .linalg import operator_norm
+from .linalg import NormRecord, operator_norm
 from .spinrep import (
     HalfInt,
     SpinRep,
+    _kept_vectors,
     projection_x,
     projection_x_entries,
-    projection_z_interval,
-    weight_exceeds,
+    weights_exceeding,
+    z_interval_mask,
 )
 
 NORM_CAP = 0.5 + 1e-9  # projection commutators cannot exceed 1/2
@@ -36,14 +40,20 @@ NORM_CAP = 0.5 + 1e-9  # projection commutators cannot exceed 1/2
 
 @dataclass
 class CommutatorReport:
-    """Result of building one commutator: matrix, norm, and diagnostics."""
+    """Result of building one commutator: norm record, matrix, diagnostics.
+
+    ``build`` returns the commutator matrix; ``matrix`` calls it on first
+    read and keeps the result, so a caller that needs only the norm never
+    forms it.  ``check``, when given, maps the matrix to the family's
+    block-structure residual, read as ``block_check`` (None without one).
+    """
 
     family: str
     params: dict
-    norm: float
-    matrix: np.ndarray
+    record: NormRecord
+    build: Callable[[], np.ndarray] = field(repr=False, compare=False)
+    check: Callable[[np.ndarray], float] | None = field(default=None, repr=False, compare=False)
     submatrix: np.ndarray | None = None
-    block_check: float | None = None
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -51,6 +61,28 @@ class CommutatorReport:
             raise ComputationError(
                 f"{self.family}: norm {self.norm} violates the 1/2 projection bound"
             )
+
+    @property
+    def norm(self) -> float:
+        return self.record.value
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return self.build()
+
+    @cached_property
+    def block_check(self) -> float | None:
+        return None if self.check is None else self.check(self.matrix)
+
+
+def _direct(value: float, method: str) -> NormRecord:
+    """Record of a norm from one direct solve: no matvecs, exact bounds."""
+    return NormRecord(value, method, 0, value, value)
+
+
+def _masked(p: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The commutator [P, diag d] as the masked product P_kl * (d_l - d_k)."""
+    return p * (d[None, :] - d[:, None])
 
 
 def _projection_pair(p: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, float]:
@@ -63,45 +95,83 @@ def _projection_pair(p: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, float]:
     ||P[in, out]|| (exactly 0 when either index set is empty).
     """
     d = np.asarray(d, dtype=float)
-    c = p * (d[None, :] - d[:, None])
+    c = _masked(p, d)
     inside = d != 0.0
     block = p[np.ix_(inside, ~inside)]
     return c, operator_norm(block) if block.size else 0.0
+
+
+def _principal_angle_norm(v: np.ndarray, inside: np.ndarray) -> float:
+    """||[V V^T, D]|| for orthonormal columns V (n x k) and the 0/1 diagonal
+    D whose range is the rows ``inside``, without forming V V^T.
+
+    The norm is ||V_in V_out^T||.  With C = V_in^T V_in, V_out^T V_out is
+    I - C, so (V_in V_out^T)(V_in V_out^T)^T = V_in (I - C) V_in^T, whose
+    nonzero eigenvalues are those of C (I - C): the norm is the largest
+    sqrt(c (1 - c)) over the eigenvalues c of C, the cosines squared of the
+    principal angles between the two ranges.  Exactly 0.0 when k = 0 or
+    either side of D is empty.
+    """
+    if v.shape[1] == 0 or inside.all() or not inside.any():
+        return 0.0
+    v_in = v[inside]
+    c = np.linalg.eigvalsh(v_in.T @ v_in)
+    return math.sqrt(max(float(np.max(c * (1.0 - c))), 0.0))
+
+
+def _block_residual(c: np.ndarray, rows: np.ndarray) -> float:
+    """Largest entry of c off the block form [[0, B], [-B^T, 0]], where B is
+    c[rows, ~rows] and ``rows`` is a bool mask."""
+    cols = ~rows
+    block = c[np.ix_(rows, cols)]
+    expected = np.zeros_like(c)
+    expected[np.ix_(rows, cols)] = block
+    expected[np.ix_(cols, rows)] = -block.T
+    return float(np.max(np.abs(c - expected)))
 
 
 # ---------------------------------------------------------------------------
 # SU(2)
 # ---------------------------------------------------------------------------
 
+def _su2_report(family: str, params: dict, rep: SpinRep, a: float, inside: np.ndarray,
+                check=None) -> CommutatorReport:
+    """Report for [P_x, D] with P_x = projection_x(rep, a) and D's range the
+    weights ``inside``: the norm from principal angles, the matrix (the
+    masked product of P_x) only when read."""
+    norm = _principal_angle_norm(_kept_vectors(rep, a, family), inside)
+    d = inside.astype(float)
+    return CommutatorReport(
+        family=family,
+        params=params,
+        record=_direct(norm, "principal_angles"),
+        build=lambda: _masked(projection_x(rep, a), d),
+        check=check,
+    )
+
+
 def su2_commutator(n: int, a: float = 0.0, b: float = 1.0) -> CommutatorReport:
     """Commutator of the J_x projection above a*(j+1/2) with the J_z
     projection onto (0, b*(j+1/2)].
 
     For the plain case (a, b) = (0, 1) the matrix is block anti-diagonal in
-    the z-basis, and the block structure is verified entry by entry.
+    the z-basis, and ``block_check`` verifies the block structure entry by
+    entry.
     """
     rep = SpinRep(n)
     if not 0.0 <= a < 1.0:
         raise ContractError(f"su2_commutator: a must lie in [0, 1), got {a}")
     if not 0.0 < b <= 1.0:
         raise ContractError(f"su2_commutator: b must lie in (0, 1], got {b}")
-    p = projection_x(rep, a)
-    c, norm = _projection_pair(p, np.diag(projection_z_interval(rep, b)))
     plain = a == 0.0 and b == 1.0
-    block_check = None
-    if plain:
-        n_pos = sum(1 for w in rep.weights if w.twice > 0)
-        p2 = p[:n_pos, n_pos:]
-        expected = np.zeros_like(c)
-        expected[:n_pos, n_pos:] = -p2
-        expected[n_pos:, :n_pos] = p2.T
-        block_check = float(np.max(np.abs(c - expected)))
-    return CommutatorReport(
-        family="su2" if plain else "su2_interval",
-        params={"n": n, "a": a, "b": b},
-        norm=norm,
-        matrix=c,
-        block_check=block_check,
+    check = partial(_block_residual, rows=rep.twice > 0) if plain else None
+    return _su2_report(
+        "su2" if plain else "su2_interval",
+        {"n": n, "a": a, "b": b},
+        rep,
+        a,
+        z_interval_mask(rep, b),
+        check,
     )
 
 
@@ -114,14 +184,12 @@ def su2_caps_commutator(n: int, a: float) -> CommutatorReport:
     rep = SpinRep(n)
     if not 0.0 <= a < 1.0:
         raise ContractError(f"su2_caps_commutator: a must lie in [0, 1), got {a}")
-    p = projection_x(rep, a)
-    d = [1.0 if weight_exceeds(w.twice, a, n) else 0.0 for w in rep.weights]
-    c, norm = _projection_pair(p, d)
-    return CommutatorReport(
-        family="su2_caps",
-        params={"n": n, "a": a, "b": a},  # both projections thresholded at a
-        norm=norm,
-        matrix=c,
+    return _su2_report(
+        "su2_caps",
+        {"n": n, "a": a, "b": a},  # both projections thresholded at a
+        rep,
+        a,
+        weights_exceeding(rep.twice, a, n),
     )
 
 
@@ -187,8 +255,8 @@ def ring_commutator(n: int, window: int, a: float = 0.0) -> CommutatorReport:
     return CommutatorReport(
         family="ring",
         params={"n": n, "K": window, "a": a},
-        norm=norm,
-        matrix=c,
+        record=_direct(norm, "dense"),
+        build=lambda: c,
     )
 
 
@@ -262,8 +330,8 @@ def heisenberg_commutator(n: int, a: float = 0.0) -> CommutatorReport:
     return CommutatorReport(
         family="heisenberg",
         params={"n": n, "a": a},
-        norm=norm,
-        matrix=c,
+        record=_direct(norm, "dense"),
+        build=lambda: c,
         diagnostics={"closed_form_residual": residual},
     )
 
@@ -300,18 +368,13 @@ def se2_commutator(window: int) -> CommutatorReport:
     pos = ks >= 0
     neg = ~pos
     c, norm = _projection_pair(t, pos.astype(float))
-    block = c[np.ix_(neg, pos)]
-    expected = np.zeros_like(c)
-    expected[np.ix_(neg, pos)] = block
-    expected[np.ix_(pos, neg)] = -block.T
-    block_check = float(np.max(np.abs(c - expected)))
     return CommutatorReport(
         family="se2",
         params={"K": window},
-        norm=norm,
-        matrix=c,
-        submatrix=block[::-1, :],
-        block_check=block_check,
+        record=_direct(norm, "dense"),
+        build=lambda: c,
+        check=partial(_block_residual, rows=neg),
+        submatrix=c[np.ix_(neg, pos)][::-1, :],
     )
 
 

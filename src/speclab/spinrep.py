@@ -98,6 +98,8 @@ class SpinRep:
         self.n = n
         self.j = HalfInt(n - 1)
         self.weights = tuple(HalfInt(n - 1 - 2 * i) for i in range(n))
+        self.twice = np.arange(n - 1, -n, -2, dtype=np.int64)  # twice each weight
+        self.twice.setflags(write=False)
 
     def index_of(self, m) -> int:
         """Row index of weight m in the descending weight ordering."""
@@ -124,6 +126,23 @@ def weight_exceeds(twice_m: int, a, n: int) -> bool:
 def weight_at_most(twice_m: int, b, n: int) -> bool:
     """Exact test m <= b*(j + 1/2) in rational arithmetic."""
     return Fraction(int(twice_m)) <= Fraction(b) * n
+
+
+def _floor_scaled(x, n: int) -> int:
+    """floor(x*n) in exact rational arithmetic.  For an integer t,
+    t > x*n exactly when t > floor(x*n), and t <= x*n exactly when
+    t <= floor(x*n), so one integer settles a whole array of weights."""
+    return math.floor(Fraction(x) * n)
+
+
+def weights_exceeding(twice, a, n: int) -> np.ndarray:
+    """weight_exceeds over an integer array of twice-weights, as a bool mask."""
+    return np.asarray(twice) > _floor_scaled(a, n)
+
+
+def weights_at_most(twice, b, n: int) -> np.ndarray:
+    """weight_at_most over an integer array of twice-weights, as a bool mask."""
+    return np.asarray(twice) <= _floor_scaled(b, n)
 
 
 class SpinOperators(NamedTuple):
@@ -255,8 +274,7 @@ def _kept_vectors(rep: SpinRep, a: float, name: str) -> np.ndarray:
     if not 0.0 <= a < 1.0:
         raise ContractError(f"{name}: a must lie in [0, 1), got {a}")
     tw, v = _jx_eigensystem(rep.n)
-    keep = [i for i, t in enumerate(tw) if weight_exceeds(int(t), a, rep.n)]
-    return v[:, keep]
+    return v[:, weights_exceeding(tw, a, rep.n)]
 
 
 def projection_x(rep: SpinRep, a: float) -> np.ndarray:
@@ -285,21 +303,20 @@ def projection_x_entries(rep: SpinRep, a: float, pairs) -> np.ndarray:
     return out
 
 
-def projection_z_interval(rep: SpinRep, b: float) -> np.ndarray:
-    """Diagonal 0/1 matrix of the J_z spectral projection onto (0, b*(j+1/2)].
+def z_interval_mask(rep: SpinRep, b: float) -> np.ndarray:
+    """Bool mask of the weights in (0, b*(j+1/2)], in the descending order.
 
     Selects the b_j smallest positive weights, which sit at the bottom of the
-    positive block in the descending ordering.
+    positive block.
     """
     if not 0.0 < b <= 1.0:
-        raise ContractError(f"projection_z_interval: b must lie in (0, 1], got {b}")
-    diag = np.array(
-        [
-            1.0 if (w.twice > 0 and weight_at_most(w.twice, b, rep.n)) else 0.0
-            for w in rep.weights
-        ]
-    )
-    return np.diag(diag)
+        raise ContractError(f"z_interval_mask: b must lie in (0, 1], got {b}")
+    return (rep.twice > 0) & weights_at_most(rep.twice, b, rep.n)
+
+
+def projection_z_interval(rep: SpinRep, b: float) -> np.ndarray:
+    """Diagonal 0/1 matrix of the J_z spectral projection onto (0, b*(j+1/2)]."""
+    return np.diag(z_interval_mask(rep, b).astype(float))
 
 
 def fourier_expansion_d(rep: SpinRep, mprime, m) -> dict:

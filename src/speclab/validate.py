@@ -30,7 +30,11 @@ def wigner_sum_matrix(rep: spinrep.SpinRep, theta: float = math.pi / 2) -> np.nd
 
 def projection_from_sum(rep: spinrep.SpinRep, a: float) -> np.ndarray:
     """Assemble projection_x from the binomial-sum d-matrix (oracle route)."""
-    d = wigner_sum_matrix(rep)
+    return _sum_projection(wigner_sum_matrix(rep), rep, a)
+
+
+def _sum_projection(d: np.ndarray, rep: spinrep.SpinRep, a: float) -> np.ndarray:
+    """projection_from_sum from the binomial-sum d-matrix d of rep."""
     cols = [
         i
         for i, mu in enumerate(rep.weights)
@@ -172,8 +176,9 @@ def _suite_projection_cross_path():
     worst = 0.0
     for n in range(2, 32):
         rep = spinrep.SpinRep(n)
+        d = wigner_sum_matrix(rep)
         for a in (0.0, 0.3, 0.7):
-            diff = spinrep.projection_x(rep, a) - projection_from_sum(rep, a)
+            diff = spinrep.projection_x(rep, a) - _sum_projection(d, rep, a)
             worst = max(worst, float(np.max(np.abs(diff))))
     return worst, 1e-8
 
@@ -240,6 +245,16 @@ def _suite_su2_block_structure():
     return worst, 0.0
 
 
+def _suite_su2_angles_match_dense():
+    worst = 0.0
+    for n in range(2, 32):  # principal-angle norm vs the dense solve of the matrix
+        for a in (0.0, 0.3, 0.7):
+            for b in (0.5, 1.0):
+                r = models.su2_commutator(n, a, b)
+                worst = max(worst, abs(r.norm - operator_norm(r.matrix)))
+    return worst, 1e-12
+
+
 def _suite_ring_exact_identity():
     worst = 0.0
     for n, size in ((64, 15), (101, 25)):
@@ -292,6 +307,7 @@ def run_validation(inject_sign_flip: bool = False) -> dict:
         ("hankel.certificates", _suite_certificates),
         ("models.universal_bound", _suite_universal_bound),
         ("models.su2_block_structure", _suite_su2_block_structure),
+        ("models.su2_angles_match_dense", _suite_su2_angles_match_dense),
         ("models.ring_exact_identity", _suite_ring_exact_identity),
         ("models.heisenberg_closed_form", _suite_heisenberg_closed_form),
         ("models.se2_block_identity", _suite_se2_block_identity),

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from speclab import ContractError
+from speclab import ContractError, models
 from speclab.cli import _worker_count, main, regress_rows
 from speclab.models import FAMILIES
 
@@ -62,6 +62,40 @@ def test_norms_idempotent_and_sidecar(tmp_path):
     meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
     assert meta["schema_version"] == 1
     assert "created_utc" in meta and "wall_ms_total" in meta
+
+
+@pytest.mark.parametrize("family", ["su2", "su2_interval", "su2_caps"])
+def test_su2_norms_never_form_the_projection(tmp_path, monkeypatch, family):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an SU(2) norm must not form P_x or call a dense solve")
+
+    for name in ("projection_x", "operator_norm", "_projection_pair"):
+        monkeypatch.setattr(models, name, forbidden)
+    out = tmp_path / "n.csv"
+    args = ["norms", "--family", family, "--n-start", "2", "--n-stop", "40", "--n-step", "7"]
+    assert run(args + ["--a", "0.3", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 7
+
+
+def test_norms_sidecar_norm_records(tmp_path):
+    csvs = []
+    for name in ("c.csv", "c2.csv"):
+        out = tmp_path / name
+        args = ["norms", "--family", "su2_caps", "--n-start", "5", "--n-stop", "9", "--a", "0.3,0.8"]
+        assert run(args + ["--out", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+    norms = [float(line.split(",")[4]) for line in csvs[0].decode().splitlines()[1:]]
+    records = json.loads((tmp_path / "c.csv.meta.json").read_text())["norm_records"]
+    assert len(records) == len(norms) == 10
+    for record, norm in zip(records, norms):
+        assert record == {
+            "value": norm, "method": "principal_angles", "matvecs": 0, "lower": norm, "upper": norm
+        }
+    out = tmp_path / "r.csv"
+    assert run(["norms", "--family", "ring", "--n-start", "2", "--n-stop", "4", "--out", str(out)]) == 0
+    records = json.loads((tmp_path / "r.csv.meta.json").read_text())["norm_records"]
+    assert [r["method"] for r in records] == ["dense"] * 3
 
 
 def test_norms_parallel_equals_serial(tmp_path):

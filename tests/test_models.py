@@ -29,6 +29,7 @@ from speclab import (
 )
 from speclab import models
 from speclab.models import _heis_pairing_table
+from speclab.spinrep import weight_at_most, weight_exceeds
 
 # frozen by oracle runs (see tests/test_acceptance.py for the committed values)
 SU2_SUBMATRIX_TOL_N4001 = 2.5e-4
@@ -415,9 +416,19 @@ def test_every_family_respects_the_half_bound():
 # projection-pair kernel against the dense path
 # ---------------------------------------------------------------------------
 
+# the families whose norm still comes from the dense projection-pair kernel;
+# the SU(2) families never form P and are checked by the property below
+DENSE_FAMILIES = ["heisenberg", "ring", "se2"]
+SU2_FAMILIES = ["su2", "su2_caps", "su2_interval"]
+
+
+def test_family_split_covers_the_table():
+    assert sorted(DENSE_FAMILIES + SU2_FAMILIES) == sorted(models.FAMILIES)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
 @given(
-    family=st.sampled_from(sorted(models.FAMILIES)),
+    family=st.sampled_from(DENSE_FAMILIES),
     n=st.integers(2, 64),
     a=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
     b=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
@@ -439,6 +450,47 @@ def test_projection_pair_matches_dense_path(family, n, a, b):
     dense = commutator(p, np.diag(np.asarray(d, dtype=float)))
     assert np.max(np.abs(matrix - dense)) <= 1e-15
     assert norm <= 0.5 + 1e-12
+
+
+def _su2_dense(family, n, a, b):
+    """[P_x, D] formed densely from projection_x and the J_z membership."""
+    rep = SpinRep(n)
+    if family == "su2_caps":
+        d = [weight_exceeds(w.twice, a, n) for w in rep.weights]
+    else:
+        d = [w.twice > 0 and weight_at_most(w.twice, b, n) for w in rep.weights]
+    return commutator(projection_x(rep, a), np.diag(np.array(d, dtype=float)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(
+    family=st.sampled_from(SU2_FAMILIES),
+    n=st.integers(2, 64),
+    a=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+    b=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+)
+def test_su2_principal_angles_match_dense_path(family, n, a, b):
+    report = models.FAMILIES[family].build(n, a, b)
+    dense = _su2_dense(family, n, a, b)
+    assert report.record.method == "principal_angles"
+    assert abs(report.norm - np.linalg.norm(dense, 2)) <= 1e-12
+    assert np.max(np.abs(report.matrix - dense)) <= 1e-15
+    assert report.norm <= 0.5 + 1e-12
+
+
+@pytest.mark.parametrize(
+    "family, n, a, b",
+    [
+        ("su2", 401, 0.0, 1.0),
+        ("su2", 1021, 0.0, 1.0),
+        ("su2_interval", 401, 0.3, 0.6),
+        ("su2_caps", 401, 0.8, 0.8),
+        ("su2_caps", 1021, 0.6, 0.6),
+    ],
+)
+def test_su2_principal_angles_match_dense_at_large_n(family, n, a, b):
+    report = models.FAMILIES[family].build(n, a, b)
+    assert abs(report.norm - operator_norm(_su2_dense(family, n, a, b))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speclab import (
     ContractError,
@@ -21,7 +23,7 @@ from speclab import (
     wigner_d_sum,
     wigner_d_theta,
 )
-from speclab.spinrep import weight_exceeds
+from speclab.spinrep import weight_at_most, weight_exceeds, weights_at_most, weights_exceeding
 from speclab.validate import projection_from_sum, wigner_sum_matrix
 
 
@@ -61,6 +63,36 @@ def test_weight_threshold_is_exact():
     assert weight_exceeds(8, 0.5, 12)
     # integer and Fraction thresholds work unchanged
     assert not weight_exceeds(6, 1, 6)
+
+
+# thresholds that land exactly on a lattice point (a = 0.5 with n even puts
+# a*n = n/2 on an integer) next to generic floats and small dyadics
+_THRESHOLDS = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1 / 3, 0.3, 1 / 2**0.5]),
+    st.floats(0.0, 1.0),
+    st.integers(0, 64).map(lambda k: k / 64),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(n=st.integers(2, 80), x=_THRESHOLDS)
+def test_vector_thresholds_match_scalar_helpers(n, x):
+    twice = SpinRep(n).twice
+    assert [t.twice for t in SpinRep(n).weights] == twice.tolist()
+    above = weights_exceeding(twice, x, n)
+    at_most = weights_at_most(twice, x, n)
+    assert above.tolist() == [weight_exceeds(int(t), x, n) for t in twice]
+    assert at_most.tolist() == [weight_at_most(int(t), x, n) for t in twice]
+
+
+def test_vector_thresholds_on_a_lattice_point():
+    # a = 0.5, n = 10: a*n = 5 is twice the weight 5/2, which the strict
+    # test excludes and the closed one includes
+    twice = SpinRep(10).twice.tolist()
+    on = twice.index(5)
+    assert weights_exceeding(twice, 0.5, 10).tolist() == [t > 5 for t in twice]
+    assert not weights_exceeding(twice, 0.5, 10)[on]
+    assert weights_at_most(twice, 0.5, 10)[on]
 
 
 # ---------------------------------------------------------------------------
