@@ -51,6 +51,7 @@ from .spinrep import (
     projection_z_interval,
     szego_approximation,
     verify_hilbert_formula,
+    wigner_d_matrix,
     wigner_d_pi_half,
     wigner_d_sum,
     wigner_d_theta,
@@ -101,6 +102,7 @@ __all__ = [
     "truncated_norm",
     "truncated_norm_record",
     "verify_hilbert_formula",
+    "wigner_d_matrix",
     "wigner_d_pi_half",
     "wigner_d_sum",
     "wigner_d_theta",

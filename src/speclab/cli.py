@@ -322,10 +322,20 @@ def _svg_bars(labels, heights, title: str) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    report = run_validation(inject_sign_flip=args.inject_sign_flip)
+    t0 = time.perf_counter()
+    report, wall_ms = run_validation(inject_sign_flip=args.inject_sign_flip)
     text = json.dumps(report, indent=2) + "\n"
     if args.out:
         _write_text(args.out, text)
+        _sidecar(
+            args.out,
+            {
+                "command": "validate",
+                "wall_ms_total": int(round(1000 * (time.perf_counter() - t0))),
+                "suites": [s["name"] for s in report["suites"]],
+                "wall_ms_suites": wall_ms,
+            },
+        )
     else:
         sys.stdout.write(text)
     return 0 if report["all_pass"] else 3

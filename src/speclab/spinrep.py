@@ -12,6 +12,13 @@ of the eigenvector route carry an arbitrary sign, fixed by calibrating each
 column against the sum formula on the topmost row where both the computed
 entry and the predicted value are resolvable.  Projections never need the
 calibration: they are sums of column outer products, which are sign-blind.
+
+Each route works on the whole (m', m) grid at once: the binomial sum is one
+masked array kernel over broadcast twice-indices, the Fourier route at any
+theta is one complex GEMM on the cached J_x eigenvectors
+(`wigner_d_matrix`), and the Hilbert-formula check is one GEMM plus an
+outer product.  `wigner_d_sum` and `wigner_d_theta` stay as the scalar
+entry points.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .linalg import tridiag_eigh
 from .specfun import bessel_j
 
 SIGN_RESOLUTION = 1e-13
+CALIBRATION_BATCH = 64  # columns per sum-kernel call in wigner_d_pi_half
 
 
 @dataclass(frozen=True)
@@ -199,11 +207,53 @@ def _jx_eigensystem(n: int):
     return tw, v
 
 
+@lru_cache(maxsize=64)
+def _log_factorials(top: int) -> np.ndarray:
+    """ln k! for k = 0..top (math.lgamma(k + 1)); cached, read-only."""
+    lf = np.array([math.lgamma(k + 1) for k in range(top + 1)])
+    lf.setflags(write=False)
+    return lf
+
+
+def _wigner_sum(tj: int, tp, tm, theta: float) -> np.ndarray:
+    """d^j_{m',m}(theta) by the binomial sum over broadcast twice-indices.
+
+    tj = 2j; tp and tm are integer arrays (or scalars) of twice m' and twice
+    m, already on the spin-j lattice.  The sum runs on a new leading axis over
+    the s that some entry needs (the union of the [s_min, s_max] ranges);
+    each entry's terms outside its own range are masked to 0 through their
+    logarithm (their factorial indices are clamped to 0 first so no lookup
+    leaves the table).  A term too large for a float raises ComputationError.
+    """
+    tp, tm = np.asarray(tp, dtype=np.int64), np.asarray(tm, dtype=np.int64)
+    lf = _log_factorials(tj)
+    jp_plus, jp_minus = (tj + tp) // 2, (tj - tp) // 2  # j + m', j - m'
+    jm_plus, jm_minus = (tj + tm) // 2, (tj - tm) // 2  # j + m, j - m
+    diff = (tp - tm) // 2  # m' - m; s_min = max(0, -diff)
+    s_max = np.minimum(jp_minus, jm_plus)
+    s = np.arange(max(0, -int(diff.max())), int(s_max.max()) + 1)
+    s = s.reshape((-1,) + (1,) * max(tp.ndim, tm.ndim))
+    live = (s >= -diff) & (s <= s_max)
+    pref = 0.5 * (lf[jm_plus] + lf[jm_minus] - lf[jp_plus] - lf[jp_minus])
+    lb1 = lf[jp_plus] - lf[np.where(live, jm_plus - s, 0)] - lf[np.where(live, diff + s, 0)]
+    lb2 = lf[jp_minus] - lf[s] - lf[np.where(live, jp_minus - s, 0)]
+    k_sin = np.where(live, diff + 2 * s, 0)
+    sign = 1.0 - 2.0 * ((diff + s) % 2)
+    with np.errstate(over="raise"):
+        try:  # masked terms are exp(-inf) = 0
+            size = np.exp(np.where(live, pref + lb1 + lb2, -np.inf))
+        except FloatingPointError:
+            raise ComputationError(f"binomial sum overflows at j = {HalfInt(tj)}") from None
+    cos_pow = math.cos(theta / 2) ** (tj - k_sin)
+    return (sign * size * cos_pow * math.sin(theta / 2) ** k_sin).sum(axis=0)
+
+
 def wigner_d_sum(j, mprime, m, theta: float) -> float:
     """Wigner d-function d^j_{m',m}(theta) by the explicit binomial sum.
 
     Exact convention of the rotation e^{-i theta J_y}; trustworthy to full
-    precision for j <= 15 (alternating-sum cancellation grows with j).
+    precision for j <= 15 (alternating-sum cancellation grows with j).  A
+    term beyond the float range raises ComputationError.
     """
     j = HalfInt.coerce(j)
     mp = HalfInt.coerce(mprime)
@@ -211,30 +261,13 @@ def wigner_d_sum(j, mprime, m, theta: float) -> float:
     tj, tp, tm = j.twice, mp.twice, m.twice
     if abs(tp) > tj or abs(tm) > tj or (tj - tp) % 2 or (tj - tm) % 2:
         raise ContractError(f"indices ({mprime}, {m}) outside spin-{j} lattice")
-    lg = math.lgamma
-    pref = 0.5 * (
-        lg((tj + tm) / 2 + 1)
-        + lg((tj - tm) / 2 + 1)
-        - lg((tj + tp) / 2 + 1)
-        - lg((tj - tp) / 2 + 1)
-    )
-    c = math.cos(theta / 2)
-    s = math.sin(theta / 2)
-    s_min = max(0, (tm - tp) // 2)
-    s_max = min((tj - tp) // 2, (tj + tm) // 2)
-    total = 0.0
-    for sidx in range(s_min, s_max + 1):
-        lb1 = (
-            lg((tj + tp) / 2 + 1)
-            - lg((tj + tm) / 2 - sidx + 1)
-            - lg((tj + tp) / 2 - (tj + tm) / 2 + sidx + 1)
-        )
-        lb2 = lg((tj - tp) / 2 + 1) - lg(sidx + 1) - lg((tj - tp) / 2 - sidx + 1)
-        k_cos = (2 * tj + tm - tp) // 2 - 2 * sidx
-        k_sin = (tp - tm) // 2 + 2 * sidx
-        sign = -1.0 if ((tp - tm) // 2 + sidx) % 2 else 1.0
-        total += sign * math.exp(pref + lb1 + lb2) * c**k_cos * s**k_sin
-    return total
+    return float(_wigner_sum(tj, tp, tm, theta))
+
+
+def wigner_d_sum_matrix(rep: SpinRep, theta: float = math.pi / 2) -> np.ndarray:
+    """The whole d^j(theta) matrix by the binomial sum, in descending weight
+    order; the same j <= 15 caveat as `wigner_d_sum`."""
+    return _wigner_sum(rep.j.twice, rep.twice[:, None], rep.twice[None, :], theta)
 
 
 def wigner_d_pi_half(rep: SpinRep) -> np.ndarray:
@@ -245,27 +278,32 @@ def wigner_d_pi_half(rep: SpinRep) -> np.ndarray:
     is fixed against the binomial-sum value on the topmost row where both the
     computed entry and the sum prediction resolve above 1e-13; rows whose
     entries sit below that are skipped (their true values are exponentially
-    small in j).
+    small in j).  Each round evaluates the sum once, on the next resolvable
+    row of up to CALIBRATION_BATCH columns not yet fixed, so the work arrays
+    hold O(n) entries per column of the batch, not O(n^2).  Raises
+    ComputationError where the sum overflows a float (from n = 1895 on).
     """
     n = rep.n
     tw, v = _jx_eigensystem(n)
     d = v[:, ::-1].copy()          # columns reordered to mu = j, ..., -j
     tmu = tw[::-1]
-    tj = rep.j.twice
-    for col in range(n):
-        fixed = False
-        for row in range(n):
-            if abs(d[row, col]) <= SIGN_RESOLUTION:
-                continue
-            ref = wigner_d_sum(rep.j, HalfInt(tj - 2 * row), HalfInt(int(tmu[col])), math.pi / 2)
-            if abs(ref) <= SIGN_RESOLUTION:
-                continue
-            if (d[row, col] > 0) != (ref > 0):
-                d[:, col] = -d[:, col]
-            fixed = True
-            break
-        if not fixed:  # pragma: no cover - a unit column always has a big entry
-            raise ComputationError(f"sign calibration ambiguous for column mu={HalfInt(int(tmu[col]))}")
+    rows = np.arange(n)[:, None]
+    below = np.zeros(n, dtype=np.int64)  # per column, the first row not yet tried
+    todo = np.arange(n)
+    while todo.size:  # each round: one sum call on the next row of a batch of unfixed columns
+        cols = todo[:CALIBRATION_BATCH]
+        cand = (np.abs(d[:, cols]) > SIGN_RESOLUTION) & (rows >= below[cols])
+        found = cand.any(axis=0)
+        if not found.all():  # pragma: no cover - a unit column always has a big entry
+            mu = HalfInt(int(tmu[cols[~found][0]]))
+            raise ComputationError(f"sign calibration ambiguous for column mu={mu}")
+        row = cand.argmax(axis=0)
+        ref = _wigner_sum(rep.j.twice, rep.twice[row], tmu[cols], math.pi / 2)
+        fixed = np.abs(ref) > SIGN_RESOLUTION
+        flip = cols[fixed & ((d[row, cols] > 0) != (ref > 0))]
+        d[:, flip] = -d[:, flip]
+        below[cols] = row + 1
+        todo = np.concatenate((cols[~fixed], todo[cols.size:]))
     return d
 
 
@@ -351,34 +389,43 @@ def wigner_d_theta(rep: SpinRep, mprime, m, theta: float) -> float:
     return float(val.real)
 
 
+def wigner_d_matrix(rep: SpinRep, theta: float) -> np.ndarray:
+    """The whole d^j(theta) matrix through the Fourier expansion.
+
+    With F = V diag(exp(-i tw/2 theta)) V^T (one complex GEMM on the cached
+    J_x eigenvectors), entry (i', i) is Re(exp(i pi/4 (t_i - t_i')) F[i', i])
+    for the twice-weights t: what `wigner_d_theta` sums for one entry.
+    """
+    tw, v = _jx_eigensystem(rep.n)
+    f = (v * np.exp(-1j * (tw / 2.0) * theta)) @ v.T
+    t = rep.twice
+    phase = np.exp(1j * (math.pi / 4) * (t[None, :] - t[:, None]))
+    return (phase * f).real
+
+
 def verify_hilbert_formula(rep: SpinRep) -> float:
     """Max residual between projection_x(rep, 0) and the case-split formula
     built from the zeroth Fourier coefficient and the periodic Hilbert
     transform of d^j_{m',m} at 0 (frequency mu -> -i sgn(mu) on the
     4*pi-periodic circle).
+
+    With m - m' odd the formula's phases cancel to (1/2) sum_mu sgn(mu)
+    v_m(mu) v_m'(mu), the entries of (1/2) V diag(sgn) V^T.  With m - m' even
+    they cancel to (1/2)(delta_{m',m} - v_m(0) v_m'(0)), where v(0) is the
+    mu = 0 column (absent, so 0, for half-integer spin).
     """
     n = rep.n
     if n > 31:
         raise ContractError("verify_hilbert_formula: supported for n <= 31")
     p = projection_x(rep, 0.0)
     tw, v = _jx_eigensystem(n)
-    sgn = np.sign(tw.astype(float))
-    zero_cols = np.where(tw == 0)[0]
-    worst = 0.0
-    for i_mp, mp in enumerate(rep.weights):
-        for i_m, m in enumerate(rep.weights):
-            diff = mp.diff_int(m)
-            phase = np.exp(1j * (math.pi / 2) * diff)
-            prods = v[i_m] * v[i_mp]
-            if diff % 2 == 0:
-                # zeroth coefficient exists only on the integer lattice
-                z00 = phase.conjugate() * (prods[zero_cols[0]] if len(zero_cols) else 0.0)
-                rhs = 0.5 * phase * ((1.0 if i_m == i_mp else 0.0) - z00)
-            else:
-                hilbert0 = phase.conjugate() * 1j * np.sum(sgn * prods)
-                rhs = -0.5j * phase * hilbert0
-            worst = max(worst, abs(complex(rhs) - p[i_mp, i_m]))
-    return float(worst)
+    hilbert = (v * np.sign(tw)) @ v.T
+    zero = v[:, tw == 0].sum(axis=1)  # the mu = 0 column, or zeros
+    even = np.eye(n) - np.outer(zero, zero)
+    idx = np.arange(n)
+    odd = (idx[:, None] - idx[None, :]) % 2 == 1  # m - m' odd
+    rhs = 0.5 * np.where(odd, hilbert, even)
+    return float(np.max(np.abs(rhs - p)))
 
 
 def szego_approximation(j, mprime, m, theta: float):

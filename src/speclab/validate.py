@@ -9,6 +9,7 @@ d-matrix so that mutation tests can confirm the cross-path suite has teeth.
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 
@@ -18,14 +19,7 @@ from .linalg import commutator, operator_norm, tridiag_eigh
 SCHEMA_VERSION = 1
 
 
-def wigner_sum_matrix(rep: spinrep.SpinRep, theta: float = math.pi / 2) -> np.ndarray:
-    """Assemble the full d-matrix from the explicit binomial sum."""
-    return np.array(
-        [
-            [spinrep.wigner_d_sum(rep.j, mp, m, theta) for m in rep.weights]
-            for mp in rep.weights
-        ]
-    )
+wigner_sum_matrix = spinrep.wigner_d_sum_matrix  # the full d-matrix from the binomial sum
 
 
 def projection_from_sum(rep: spinrep.SpinRep, a: float) -> np.ndarray:
@@ -35,12 +29,7 @@ def projection_from_sum(rep: spinrep.SpinRep, a: float) -> np.ndarray:
 
 def _sum_projection(d: np.ndarray, rep: spinrep.SpinRep, a: float) -> np.ndarray:
     """projection_from_sum from the binomial-sum d-matrix d of rep."""
-    cols = [
-        i
-        for i, mu in enumerate(rep.weights)
-        if spinrep.weight_exceeds(mu.twice, a, rep.n)
-    ]
-    ds = d[:, cols]
+    ds = d[:, spinrep.weights_exceeding(rep.twice, a, rep.n)]
     return ds @ ds.T
 
 
@@ -148,12 +137,7 @@ def _suite_wigner_matrix_invariants():
         worst = max(worst, float(np.max(np.abs(d[::-1, ::-1] - parity))))
         # d_{m',m}(theta + pi) = (-1)^{j-m} d_{m',-m}(theta) at theta = pi/2
         tj = rep.j.twice
-        d32 = np.array(
-            [
-                [spinrep.wigner_d_theta(rep, mp, m, 3 * math.pi / 2) for m in rep.weights]
-                for mp in rep.weights
-            ]
-        )
+        d32 = spinrep.wigner_d_matrix(rep, 3 * math.pi / 2)
         sg = np.array([(-1.0) ** ((tj - w.twice) // 2) for w in rep.weights])
         worst = max(worst, float(np.max(np.abs(d32 - sg[None, :] * d[:, ::-1]))))
     return worst, 1e-10
@@ -284,8 +268,13 @@ def _suite_se2_block_identity():
     return worst, 1e-12
 
 
-def run_validation(inject_sign_flip: bool = False) -> dict:
-    """Run every suite; returns a JSON-ready report."""
+def run_validation(inject_sign_flip: bool = False) -> tuple[dict, list[int]]:
+    """Run every suite; returns a JSON-ready report and each suite's wall
+    time in whole milliseconds, in report order.
+
+    Timings never enter the report, so the report of a rerun is
+    byte-identical.
+    """
     suites = [
         ("linalg.operator_norm_symmetries", _suite_operator_norm_symmetries),
         ("linalg.tridiag_reconstruction", _suite_tridiag_reconstruction),
@@ -312,8 +301,9 @@ def run_validation(inject_sign_flip: bool = False) -> dict:
         ("models.heisenberg_closed_form", _suite_heisenberg_closed_form),
         ("models.se2_block_identity", _suite_se2_block_identity),
     ]
-    results = []
+    results, wall_ms = [], []
     for name, fn in suites:
+        t0 = time.perf_counter()
         try:
             residual, tolerance = fn()
             status = "pass" if residual <= tolerance else "fail"
@@ -335,8 +325,10 @@ def run_validation(inject_sign_flip: bool = False) -> dict:
                     "error": f"{type(exc).__name__}: {exc}",
                 }
             )
-    return {
+        wall_ms.append(int(round(1000 * (time.perf_counter() - t0))))
+    report = {
         "schema_version": SCHEMA_VERSION,
         "all_pass": all(r["status"] == "pass" for r in results),
         "suites": results,
     }
+    return report, wall_ms

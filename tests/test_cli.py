@@ -421,6 +421,31 @@ def test_validate_report(tmp_path):
         assert suite["residual"] <= suite["tolerance"]
 
 
+def test_validate_report_reproducible_with_timing_sidecar(tmp_path):
+    reports = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        assert run(["validate", "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+        names = [s["name"] for s in json.loads(out.read_text())["suites"]]
+        meta = json.loads((tmp_path / f"{name}.meta.json").read_text())
+        assert meta["command"] == "validate"
+        assert meta["suites"] == names and len(names) == 21
+        assert len(meta["wall_ms_suites"]) == 21
+        assert all(isinstance(ms, int) and ms >= 0 for ms in meta["wall_ms_suites"])
+        assert isinstance(meta["wall_ms_total"], int)
+        assert meta["wall_ms_total"] >= sum(meta["wall_ms_suites"]) - 21
+    assert reports[0] == reports[1]
+    assert b"wall_ms" not in reports[0]
+
+
+def test_validate_stdout_writes_no_sidecar(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["validate"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_pass"] is True
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_validate_sign_flip_injection(tmp_path):
     out = tmp_path / "val.json"
     assert run(["validate", "--inject-sign-flip", "--out", str(out)]) == 3

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speclab import (
+    ComputationError,
     ContractError,
     HalfInt,
     SpinRep,
@@ -19,11 +20,18 @@ from speclab import (
     projection_z_interval,
     szego_approximation,
     verify_hilbert_formula,
+    wigner_d_matrix,
     wigner_d_pi_half,
     wigner_d_sum,
     wigner_d_theta,
 )
-from speclab.spinrep import weight_at_most, weight_exceeds, weights_at_most, weights_exceeding
+from speclab.spinrep import (
+    _jx_eigensystem,
+    weight_at_most,
+    weight_exceeds,
+    weights_at_most,
+    weights_exceeding,
+)
 from speclab.validate import projection_from_sum, wigner_sum_matrix
 
 
@@ -162,6 +170,64 @@ def test_wigner_pi_half_matches_sum(n):
     assert np.max(np.abs(wigner_d_pi_half(rep) - wigner_sum_matrix(rep))) <= 1e-8
 
 
+def _wigner_d_sum_per_entry(tj, tp, tm, theta):
+    """The binomial sum one term at a time in Python (the scalar loop the
+    array kernel replaced), on twice-indices."""
+    lg = math.lgamma
+    pref = 0.5 * (
+        lg((tj + tm) / 2 + 1)
+        + lg((tj - tm) / 2 + 1)
+        - lg((tj + tp) / 2 + 1)
+        - lg((tj - tp) / 2 + 1)
+    )
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    total = 0.0
+    for k in range(max(0, (tm - tp) // 2), min((tj - tp) // 2, (tj + tm) // 2) + 1):
+        lb1 = lg((tj + tp) / 2 + 1) - lg((tj + tm) / 2 - k + 1) - lg((tp - tm) / 2 + k + 1)
+        lb2 = lg((tj - tp) / 2 + 1) - lg(k + 1) - lg((tj - tp) / 2 - k + 1)
+        k_cos = (2 * tj + tm - tp) // 2 - 2 * k
+        k_sin = (tp - tm) // 2 + 2 * k
+        sign = -1.0 if ((tp - tm) // 2 + k) % 2 else 1.0
+        total += sign * math.exp(pref + lb1 + lb2) * c**k_cos * s**k_sin
+    return total
+
+
+def _pi_half_calibrated_per_column(rep):
+    """wigner_d_pi_half with one per-entry binomial sum per row tried, column
+    by column (the loop the batched calibration replaced)."""
+    tw, v = _jx_eigensystem(rep.n)
+    d = v[:, ::-1].copy()
+    for col in range(rep.n):
+        for row in range(rep.n):
+            if abs(d[row, col]) <= 1e-13:
+                continue
+            tp, tm = int(rep.twice[row]), int(tw[::-1][col])
+            ref = _wigner_d_sum_per_entry(rep.j.twice, tp, tm, math.pi / 2)
+            if abs(ref) <= 1e-13:
+                continue
+            if (d[row, col] > 0) != (ref > 0):
+                d[:, col] = -d[:, col]
+            break
+    return d
+
+
+@pytest.mark.parametrize("n", list(range(2, 32)) + [101, 103, 388])
+def test_wigner_pi_half_calibration_matches_per_column(n):
+    # at n = 388 some column's topmost resolvable entry has a sum value below
+    # the resolution, so the calibration needs a second round
+    rep = SpinRep(n)
+    assert np.array_equal(wigner_d_pi_half(rep), _pi_half_calibrated_per_column(rep))
+
+
+def test_binomial_sum_overflow_raises():
+    # a term of the sum beyond the float range is an error, never inf or nan
+    with pytest.raises(ComputationError):
+        wigner_d_sum(600, 0, 0, 1.0)
+    # n = 1895 is the first size whose calibration rows overflow the sum
+    with pytest.raises(ComputationError):
+        wigner_d_pi_half(SpinRep(1895))
+
+
 @pytest.mark.parametrize("n", list(range(2, 32)) + [100, 101, 102, 103])
 def test_wigner_matrix_invariants(n):
     rep = SpinRep(n)
@@ -173,10 +239,35 @@ def test_wigner_matrix_invariants(n):
     signs = np.array([(-1.0) ** ((tj - w.twice) // 2) for w in rep.weights])
     assert np.max(np.abs(d[::-1, ::-1] - signs[:, None] * signs[None, :] * d)) <= 1e-10
     # translation by pi: d(theta + pi)_{m',m} = (-1)^{j-m} d_{m',-m}(theta)
-    d32 = np.array(
-        [[wigner_d_theta(rep, mp, m, 3 * math.pi / 2) for m in rep.weights] for mp in rep.weights]
-    )
+    d32 = wigner_d_matrix(rep, 3 * math.pi / 2)
     assert np.max(np.abs(d32 - signs[None, :] * d[:, ::-1])) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 12, 31, 101])
+def test_wigner_d_matrix_matches_per_entry(n):
+    rep = SpinRep(n)
+    for theta in (0.0, 0.3, math.pi / 2, 3 * math.pi / 2, 5.9):
+        per_entry = np.array(
+            [[wigner_d_theta(rep, mp, m, theta) for m in rep.weights] for mp in rep.weights]
+        )
+        assert np.max(np.abs(wigner_d_matrix(rep, theta) - per_entry)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", list(range(2, 32)))
+@pytest.mark.parametrize("theta", [math.pi / 2, 1.1])
+def test_wigner_sum_matrix_matches_per_entry(n, theta):
+    rep = SpinRep(n)
+    tj = rep.j.twice
+    per_entry = np.array(
+        [
+            [_wigner_d_sum_per_entry(tj, int(tp), int(tm), theta) for tm in rep.twice]
+            for tp in rep.twice
+        ]
+    )
+    tol = 1e-13 if n <= 16 else 1e-10
+    assert np.max(np.abs(wigner_sum_matrix(rep, theta) - per_entry)) <= tol
+    mp, m = rep.weights[n // 3], rep.weights[-1]
+    assert abs(wigner_d_sum(rep.j, mp, m, theta) - per_entry[n // 3, -1]) <= tol
 
 
 def test_wigner_theta_parity_in_angle():
@@ -314,6 +405,34 @@ def test_hilbert_formula_two_dim():
 @pytest.mark.parametrize("n", list(range(2, 32)))
 def test_hilbert_formula_residual(n):
     assert verify_hilbert_formula(SpinRep(n)) <= 1e-9
+
+
+def _hilbert_residual_per_entry(rep):
+    """verify_hilbert_formula one (m', m) entry at a time (the loop the
+    whole-matrix check replaced)."""
+    p = projection_x(rep, 0.0)
+    tw, v = _jx_eigensystem(rep.n)
+    sgn = np.sign(tw.astype(float))
+    zero_cols = np.where(tw == 0)[0]
+    worst = 0.0
+    for i_mp, mp in enumerate(rep.weights):
+        for i_m, m in enumerate(rep.weights):
+            diff = mp.diff_int(m)
+            phase = np.exp(1j * (math.pi / 2) * diff)
+            prods = v[i_m] * v[i_mp]
+            if diff % 2 == 0:
+                z00 = phase.conjugate() * (prods[zero_cols[0]] if len(zero_cols) else 0.0)
+                rhs = 0.5 * phase * ((1.0 if i_m == i_mp else 0.0) - z00)
+            else:
+                rhs = -0.5j * phase * (phase.conjugate() * 1j * np.sum(sgn * prods))
+            worst = max(worst, abs(complex(rhs) - p[i_mp, i_m]))
+    return worst
+
+
+@pytest.mark.parametrize("n", list(range(2, 32)))
+def test_hilbert_formula_matches_per_entry(n):
+    rep = SpinRep(n)
+    assert abs(verify_hilbert_formula(rep) - _hilbert_residual_per_entry(rep)) <= 1e-15
 
 
 def test_hilbert_formula_contract():
