@@ -4,10 +4,10 @@ Each builder returns a CommutatorReport bundling the commutator's norm
 record, the matrix on demand, and model-specific diagnostics; FAMILIES maps
 each family name to its builder, the thresholds it reads and its basis
 labels.  Every family is a commutator [P, D] of a Hermitian P with a
-diagonal 0/1 projection D.  The SU(2) families take the norm from the
-principal angles between the range of P and that of D, without forming P;
-the ring, Heisenberg and SE(2) families form [P, D] as a masked product and
-take its norm on one off-diagonal block with one dense solve.
+diagonal 0/1 projection D, reported by one helper whose norm is that of the
+block P[in, out]: from principal angles for SU(2), without forming P; for
+ring, SE(2) and Heisenberg by one dense solve of the block, gathered from a
+table of Fourier coefficients or from the first row of a circulant.
 Circle-grid membership tests (which grid points lie on the open arc Re z > a)
 run on exact integers when a = 0, where cos(2*pi*k/n) = 0 exactly at the
 quarter points and the strict inequality must exclude them.
@@ -43,9 +43,9 @@ class CommutatorReport:
     """Result of building one commutator: norm record, matrix, diagnostics.
 
     ``build`` returns the commutator matrix; ``matrix`` calls it on first
-    read and keeps the result, so a caller that needs only the norm never
-    forms it.  ``check``, when given, maps the matrix to the family's
-    block-structure residual, read as ``block_check`` (None without one).
+    read and keeps it, so only Heisenberg's cross-check forms it for a norm.
+    ``check``, when given, maps the matrix to the family's block-structure
+    residual, read as ``block_check`` (None without one).
     """
 
     family: str
@@ -75,30 +75,36 @@ class CommutatorReport:
         return None if self.check is None else self.check(self.matrix)
 
 
-def _direct(value: float, method: str) -> NormRecord:
-    """Record of a norm from one direct solve: no matvecs, exact bounds."""
-    return NormRecord(value, method, 0, value, value)
-
-
 def _masked(p: np.ndarray, d: np.ndarray) -> np.ndarray:
     """The commutator [P, diag d] as the masked product P_kl * (d_l - d_k)."""
     return p * (d[None, :] - d[:, None])
 
 
-def _projection_pair(p: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, float]:
-    """The commutator [P, diag d] and its operator norm, for Hermitian P and a
-    0/1 membership vector d.
+def _block_norm(block: Callable, inside: np.ndarray) -> float:
+    """||P[in, out]|| by one dense solve of the gathered block; 0.0 if a side is empty."""
+    if inside.all() or not inside.any():
+        return 0.0
+    return operator_norm(block(inside, ~inside))
 
-    Entry (k, l) is P_kl * (d_l - d_k), so the commutator vanishes unless
-    exactly one of k, l lies in D's range: it is block off-diagonal with
-    blocks -P[in, out] and P[out, in] = P[in, out]^*, and its norm is
-    ||P[in, out]|| (exactly 0 when either index set is empty).
-    """
-    d = np.asarray(d, dtype=float)
-    c = _masked(p, d)
-    inside = d != 0.0
-    block = p[np.ix_(inside, ~inside)]
-    return c, operator_norm(block) if block.size else 0.0
+
+def _report(family: str, params: dict, inside: np.ndarray, block: Callable,
+            angle_norm: float | None = None, **fields) -> CommutatorReport:
+    """Report for [P, D], P Hermitian as ``block(rows, cols)`` = P[rows][:, cols]
+    (bool masks or slices), D's range the rows ``inside``.  Entry (k, l) is
+    P_kl * (d_l - d_k), so [P, D] is block off-diagonal and its norm is
+    ||P[in, out]||: ``angle_norm`` when given (SU(2)), else one dense solve of
+    the gathered block.  The matrix is formed only when read."""
+    if angle_norm is None:
+        norm, method = _block_norm(block, inside), "dense"
+    else:
+        norm, method = angle_norm, "principal_angles"
+    return CommutatorReport(
+        family=family,
+        params=params,
+        record=NormRecord(norm, method, 0, norm, norm),  # a direct solve: exact bounds
+        build=lambda: _masked(block(slice(None), slice(None)), inside.astype(float)),
+        **fields,
+    )
 
 
 def _principal_angle_norm(v: np.ndarray, inside: np.ndarray) -> float:
@@ -122,33 +128,13 @@ def _principal_angle_norm(v: np.ndarray, inside: np.ndarray) -> float:
 def _block_residual(c: np.ndarray, rows: np.ndarray) -> float:
     """Largest entry of c off the block form [[0, B], [-B^T, 0]], where B is
     c[rows, ~rows] and ``rows`` is a bool mask."""
-    cols = ~rows
-    block = c[np.ix_(rows, cols)]
-    expected = np.zeros_like(c)
-    expected[np.ix_(rows, cols)] = block
-    expected[np.ix_(cols, rows)] = -block.T
-    return float(np.max(np.abs(c - expected)))
+    same = rows[:, None] == rows[None, :]  # the diagonal blocks, which must vanish
+    return float(np.max(np.abs(np.where(same, c, c + c.T))))
 
 
 # ---------------------------------------------------------------------------
 # SU(2)
 # ---------------------------------------------------------------------------
-
-def _su2_report(family: str, params: dict, rep: SpinRep, a: float, inside: np.ndarray,
-                check=None) -> CommutatorReport:
-    """Report for [P_x, D] with P_x = projection_x(rep, a) and D's range the
-    weights ``inside``: the norm from principal angles, the matrix (the
-    masked product of P_x) only when read."""
-    norm = _principal_angle_norm(_kept_vectors(rep, a, family), inside)
-    d = inside.astype(float)
-    return CommutatorReport(
-        family=family,
-        params=params,
-        record=_direct(norm, "principal_angles"),
-        build=lambda: _masked(projection_x(rep, a), d),
-        check=check,
-    )
-
 
 def su2_commutator(n: int, a: float = 0.0, b: float = 1.0) -> CommutatorReport:
     """Commutator of the J_x projection above a*(j+1/2) with the J_z
@@ -164,14 +150,15 @@ def su2_commutator(n: int, a: float = 0.0, b: float = 1.0) -> CommutatorReport:
     if not 0.0 < b <= 1.0:
         raise ContractError(f"su2_commutator: b must lie in (0, 1], got {b}")
     plain = a == 0.0 and b == 1.0
-    check = partial(_block_residual, rows=rep.twice > 0) if plain else None
-    return _su2_report(
-        "su2" if plain else "su2_interval",
+    family = "su2" if plain else "su2_interval"
+    inside = z_interval_mask(rep, b)
+    return _report(
+        family,
         {"n": n, "a": a, "b": b},
-        rep,
-        a,
-        z_interval_mask(rep, b),
-        check,
+        inside,
+        lambda rows, cols: projection_x(rep, a)[rows][:, cols],
+        _principal_angle_norm(_kept_vectors(rep, a, family), inside),
+        check=partial(_block_residual, rows=rep.twice > 0) if plain else None,
     )
 
 
@@ -184,12 +171,13 @@ def su2_caps_commutator(n: int, a: float) -> CommutatorReport:
     rep = SpinRep(n)
     if not 0.0 <= a < 1.0:
         raise ContractError(f"su2_caps_commutator: a must lie in [0, 1), got {a}")
-    return _su2_report(
+    inside = weights_exceeding(rep.twice, a, n)
+    return _report(
         "su2_caps",
         {"n": n, "a": a, "b": a},  # both projections thresholded at a
-        rep,
-        a,
-        weights_exceeding(rep.twice, a, n),
+        inside,
+        lambda rows, cols: projection_x(rep, a)[rows][:, cols],
+        _principal_angle_norm(_kept_vectors(rep, a, "su2_caps"), inside),
     )
 
 
@@ -236,6 +224,14 @@ def _arc_membership(ks, n: int, a: float) -> np.ndarray:
 # ring
 # ---------------------------------------------------------------------------
 
+def _toeplitz_block(sym: ArcSymbol, window: int) -> Callable:
+    """P[k, l] = coeff(k - l) on the modes k, l = -K..K as a block function,
+    gathered from one table of coeff over the lags -2K..2K."""
+    ks = np.arange(-window, window + 1, dtype=np.int64)
+    table = _coeff_grid(sym, np.arange(-2 * window, 2 * window + 1))
+    return lambda rows, cols: table[ks[rows, None] - ks[None, cols] + 2 * window]
+
+
 def ring_commutator(n: int, window: int, a: float = 0.0) -> CommutatorReport:
     """Ring commutator on the Fourier modes -K..K.
 
@@ -249,14 +245,11 @@ def ring_commutator(n: int, window: int, a: float = 0.0) -> CommutatorReport:
         raise ContractError(f"ring_commutator: window must be >= 1, got {window}")
     if not 0.0 <= a < 1.0:
         raise ContractError(f"ring_commutator: a must lie in [0, 1), got {a}")
-    ks = np.arange(-window, window + 1, dtype=np.int64)
-    t = _coeff_grid(ArcSymbol(a), np.subtract.outer(ks, ks))
-    c, norm = _projection_pair(t, _arc_membership(ks, n, a))
-    return CommutatorReport(
-        family="ring",
-        params={"n": n, "K": window, "a": a},
-        record=_direct(norm, "dense"),
-        build=lambda: c,
+    return _report(
+        "ring",
+        {"n": n, "K": window, "a": a},
+        _arc_membership(range(-window, window + 1), n, a) != 0.0,
+        _toeplitz_block(ArcSymbol(a), window),
     )
 
 
@@ -312,28 +305,28 @@ def heisenberg_commutator(n: int, a: float = 0.0) -> CommutatorReport:
         raise ContractError(f"heisenberg_commutator: a must lie in [0, 1), got {a}")
     grid = np.arange(n)
     memb = _arc_membership(grid, n, a)
-    lag = np.subtract.outer(grid, grid)  # lag[j, k] = j - k
     # DFT conjugation F^* diag(memb) F, F the unitary DFT, is the circulant
     # with entry (j, k) = fft(memb)[(k - j) mod n] / n
-    p1 = (np.fft.fft(memb) / n)[-lag % n]
-    c, norm = _projection_pair(p1, memb)
+    circ = np.fft.fft(memb) / n
+    report = _report(
+        "heisenberg",
+        {"n": n, "a": a},
+        memb != 0.0,
+        lambda rows, cols: circ[(grid[None, cols] - grid[rows, None]) % n],
+    )
     # cross-check the matrix elements in the shift-operator eigenbasis
     # (E^* c E with E_jk = exp(2*pi*i*j*k/n) / sqrt(n), done as two FFTs)
     # against the closed form (ind(k) - ind(l)) * pairing(k - l)
-    c_e = np.fft.ifft(np.fft.fft(c, axis=0, norm="ortho"), axis=1, norm="ortho")
+    c_e = np.fft.ifft(np.fft.fft(report.matrix, axis=0, norm="ortho"), axis=1, norm="ortho")
+    lag = np.subtract.outer(grid, grid)  # lag[j, k] = j - k
     closed = (memb[:, None] - memb[None, :]) * _heis_pairing_table(n, a)[lag + (n - 1)]
     residual = float(np.max(np.abs(c_e - closed)))
     if residual > 1e-12:
         raise ComputationError(
             f"heisenberg closed form disagrees with the operator construction: {residual}"
         )
-    return CommutatorReport(
-        family="heisenberg",
-        params={"n": n, "a": a},
-        record=_direct(norm, "dense"),
-        build=lambda: c,
-        diagnostics={"closed_form_residual": residual},
-    )
+    report.diagnostics["closed_form_residual"] = residual
+    return report
 
 
 def heisenberg_submatrix(n: int, size: int, a: float = 0.0) -> np.ndarray:
@@ -363,18 +356,15 @@ def se2_commutator(window: int) -> CommutatorReport:
     """
     if window < 1:
         raise ContractError(f"se2_commutator: window must be >= 1, got {window}")
-    ks = np.arange(-window, window + 1, dtype=np.int64)
-    t = _coeff_grid(HALF_CIRCLE, np.subtract.outer(ks, ks))
-    pos = ks >= 0
-    neg = ~pos
-    c, norm = _projection_pair(t, pos.astype(float))
-    return CommutatorReport(
-        family="se2",
-        params={"K": window},
-        record=_direct(norm, "dense"),
-        build=lambda: c,
-        check=partial(_block_residual, rows=neg),
-        submatrix=c[np.ix_(neg, pos)][::-1, :],
+    pos = np.arange(-window, window + 1) >= 0
+    block = _toeplitz_block(HALF_CIRCLE, window)
+    return _report(
+        "se2",
+        {"K": window},
+        pos,
+        block,
+        check=partial(_block_residual, rows=~pos),
+        submatrix=block(~pos, pos)[::-1],  # d_l - d_k is exactly 1 on this block
     )
 
 

@@ -248,12 +248,20 @@ def _wigner_sum(tj: int, tp, tm, theta: float) -> np.ndarray:
     return (sign * size * cos_pow * math.sin(theta / 2) ** k_sin).sum(axis=0)
 
 
+def _unit_bounded(d: np.ndarray) -> np.ndarray:
+    """d, or ComputationError when an entry's modulus exceeds 1 + 1e-8, as no
+    entry of the orthogonal d-matrix can: the sum's cancellation lost it."""
+    if not np.max(np.abs(d)) <= 1.0 + 1e-8:
+        raise ComputationError(f"binomial sum lost to cancellation: |d| = {np.max(np.abs(d)):.3g}")
+    return d
+
+
 def wigner_d_sum(j, mprime, m, theta: float) -> float:
     """Wigner d-function d^j_{m',m}(theta) by the explicit binomial sum.
 
     Exact convention of the rotation e^{-i theta J_y}; trustworthy to full
     precision for j <= 15 (alternating-sum cancellation grows with j).  A
-    term beyond the float range raises ComputationError.
+    term beyond the float range or a value beyond +-1 raises ComputationError.
     """
     j = HalfInt.coerce(j)
     mp = HalfInt.coerce(mprime)
@@ -261,13 +269,13 @@ def wigner_d_sum(j, mprime, m, theta: float) -> float:
     tj, tp, tm = j.twice, mp.twice, m.twice
     if abs(tp) > tj or abs(tm) > tj or (tj - tp) % 2 or (tj - tm) % 2:
         raise ContractError(f"indices ({mprime}, {m}) outside spin-{j} lattice")
-    return float(_wigner_sum(tj, tp, tm, theta))
+    return float(_unit_bounded(_wigner_sum(tj, tp, tm, theta)))
 
 
 def wigner_d_sum_matrix(rep: SpinRep, theta: float = math.pi / 2) -> np.ndarray:
     """The whole d^j(theta) matrix by the binomial sum, in descending weight
-    order; the same j <= 15 caveat as `wigner_d_sum`."""
-    return _wigner_sum(rep.j.twice, rep.twice[:, None], rep.twice[None, :], theta)
+    order; the same j <= 15 caveat and errors as `wigner_d_sum`."""
+    return _unit_bounded(_wigner_sum(rep.j.twice, rep.twice[:, None], rep.twice[None, :], theta))
 
 
 def wigner_d_pi_half(rep: SpinRep) -> np.ndarray:

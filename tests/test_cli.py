@@ -69,12 +69,38 @@ def test_su2_norms_never_form_the_projection(tmp_path, monkeypatch, family):
     def forbidden(*args, **kwargs):
         raise AssertionError("an SU(2) norm must not form P_x or call a dense solve")
 
-    for name in ("projection_x", "operator_norm", "_projection_pair"):
+    for name in ("projection_x", "operator_norm", "_block_norm"):
         monkeypatch.setattr(models, name, forbidden)
     out = tmp_path / "n.csv"
     args = ["norms", "--family", family, "--n-start", "2", "--n-stop", "40", "--n-step", "7"]
     assert run(args + ["--a", "0.3", "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 7
+
+
+@pytest.mark.parametrize(
+    "family, thresholds, rows", [("ring", ["--a", "0,0.3"], 12), ("se2", [], 6)]
+)
+def test_fourier_norms_never_form_the_matrix(tmp_path, monkeypatch, family, thresholds, rows):
+    args = ["norms", "--family", family, "--n-start", "2", "--n-stop", "40", "--n-step", "7"]
+    plain, patched = tmp_path / "plain.csv", tmp_path / "patched.csv"
+    assert run(args + thresholds + ["--out", str(plain)]) == 0
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a ring or SE(2) norm must not form the commutator matrix")
+
+    monkeypatch.setattr(models, "_masked", forbidden)
+    assert run(args + thresholds + ["--out", str(patched)]) == 0
+    assert patched.read_bytes() == plain.read_bytes()
+    assert len(plain.read_text().splitlines()) == 1 + rows
+
+
+@pytest.mark.parametrize("family", ["ring", "heisenberg", "se2"])
+def test_vectors_read_the_matrix_of_a_fourier_family(tmp_path, family):
+    out = tmp_path / "v.csv"
+    assert run(["vectors", "--family", family, "--n", "12", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + len(FAMILIES[family].labels(12))
+    meta = json.loads((tmp_path / "v.csv.meta.json").read_text())
+    assert abs(meta["extremal_value"] - meta["norm"]) <= 1e-12
 
 
 def test_norms_sidecar_norm_records(tmp_path):

@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from speclab import (
     su2_submatrix,
 )
 from speclab import models
+from speclab.hankel import ArcSymbol, _coeff_grid
 from speclab.models import _heis_pairing_table
 from speclab.spinrep import weight_at_most, weight_exceeds
 
@@ -413,17 +413,34 @@ def test_every_family_respects_the_half_bound():
 
 
 # ---------------------------------------------------------------------------
-# projection-pair kernel against the dense path
+# gathered blocks against the dense path
 # ---------------------------------------------------------------------------
 
-# the families whose norm still comes from the dense projection-pair kernel;
-# the SU(2) families never form P and are checked by the property below
+# the families whose norm comes from a dense solve of the gathered block
+# P[in, out]; the SU(2) families never form P and are checked by the
+# property below
 DENSE_FAMILIES = ["heisenberg", "ring", "se2"]
 SU2_FAMILIES = ["su2", "su2_caps", "su2_interval"]
 
 
 def test_family_split_covers_the_table():
     assert sorted(DENSE_FAMILIES + SU2_FAMILIES) == sorted(models.FAMILIES)
+
+
+def _fourier_dense(family, n, a):
+    """The whole P and the 0/1 membership d of a Fourier family at sweep
+    size n, formed densely: the Toeplitz coefficient matrix on the modes
+    -n..n, or the DFT-conjugated arc projection of the n-site Heisenberg
+    pair."""
+    if family == "heisenberg":
+        grid = np.arange(n)
+        d = np.array([grid_in_arc(k, n, a) for k in grid], dtype=float)
+        return (np.fft.fft(d) / n)[-np.subtract.outer(grid, grid) % n], d
+    ks = np.arange(-n, n + 1)
+    if family == "se2":
+        return _coeff_grid(HALF_CIRCLE, np.subtract.outer(ks, ks)), (ks >= 0).astype(float)
+    d = np.array([grid_in_arc(k, n, a) for k in ks], dtype=float)
+    return _coeff_grid(ArcSymbol(a), np.subtract.outer(ks, ks)), d
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -434,22 +451,17 @@ def test_family_split_covers_the_table():
     b=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
 )
 def test_projection_pair_matches_dense_path(family, n, a, b):
-    seen = []
-    kernel = models._projection_pair
-
-    def spy(p, d):
-        out = kernel(p, d)
-        seen.append((p, d, out))
-        return out
-
-    with mock.patch.object(models, "_projection_pair", spy):
-        report = models.FAMILIES[family].build(n, a, b)
-    [(p, d, (matrix, norm))] = seen
-    assert report.norm == norm and report.matrix is matrix
-    assert abs(norm - np.linalg.norm(matrix, 2)) <= 1e-12
-    dense = commutator(p, np.diag(np.asarray(d, dtype=float)))
-    assert np.max(np.abs(matrix - dense)) <= 1e-15
-    assert norm <= 0.5 + 1e-12
+    report = models.FAMILIES[family].build(n, a, b)
+    p, d = _fourier_dense(family, n, a)
+    assert report.record.method == "dense"
+    assert abs(report.norm - np.linalg.norm(report.matrix, 2)) <= 1e-12
+    dense = commutator(p, np.diag(d))
+    assert np.max(np.abs(report.matrix - dense)) <= 1e-15
+    assert report.norm <= 0.5 + 1e-12
+    # the gathered block is the dense P's to the last bit, and so is its norm
+    inside = d != 0.0
+    block = p[np.ix_(inside, ~inside)]
+    assert report.norm == (operator_norm(block) if block.size else 0.0)
 
 
 def _su2_dense(family, n, a, b):

@@ -31,6 +31,7 @@ from speclab.spinrep import (
     weight_exceeds,
     weights_at_most,
     weights_exceeding,
+    wigner_d_sum_matrix,
 )
 from speclab.validate import projection_from_sum, wigner_sum_matrix
 
@@ -226,6 +227,15 @@ def test_binomial_sum_overflow_raises():
     # n = 1895 is the first size whose calibration rows overflow the sum
     with pytest.raises(ComputationError):
         wigner_d_pi_half(SpinRep(1895))
+
+
+def test_binomial_sum_cancellation_raises():
+    # an entry of the orthogonal d-matrix has modulus at most 1; the sum's
+    # cancellation at large j gives -3.0e11 here and 1.5e15 at n = 201
+    with pytest.raises(ComputationError, match="cancellation"):
+        wigner_d_sum(100, 0, 0, 1.0)
+    with pytest.raises(ComputationError, match="cancellation"):
+        wigner_d_sum_matrix(SpinRep(201))
 
 
 @pytest.mark.parametrize("n", list(range(2, 32)) + [100, 101, 102, 103])
