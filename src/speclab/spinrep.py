@@ -8,10 +8,10 @@ integers and rationals, never on floats.
 The d-matrix at theta = pi/2 is computed two ways: the explicit binomial sum
 (reliable for j <= 15, cancellation grows after that) and the eigenvector
 route (diagonalize the tridiagonal J_x, stable for any dimension).  Columns
-of the eigenvector route carry an arbitrary sign, fixed by calibrating each
-column against the sum formula on the topmost row where both the computed
-entry and the predicted value are resolvable.  Projections never need the
-calibration: they are sums of column outer products, which are sign-blind.
+of the eigenvector route carry an arbitrary sign, fixed on each column's
+largest entry by the Fourier route, whose entries sum products of two entries
+of one eigenvector and so carry their exact signs.  Projections never need
+the sign fix: they are sums of column outer products, which are sign-blind.
 
 Each route works on the whole (m', m) grid at once: the binomial sum is one
 masked array kernel over broadcast twice-indices, the Fourier route at any
@@ -34,9 +34,6 @@ import numpy as np
 from ._errors import ComputationError, ContractError
 from .linalg import tridiag_eigh
 from .specfun import bessel_j
-
-SIGN_RESOLUTION = 1e-13
-CALIBRATION_BATCH = 64  # columns per sum-kernel call in wigner_d_pi_half
 
 
 @dataclass(frozen=True)
@@ -223,7 +220,10 @@ def _wigner_sum(tj: int, tp, tm, theta: float) -> np.ndarray:
     the s that some entry needs (the union of the [s_min, s_max] ranges);
     each entry's terms outside its own range are masked to 0 through their
     logarithm (their factorial indices are clamped to 0 first so no lookup
-    leaves the table).  A term too large for a float raises ComputationError.
+    leaves the table).  A term too large for a float raises ComputationError,
+    and so does an entry whose cancellation estimate 4 tj eps sum_s |term_s|
+    (each term's relative rounding grows with the powers' exponents, up to
+    tj) exceeds 1e-8, `validate`'s cross-path tolerance.
     """
     tp, tm = np.asarray(tp, dtype=np.int64), np.asarray(tm, dtype=np.int64)
     lf = _log_factorials(tj)
@@ -245,15 +245,13 @@ def _wigner_sum(tj: int, tp, tm, theta: float) -> np.ndarray:
         except FloatingPointError:
             raise ComputationError(f"binomial sum overflows at j = {HalfInt(tj)}") from None
     cos_pow = math.cos(theta / 2) ** (tj - k_sin)
-    return (sign * size * cos_pow * math.sin(theta / 2) ** k_sin).sum(axis=0)
-
-
-def _unit_bounded(d: np.ndarray) -> np.ndarray:
-    """d, or ComputationError when an entry's modulus exceeds 1 + 1e-8, as no
-    entry of the orthogonal d-matrix can: the sum's cancellation lost it."""
-    if not np.max(np.abs(d)) <= 1.0 + 1e-8:
-        raise ComputationError(f"binomial sum lost to cancellation: |d| = {np.max(np.abs(d)):.3g}")
-    return d
+    terms = sign * size * cos_pow * math.sin(theta / 2) ** k_sin
+    error = 4 * tj * np.finfo(float).eps * float(np.max(np.abs(terms).sum(axis=0)))
+    if error > 1e-8:
+        raise ComputationError(
+            f"binomial sum lost to cancellation at j = {HalfInt(tj)}: error estimate {error:.3g}"
+        )
+    return terms.sum(axis=0)
 
 
 def wigner_d_sum(j, mprime, m, theta: float) -> float:
@@ -261,7 +259,8 @@ def wigner_d_sum(j, mprime, m, theta: float) -> float:
 
     Exact convention of the rotation e^{-i theta J_y}; trustworthy to full
     precision for j <= 15 (alternating-sum cancellation grows with j).  A
-    term beyond the float range or a value beyond +-1 raises ComputationError.
+    term beyond the float range, or a cancellation estimate above 1e-8,
+    raises ComputationError.
     """
     j = HalfInt.coerce(j)
     mp = HalfInt.coerce(mprime)
@@ -269,50 +268,50 @@ def wigner_d_sum(j, mprime, m, theta: float) -> float:
     tj, tp, tm = j.twice, mp.twice, m.twice
     if abs(tp) > tj or abs(tm) > tj or (tj - tp) % 2 or (tj - tm) % 2:
         raise ContractError(f"indices ({mprime}, {m}) outside spin-{j} lattice")
-    return float(_unit_bounded(_wigner_sum(tj, tp, tm, theta)))
+    return float(_wigner_sum(tj, tp, tm, theta))
 
 
 def wigner_d_sum_matrix(rep: SpinRep, theta: float = math.pi / 2) -> np.ndarray:
     """The whole d^j(theta) matrix by the binomial sum, in descending weight
     order; the same j <= 15 caveat and errors as `wigner_d_sum`."""
-    return _unit_bounded(_wigner_sum(rep.j.twice, rep.twice[:, None], rep.twice[None, :], theta))
+    return _wigner_sum(rep.j.twice, rep.twice[:, None], rep.twice[None, :], theta)
+
+
+def _fourier_entries(rep: SpinRep, rows, cols, theta: float) -> np.ndarray:
+    """d^j(theta)[rows, cols] by the Fourier expansion, on broadcast row and
+    column indices into the descending weight order.
+
+    Entry (i', i) is Re(exp(i pi/4 (t_i - t_i')) sum_nu V[i', nu] V[i, nu]
+    exp(-i nu theta)) for the twice-weights t and the J_x eigenvectors V of
+    eigenvalues nu: products of two entries of one eigenvector, so the value
+    carries its exact sign whatever sign the eigensolver gave each vector.
+    """
+    tw, v = _jx_eigensystem(rep.n)
+    sums = (v[rows] * v[cols]) @ np.exp(-1j * (tw / 2.0) * theta)
+    return (np.exp(1j * (math.pi / 4) * (rep.twice[cols] - rep.twice[rows])) * sums).real
 
 
 def wigner_d_pi_half(rep: SpinRep) -> np.ndarray:
-    """Full d^j(pi/2) matrix via the eigenvector route with sign calibration.
+    """Full d^j(pi/2) matrix via the eigenvector route, signs from the
+    Fourier route.
 
     Row/column indices follow the descending weight order, so column mu holds
     the J_x eigenvector of eigenvalue mu in the z-basis.  Each column's sign
-    is fixed against the binomial-sum value on the topmost row where both the
-    computed entry and the sum prediction resolve above 1e-13; rows whose
-    entries sit below that are skipped (their true values are exponentially
-    small in j).  Each round evaluates the sum once, on the next resolvable
-    row of up to CALIBRATION_BATCH columns not yet fixed, so the work arrays
-    hold O(n) entries per column of the batch, not O(n^2).  Raises
-    ComputationError where the sum overflows a float (from n = 1895 on).
+    is fixed on the row of its largest entry (modulus >= 1/sqrt(n) in a unit
+    column): the column flips where that entry's sign differs from its
+    `_fourier_entries` value.  A pivot whose Fourier value differs in modulus
+    from the eigenvector entry by more than 1e-10 raises ComputationError.
     """
-    n = rep.n
-    tw, v = _jx_eigensystem(n)
-    d = v[:, ::-1].copy()          # columns reordered to mu = j, ..., -j
-    tmu = tw[::-1]
-    rows = np.arange(n)[:, None]
-    below = np.zeros(n, dtype=np.int64)  # per column, the first row not yet tried
-    todo = np.arange(n)
-    while todo.size:  # each round: one sum call on the next row of a batch of unfixed columns
-        cols = todo[:CALIBRATION_BATCH]
-        cand = (np.abs(d[:, cols]) > SIGN_RESOLUTION) & (rows >= below[cols])
-        found = cand.any(axis=0)
-        if not found.all():  # pragma: no cover - a unit column always has a big entry
-            mu = HalfInt(int(tmu[cols[~found][0]]))
-            raise ComputationError(f"sign calibration ambiguous for column mu={mu}")
-        row = cand.argmax(axis=0)
-        ref = _wigner_sum(rep.j.twice, rep.twice[row], tmu[cols], math.pi / 2)
-        fixed = np.abs(ref) > SIGN_RESOLUTION
-        flip = cols[fixed & ((d[row, cols] > 0) != (ref > 0))]
-        d[:, flip] = -d[:, flip]
-        below[cols] = row + 1
-        todo = np.concatenate((cols[~fixed], todo[cols.size:]))
-    return d
+    _, v = _jx_eigensystem(rep.n)
+    d = v[:, ::-1]  # columns reordered to mu = j, ..., -j
+    cols = np.arange(rep.n)
+    rows = np.argmax(np.abs(d), axis=0)
+    pivot = d[rows, cols]
+    ref = _fourier_entries(rep, rows, cols, math.pi / 2)
+    drift = float(np.max(np.abs(np.abs(ref) - np.abs(pivot))))
+    if not drift <= 1e-10:  # pragma: no cover - measured at most 2.9e-14 for n <= 2048
+        raise ComputationError(f"d(pi/2) sign pivots off their Fourier values by {drift:.3g}")
+    return d * np.where((pivot > 0) == (ref > 0), 1.0, -1.0)
 
 
 def _kept_vectors(rep: SpinRep, a: float, name: str) -> np.ndarray:
@@ -388,13 +387,7 @@ def wigner_d_theta(rep: SpinRep, mprime, m, theta: float) -> float:
 
     Large-j-safe alternative to the binomial sum (same convention).
     """
-    mp = HalfInt.coerce(mprime)
-    m = HalfInt.coerce(m)
-    tw, v = _jx_eigensystem(rep.n)
-    prods = v[rep.index_of(m)] * v[rep.index_of(mp)]
-    phase = np.exp(1j * (math.pi / 4) * (m.twice - mp.twice))
-    val = phase * np.sum(prods * np.exp(-1j * (tw / 2.0) * theta))
-    return float(val.real)
+    return float(_fourier_entries(rep, rep.index_of(mprime), rep.index_of(m), theta))
 
 
 def wigner_d_matrix(rep: SpinRep, theta: float) -> np.ndarray:
@@ -402,7 +395,7 @@ def wigner_d_matrix(rep: SpinRep, theta: float) -> np.ndarray:
 
     With F = V diag(exp(-i tw/2 theta)) V^T (one complex GEMM on the cached
     J_x eigenvectors), entry (i', i) is Re(exp(i pi/4 (t_i - t_i')) F[i', i])
-    for the twice-weights t: what `wigner_d_theta` sums for one entry.
+    for the twice-weights t: what `_fourier_entries` sums entry by entry.
     """
     tw, v = _jx_eigensystem(rep.n)
     f = (v * np.exp(-1j * (tw / 2.0) * theta)) @ v.T

@@ -131,15 +131,13 @@ def _suite_wigner_matrix_invariants():
         rep = spinrep.SpinRep(n)
         d = spinrep.wigner_d_pi_half(rep)
         worst = max(worst, float(np.max(np.abs(d.T @ d - np.eye(n)))))
+        signs = (-1.0) ** ((rep.j.twice - rep.twice) // 2)  # (-1)^(j - m)
         # d_{-m',-m}(theta) = (-1)^{m'-m} d_{m',m}(theta)
-        signs = np.array([(-1.0) ** ((w.twice - rep.weights[0].twice) // 2) for w in rep.weights])
         parity = signs[:, None] * signs[None, :] * d
         worst = max(worst, float(np.max(np.abs(d[::-1, ::-1] - parity))))
         # d_{m',m}(theta + pi) = (-1)^{j-m} d_{m',-m}(theta) at theta = pi/2
-        tj = rep.j.twice
         d32 = spinrep.wigner_d_matrix(rep, 3 * math.pi / 2)
-        sg = np.array([(-1.0) ** ((tj - w.twice) // 2) for w in rep.weights])
-        worst = max(worst, float(np.max(np.abs(d32 - sg[None, :] * d[:, ::-1]))))
+        worst = max(worst, float(np.max(np.abs(d32 - signs[None, :] * d[:, ::-1]))))
     return worst, 1e-10
 
 

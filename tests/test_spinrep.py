@@ -224,21 +224,31 @@ def test_binomial_sum_overflow_raises():
     # a term of the sum beyond the float range is an error, never inf or nan
     with pytest.raises(ComputationError):
         wigner_d_sum(600, 0, 0, 1.0)
-    # n = 1895 is the first size whose calibration rows overflow the sum
-    with pytest.raises(ComputationError):
-        wigner_d_pi_half(SpinRep(1895))
 
 
 def test_binomial_sum_cancellation_raises():
-    # an entry of the orthogonal d-matrix has modulus at most 1; the sum's
-    # cancellation at large j gives -3.0e11 here and 1.5e15 at n = 201
+    # unchecked, the sum's cancellation at large j gives -3.0e11 here and
+    # 1.5e15 at n = 201
     with pytest.raises(ComputationError, match="cancellation"):
         wigner_d_sum(100, 0, 0, 1.0)
     with pytest.raises(ComputationError, match="cancellation"):
         wigner_d_sum_matrix(SpinRep(201))
 
 
-@pytest.mark.parametrize("n", list(range(2, 32)) + [100, 101, 102, 103])
+def test_binomial_sum_refuses_before_losing_the_cross_path_tolerance():
+    # the cancellation estimate first exceeds 1e-8 at n = 44, where the worst
+    # true error is 6.7e-10; unchecked, the error itself passes 1e-8 at n = 51
+    for n in (31, 43):
+        rep = SpinRep(n)
+        for theta in (math.pi / 2, 1.1):
+            err = np.abs(wigner_d_sum_matrix(rep, theta) - wigner_d_matrix(rep, theta))
+            assert np.max(err) <= 1e-8
+    for n in (44, 51):
+        with pytest.raises(ComputationError, match="cancellation"):
+            wigner_d_sum_matrix(SpinRep(n))
+
+
+@pytest.mark.parametrize("n", list(range(2, 32)) + [100, 101, 102, 103, 880, 1895])
 def test_wigner_matrix_invariants(n):
     rep = SpinRep(n)
     d = wigner_d_pi_half(rep)
