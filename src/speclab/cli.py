@@ -73,8 +73,10 @@ def _family_args(args) -> tuple:
 
 
 # Keeps desk-scale runtimes.  An SU(2) point is one k x k eigvalsh on the
-# principal angles after the cached J_x eigensystem; a ring, Heisenberg or
-# SE(2) point is one dense block SVD, O(n^3).
+# principal angles after the cached J_x eigensystem, O(n^3); a ring,
+# Heisenberg or SE(2) point is a Lanczos solve with O(n log n) FFT matvecs,
+# but Heisenberg's closed-form cross-check holds an n x |arc| table, O(n^2)
+# memory, so the cap stays for those too.
 MAX_SWEEP_N = 2048
 
 

@@ -3,8 +3,9 @@ and a matrix-free Lanczos eigensolver.
 
 Everything here is a pure function of its inputs.  Matrices are plain numpy
 arrays (row-major), real or complex.  A dense norm is one LAPACK solve with
-no fast paths; the Lanczos solver starts from a fixed vector.  Nothing draws
-random numbers, so repeated runs are bit-identical.
+no fast paths; the Lanczos solver starts from a fixed vector or from one
+its caller passes.  Nothing draws random numbers, so repeated runs are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ class NormRecord(NamedTuple):
     """An operator norm and how it was obtained and certified.
 
     ``method`` names the solver (``"perron"`` or ``"lanczos"`` for a Hankel
-    truncation; ``"principal_angles"`` or ``"dense"`` for a commutator
-    family), ``matvecs`` counts the products with the operator it took (0 for
-    a direct solve), and ``lower <= value <= upper`` is the certificate that
-    comes with it (both ends equal to the value for a direct solve).
+    truncation; ``"principal_angles"`` for an SU(2) commutator, ``"lanczos"``
+    for a ring, Heisenberg or SE(2) one), ``matvecs`` counts the products
+    with the operator it took (0 for a direct solve), and
+    ``lower <= value <= upper`` is the certificate that comes with it (both
+    ends equal to the value for a direct solve).
     """
 
     value: float
@@ -138,18 +140,22 @@ LANCZOS_CYCLES = 20  # cycles before lanczos_top gives up
 LANCZOS_TOL = 4.0    # stop at residual bound <= LANCZOS_TOL * eps * |Ritz value|
 
 
-def lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], m: int) -> RitzPair:
+def lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], m: int,
+                start: np.ndarray | None = None) -> RitzPair:
     """Eigenvalue of largest modulus of a real symmetric m x m operator.
 
     Explicitly restarted Lanczos: each cycle runs up to LANCZOS_STEPS steps
-    from the unit vector ones/sqrt(m) (then from the last cycle's Ritz
-    vector), reorthogonalising each new vector against the whole cycle's
-    basis, and stops as soon as the residual bound |beta_j s_j| of the Ritz
-    pair of largest modulus is at most LANCZOS_TOL * eps * |theta|.  An
-    invariant Krylov space (beta_j = 0) is converged by the same test, so a
-    1 x 1 operator takes one matvec.  The start vector is fixed, so the
-    result is bit-reproducible.  Raises ComputationError if LANCZOS_CYCLES
-    cycles do not converge.
+    from ``start`` normalised, by default the unit vector ones/sqrt(m) (then
+    from the last cycle's Ritz vector), reorthogonalising each new vector
+    against the whole cycle's basis, and stops as soon as the residual bound
+    |beta_j s_j| of the Ritz pair of largest modulus is at most
+    LANCZOS_TOL * eps * |theta|.  An invariant Krylov space (beta_j = 0) is
+    converged by the same test, so a 1 x 1 operator takes one matvec.
+    Lanczos only sees the invariant subspace its start vector generates: an
+    operator that commutes with a reflection keeps an even start even, so a
+    caller whose top eigenvector may be odd runs each reflection sector from
+    a start inside it.  A given start gives a bit-reproducible result.
+    Raises ComputationError if LANCZOS_CYCLES cycles do not converge.
     """
     if m < 1:
         raise ContractError(f"lanczos_top needs m >= 1, got {m}")
@@ -157,7 +163,13 @@ def lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], m: int) -> RitzPair:
     steps = min(LANCZOS_STEPS, m)
     basis = np.empty((steps, m))
     alpha, beta = np.empty(steps), np.empty(steps)
-    start = np.full(m, 1.0 / math.sqrt(m))
+    if start is None:
+        start = np.full(m, 1.0 / math.sqrt(m))
+    else:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (m,) or not np.linalg.norm(start) > 0.0:
+            raise ContractError(f"lanczos_top needs a nonzero start of length {m}")
+        start = start / np.linalg.norm(start)
     matvecs = 0
     for _ in range(LANCZOS_CYCLES):
         basis[0] = start

@@ -5,12 +5,15 @@ record, the matrix on demand, and model-specific diagnostics; FAMILIES maps
 each family name to its builder, the thresholds it reads and its basis
 labels.  Every family is a commutator [P, D] of a Hermitian P with a
 diagonal 0/1 projection D, reported by one helper whose norm is that of the
-block P[in, out]: from principal angles for SU(2), without forming P; for
-ring, SE(2) and Heisenberg by one dense solve of the block, gathered from a
-table of Fourier coefficients or from the first row of a circulant.
-Circle-grid membership tests (which grid points lie on the open arc Re z > a)
-run on exact integers when a = 0, where cos(2*pi*k/n) = 0 exactly at the
-quarter points and the strict inequality must exclude them.
+block B = P[in, out]: from principal angles for SU(2), without forming P;
+for ring, SE(2) and Heisenberg matrix-free, by Lanczos on B^H B with P
+applied by FFT (a convolution with the table of Fourier coefficients, or
+the circulant of the DFT-conjugated arc projection), split by the
+reflection that P and D share.  No Fourier family forms an n x n or K x K
+array for a norm.  Circle-grid membership tests (which grid points lie on
+the open arc Re z > a) run on exact integers when a = 0, where
+cos(2*pi*k/n) = 0 exactly at the quarter points and the strict inequality
+must exclude them.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from ._errors import ComputationError, ContractError
 from .hankel import HALF_CIRCLE, ArcSymbol, _coeff_grid
-from .linalg import NormRecord, operator_norm
+from .linalg import NormRecord, lanczos_top
 from .spinrep import (
     HalfInt,
     SpinRep,
@@ -43,9 +46,10 @@ class CommutatorReport:
     """Result of building one commutator: norm record, matrix, diagnostics.
 
     ``build`` returns the commutator matrix; ``matrix`` calls it on first
-    read and keeps it, so only Heisenberg's cross-check forms it for a norm.
-    ``check``, when given, maps the matrix to the family's block-structure
-    residual, read as ``block_check`` (None without one).
+    read and keeps it, so no norm forms it.  ``check``, when given, maps the
+    matrix to the family's block-structure residual, read as
+    ``block_check``; ``extract``, when given, returns the family's
+    designated submatrix, read as ``submatrix`` (both None without one).
     """
 
     family: str
@@ -53,7 +57,7 @@ class CommutatorReport:
     record: NormRecord
     build: Callable[[], np.ndarray] = field(repr=False, compare=False)
     check: Callable[[np.ndarray], float] | None = field(default=None, repr=False, compare=False)
-    submatrix: np.ndarray | None = None
+    extract: Callable[[], np.ndarray] | None = field(default=None, repr=False, compare=False)
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -74,40 +78,108 @@ class CommutatorReport:
     def block_check(self) -> float | None:
         return None if self.check is None else self.check(self.matrix)
 
+    @cached_property
+    def submatrix(self) -> np.ndarray | None:
+        return None if self.extract is None else self.extract()
+
 
 def _masked(p: np.ndarray, d: np.ndarray) -> np.ndarray:
     """The commutator [P, diag d] as the masked product P_kl * (d_l - d_k)."""
     return p * (d[None, :] - d[:, None])
 
 
-def _block_norm(block: Callable, inside: np.ndarray) -> float:
-    """||P[in, out]|| by one dense solve of the gathered block; 0.0 if a side is empty."""
+def _asymmetric_start(m: int) -> np.ndarray:
+    """A fixed start vector of length m with no reflection symmetry, so that
+    for m >= 2 both its even and its odd part under x -> x[perm] are nonzero."""
+    return 1.0 + 0.5 * np.linspace(-1.0, 1.0, m) + 0.1 * np.cos(1.234 * np.arange(m))
+
+
+def _lanczos_norm(apply: Callable, inside: np.ndarray, mirror: np.ndarray | None = None,
+                  complex_: bool = False) -> NormRecord:
+    """||P[in, out]|| matrix-free, with its certificate; P Hermitian is
+    applied to a whole vector by ``apply`` (complex when ``complex_``), and
+    ``inside`` is the bool mask of D's range.
+
+    With B = P[in, out], B^H B x is apply(inside * apply(x on out))[out],
+    and the norm is sqrt(theta) for the top eigenvalue theta of B^H B, found
+    by lanczos_top on the out side.  A complex B^H B runs as its real form
+    [Re x; Im x], which has the same eigenvalues, each twice; P is complex
+    here only where D has no mirror symmetry (Heisenberg).
+
+    ``mirror`` is an index permutation (a reflection) that commutes with P.
+    When D is mirror-symmetric too, B^H B commutes with the reflection of
+    the out side, so each eigenvector can be taken even or odd, and Lanczos
+    from an even start never sees an odd one: it can converge, with a tiny
+    residual, to the top even eigenvalue below an odd top.  So the even and
+    the odd sector are solved apart, each by B^H B followed by the exact
+    projection (y +- y[perm]) / 2 onto the sector, from a start inside it,
+    and the larger result is the norm.  Without the symmetry (no mirror, or
+    a membership that rounding made asymmetric, such as a = 1/sqrt(2) at
+    n = 8) one run from an asymmetric start sees every eigenvector.
+
+    Record: method "lanczos"; matvecs counts every B^H B product, the
+    residual one included; lower = sqrt(theta - r) with
+    r = ||B^H B x - theta x|| (some eigenvalue lies within r of theta) and
+    upper = 1/2, the bound on a commutator of two projections, which
+    sqrt(theta) exceeds only by rounding (by one ulp at the n = 2 mod 4
+    Heisenberg points, whose norm is 1/2) and is clipped to.  Exactly 0.0
+    when a side of D is empty.
+    """
     if inside.all() or not inside.any():
-        return 0.0
-    return operator_norm(block(inside, ~inside))
+        return NormRecord(0.0, "lanczos", 0, 0.0, 0.5)
+    out = np.flatnonzero(~inside)
+    m = len(out)
+
+    def gram(x):
+        v = np.zeros(len(inside), complex if complex_ else float)
+        v[out] = x
+        return apply(apply(v) * inside)[out]
+
+    if complex_:
+        def op(x):
+            g = gram(x[:m] + 1j * x[m:])
+            return np.concatenate([g.real, g.imag])
+    else:
+        op = gram
+    size = 2 * m if complex_ else m
+    start = _asymmetric_start(size)
+    if mirror is None or not np.array_equal(inside, inside[mirror]):
+        sectors = [(op, start)]
+    else:
+        perm = np.searchsorted(out, mirror[out])  # the reflection of the out side
+
+        def sector(sign):
+            def project(x):
+                y = op(x)
+                return 0.5 * (y + sign * y[perm])
+            return project, start + sign * start[perm]
+
+        sectors = [sec for sec in map(sector, (1.0, -1.0)) if sec[1].any()]
+    runs = [(lanczos_top(f, size, x0), f) for f, x0 in sectors]
+    ritz, f = max(runs, key=lambda run: run[0].value)
+    residual = float(np.linalg.norm(f(ritz.vector) - ritz.value * ritz.vector))
+    matvecs = sum(run[0].matvecs for run in runs) + 1
+    value, lower = (min(math.sqrt(max(t, 0.0)), 0.5) for t in (ritz.value, ritz.value - residual))
+    return NormRecord(value, "lanczos", matvecs, lower, 0.5)
 
 
 def _report(family: str, params: dict, inside: np.ndarray, block: Callable,
-            angle_norm: float | None = None, **fields) -> CommutatorReport:
+            record: NormRecord, **fields) -> CommutatorReport:
     """Report for [P, D], P Hermitian as ``block(rows, cols)`` = P[rows][:, cols]
-    (bool masks or slices), D's range the rows ``inside``.  Entry (k, l) is
-    P_kl * (d_l - d_k), so [P, D] is block off-diagonal and its norm is
-    ||P[in, out]||: ``angle_norm`` when given (SU(2)), else one dense solve of
-    the gathered block.  The matrix is formed only when read."""
-    if angle_norm is None:
-        norm, method = _block_norm(block, inside), "dense"
-    else:
-        norm, method = angle_norm, "principal_angles"
+    (bool masks or slices), D's range the rows ``inside``, and the norm
+    ``record`` of the block P[in, out], which is the norm of [P, D]: entry
+    (k, l) is P_kl * (d_l - d_k), so [P, D] is block off-diagonal.  The
+    matrix is formed only when read."""
     return CommutatorReport(
         family=family,
         params=params,
-        record=NormRecord(norm, method, 0, norm, norm),  # a direct solve: exact bounds
+        record=record,
         build=lambda: _masked(block(slice(None), slice(None)), inside.astype(float)),
         **fields,
     )
 
 
-def _principal_angle_norm(v: np.ndarray, inside: np.ndarray) -> float:
+def _principal_angle_record(v: np.ndarray, inside: np.ndarray) -> NormRecord:
     """||[V V^T, D]|| for orthonormal columns V (n x k) and the 0/1 diagonal
     D whose range is the rows ``inside``, without forming V V^T.
 
@@ -116,13 +188,15 @@ def _principal_angle_norm(v: np.ndarray, inside: np.ndarray) -> float:
     nonzero eigenvalues are those of C (I - C): the norm is the largest
     sqrt(c (1 - c)) over the eigenvalues c of C, the cosines squared of the
     principal angles between the two ranges.  Exactly 0.0 when k = 0 or
-    either side of D is empty.
+    either side of D is empty.  A direct solve: the record's bounds are its
+    value.
     """
-    if v.shape[1] == 0 or inside.all() or not inside.any():
-        return 0.0
-    v_in = v[inside]
-    c = np.linalg.eigvalsh(v_in.T @ v_in)
-    return math.sqrt(max(float(np.max(c * (1.0 - c))), 0.0))
+    norm = 0.0
+    if v.shape[1] and inside.any() and not inside.all():
+        v_in = v[inside]
+        c = np.linalg.eigvalsh(v_in.T @ v_in)
+        norm = math.sqrt(max(float(np.max(c * (1.0 - c))), 0.0))
+    return NormRecord(norm, "principal_angles", 0, norm, norm)
 
 
 def _block_residual(c: np.ndarray, rows: np.ndarray) -> float:
@@ -157,7 +231,7 @@ def su2_commutator(n: int, a: float = 0.0, b: float = 1.0) -> CommutatorReport:
         {"n": n, "a": a, "b": b},
         inside,
         lambda rows, cols: projection_x(rep, a)[rows][:, cols],
-        _principal_angle_norm(_kept_vectors(rep, a, family), inside),
+        _principal_angle_record(_kept_vectors(rep, a, family), inside),
         check=partial(_block_residual, rows=rep.twice > 0) if plain else None,
     )
 
@@ -177,7 +251,7 @@ def su2_caps_commutator(n: int, a: float) -> CommutatorReport:
         {"n": n, "a": a, "b": a},  # both projections thresholded at a
         inside,
         lambda rows, cols: projection_x(rep, a)[rows][:, cols],
-        _principal_angle_norm(_kept_vectors(rep, a, "su2_caps"), inside),
+        _principal_angle_record(_kept_vectors(rep, a, "su2_caps"), inside),
     )
 
 
@@ -216,7 +290,12 @@ def grid_in_arc(k: int, n: int, a: float = 0.0) -> bool:
 
 
 def _arc_membership(ks, n: int, a: float) -> np.ndarray:
-    """1.0 where the grid point exp(2*pi*i*k/n) lies on the arc Re z > a, else 0.0."""
+    """1.0 where the grid point exp(2*pi*i*k/n) lies on the arc Re z > a,
+    else 0.0: grid_in_arc's integer test on the whole array at a = 0, its
+    cosine test point by point otherwise."""
+    if a == 0.0:
+        r = (4 * np.asarray(ks, dtype=np.int64)) % (4 * n)
+        return ((r < n) | (r > 3 * n)).astype(float)
     return np.array([1.0 if grid_in_arc(int(k), n, a) else 0.0 for k in ks])
 
 
@@ -224,12 +303,23 @@ def _arc_membership(ks, n: int, a: float) -> np.ndarray:
 # ring
 # ---------------------------------------------------------------------------
 
-def _toeplitz_block(sym: ArcSymbol, window: int) -> Callable:
-    """P[k, l] = coeff(k - l) on the modes k, l = -K..K as a block function,
-    gathered from one table of coeff over the lags -2K..2K."""
+def _toeplitz(sym: ArcSymbol, window: int) -> tuple[Callable, Callable]:
+    """P[k, l] = coeff(k - l) on the modes k, l = -K..K from one table of
+    coeff over the lags -2K..2K, as a block function gathered from it and as
+    x -> P x.
+
+    (P x)_k is entry k + 3K of the linear convolution of the table with x
+    (modes shifted to 0..2K), computed by one rfft/irfft pair of length
+    2^ceil(log2(4K + 1)), long enough that no wrapped entry lands on it.
+    """
     ks = np.arange(-window, window + 1, dtype=np.int64)
     table = _coeff_grid(sym, np.arange(-2 * window, 2 * window + 1))
-    return lambda rows, cols: table[ks[rows, None] - ks[None, cols] + 2 * window]
+    size = 1 << (4 * window).bit_length()
+    t_hat = np.fft.rfft(table, size)
+    return (
+        lambda rows, cols: table[ks[rows, None] - ks[None, cols] + 2 * window],
+        lambda x: np.fft.irfft(t_hat * np.fft.rfft(x, size), size)[2 * window : 4 * window + 1],
+    )
 
 
 def ring_commutator(n: int, window: int, a: float = 0.0) -> CommutatorReport:
@@ -245,12 +335,11 @@ def ring_commutator(n: int, window: int, a: float = 0.0) -> CommutatorReport:
         raise ContractError(f"ring_commutator: window must be >= 1, got {window}")
     if not 0.0 <= a < 1.0:
         raise ContractError(f"ring_commutator: a must lie in [0, 1), got {a}")
-    return _report(
-        "ring",
-        {"n": n, "K": window, "a": a},
-        _arc_membership(range(-window, window + 1), n, a) != 0.0,
-        _toeplitz_block(ArcSymbol(a), window),
-    )
+    inside = _arc_membership(range(-window, window + 1), n, a) != 0.0
+    block, apply = _toeplitz(ArcSymbol(a), window)
+    # P is Toeplitz with coeff(-p) = coeff(p): it commutes with k -> -k
+    record = _lanczos_norm(apply, inside, np.arange(2 * window, -1, -1))
+    return _report("ring", {"n": n, "K": window, "a": a}, inside, block, record)
 
 
 def _designated(name: str, n: int, size: int):
@@ -289,44 +378,83 @@ def _heis_pairing_table(n: int, a: float, ps=None) -> np.ndarray:
     return np.exp(-2j * math.pi * (ps[..., None] * ms) / n).sum(axis=-1) / n
 
 
+def _heis_apply(memb: np.ndarray) -> tuple[Callable, bool]:
+    """x -> P x for the DFT conjugation P = F^* diag(memb) F (F the unitary
+    DFT), applied as ifft(memb * fft(x)), and whether P is complex.
+
+    P is real when memb is symmetric under m -> -m mod n, as the arc is
+    unless rounding in cos broke that at a != 0; then P x is one rfft/irfft
+    pair."""
+    n = len(memb)
+    if np.array_equal(memb, memb[-np.arange(n) % n]):
+        half = memb[: n // 2 + 1]
+        return (lambda x: np.fft.irfft(half * np.fft.rfft(x), n)), False
+    return (lambda x: np.fft.ifft(memb * np.fft.fft(x))), True
+
+
+def _heis_row_check(n: int, a: float, row: np.ndarray, apply: Callable) -> float:
+    """How far the operator the solver applies is from the closed form: the
+    largest of |row[p] - pairing(p)| over every lag p = 0..n-1 and of
+    |(P x)_j - sum_k row[(k - j) mod n] x_k| for one fixed unit vector x at
+    a fixed set of rows j."""
+    grid = np.arange(n)
+    residual = np.max(np.abs(row - _heis_pairing_table(n, a, grid)))
+    x = _asymmetric_start(n)
+    x /= np.linalg.norm(x)
+    rows = np.unique(np.linspace(0, n - 1, 9).astype(np.int64))
+    direct = row[(grid[None, :] - rows[:, None]) % n] @ x
+    return float(max(residual, np.max(np.abs(apply(x)[rows] - direct))))
+
+
 def heisenberg_commutator(n: int, a: float = 0.0) -> CommutatorReport:
     """Commutator of the two arc projections (Re z > a; half-circles at
     a = 0) of the finite Heisenberg pair (cyclic shift and modulation),
     conjugate under the unitary DFT.
 
-    The projection for the shift operator is built by DFT conjugation of the
-    diagonal one (with FFTs) and the result is validated against the
-    closed-form matrix elements in the shift eigenbasis (residual kept in
-    diagnostics).
+    The projection for the shift operator is the DFT conjugation of the
+    diagonal one, applied with FFTs; it commutes with m -> -m mod n.  The
+    operator the norm solve applies is checked against the closed-form
+    matrix elements (heisenberg_closed_form_residual checks the whole
+    matrix); the residual is kept in diagnostics.
     """
     if n < 2:
         raise ContractError(f"heisenberg_commutator: n must be >= 2, got {n}")
     if not 0.0 <= a < 1.0:
         raise ContractError(f"heisenberg_commutator: a must lie in [0, 1), got {a}")
-    grid = np.arange(n)
-    memb = _arc_membership(grid, n, a)
-    # DFT conjugation F^* diag(memb) F, F the unitary DFT, is the circulant
-    # with entry (j, k) = fft(memb)[(k - j) mod n] / n
-    circ = np.fft.fft(memb) / n
-    report = _report(
-        "heisenberg",
-        {"n": n, "a": a},
-        memb != 0.0,
-        lambda rows, cols: circ[(grid[None, cols] - grid[rows, None]) % n],
-    )
-    # cross-check the matrix elements in the shift-operator eigenbasis
-    # (E^* c E with E_jk = exp(2*pi*i*j*k/n) / sqrt(n), done as two FFTs)
-    # against the closed form (ind(k) - ind(l)) * pairing(k - l)
-    c_e = np.fft.ifft(np.fft.fft(report.matrix, axis=0, norm="ortho"), axis=1, norm="ortho")
-    lag = np.subtract.outer(grid, grid)  # lag[j, k] = j - k
-    closed = (memb[:, None] - memb[None, :]) * _heis_pairing_table(n, a)[lag + (n - 1)]
-    residual = float(np.max(np.abs(c_e - closed)))
+    memb = _arc_membership(range(n), n, a)
+    # P is the circulant with entry (j, k) = row[(k - j) mod n]
+    row = np.fft.fft(memb) / n
+    apply, complex_ = _heis_apply(memb)
+    residual = _heis_row_check(n, a, row, apply)
     if residual > 1e-12:
         raise ComputationError(
             f"heisenberg closed form disagrees with the operator construction: {residual}"
         )
+    grid = np.arange(n)
+    inside = memb != 0.0
+    report = _report(
+        "heisenberg",
+        {"n": n, "a": a},
+        inside,
+        lambda rows, cols: row[(grid[None, cols] - grid[rows, None]) % n],
+        _lanczos_norm(apply, inside, -grid % n, complex_),
+    )
     report.diagnostics["closed_form_residual"] = residual
     return report
+
+
+def heisenberg_closed_form_residual(report: CommutatorReport) -> float:
+    """Largest entry of E^* C E minus the closed form (ind(k) - ind(l)) *
+    pairing(k - l), over the whole n x n matrix C of a heisenberg_commutator
+    report in the shift-operator eigenbasis (E_jk = exp(2*pi*i*j*k/n) /
+    sqrt(n), applied as two FFTs)."""
+    n, a = report.params["n"], report.params["a"]
+    memb = _arc_membership(range(n), n, a)
+    c_e = np.fft.ifft(np.fft.fft(report.matrix, axis=0, norm="ortho"), axis=1, norm="ortho")
+    grid = np.arange(n)
+    lag = np.subtract.outer(grid, grid)  # lag[j, k] = j - k
+    closed = (memb[:, None] - memb[None, :]) * _heis_pairing_table(n, a)[lag + (n - 1)]
+    return float(np.max(np.abs(c_e - closed)))
 
 
 def heisenberg_submatrix(n: int, size: int, a: float = 0.0) -> np.ndarray:
@@ -357,14 +485,17 @@ def se2_commutator(window: int) -> CommutatorReport:
     if window < 1:
         raise ContractError(f"se2_commutator: window must be >= 1, got {window}")
     pos = np.arange(-window, window + 1) >= 0
-    block = _toeplitz_block(HALF_CIRCLE, window)
+    block, apply = _toeplitz(HALF_CIRCLE, window)
+    # one run: no reflection keeps D, and B is entrywise positive up to
+    # diagonal signs, so its top singular vectors have no sector to miss
     return _report(
         "se2",
         {"K": window},
         pos,
         block,
+        _lanczos_norm(apply, pos),
         check=partial(_block_residual, rows=~pos),
-        submatrix=block(~pos, pos)[::-1],  # d_l - d_k is exactly 1 on this block
+        extract=lambda: block(~pos, pos)[::-1],  # d_l - d_k is exactly 1 on this block
     )
 
 

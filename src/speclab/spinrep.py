@@ -212,18 +212,25 @@ def _log_factorials(top: int) -> np.ndarray:
     return lf
 
 
+SUM_BLOCK = 1 << 17  # entries of one block of binomial-sum terms (1 MB of floats)
+
+
 def _wigner_sum(tj: int, tp, tm, theta: float) -> np.ndarray:
     """d^j_{m',m}(theta) by the binomial sum over broadcast twice-indices.
 
     tj = 2j; tp and tm are integer arrays (or scalars) of twice m' and twice
     m, already on the spin-j lattice.  The sum runs on a new leading axis over
-    the s that some entry needs (the union of the [s_min, s_max] ranges);
-    each entry's terms outside its own range are masked to 0 through their
-    logarithm (their factorial indices are clamped to 0 first so no lookup
-    leaves the table).  A term too large for a float raises ComputationError,
-    and so does an entry whose cancellation estimate 4 tj eps sum_s |term_s|
-    (each term's relative rounding grows with the powers' exponents, up to
-    tj) exceeds 1e-8, `validate`'s cross-path tolerance.
+    the s that some entry needs (the union of the [s_min, s_max] ranges), in
+    blocks of as many s as keep a block's terms within SUM_BLOCK entries, so
+    memory stays a few times that of the output whatever j; each block's sum
+    starts from the previous blocks' total, so the order of the additions is
+    that of one sum over every s.  Each entry's terms outside its own range
+    are masked to 0 through their logarithm (their factorial indices are
+    clamped to 0 first so no lookup leaves the table).  A term too large for
+    a float raises ComputationError, and so does an entry whose cancellation
+    estimate 4 tj eps sum_s |term_s| (each term's relative rounding grows
+    with the powers' exponents, up to tj) exceeds 1e-8, `validate`'s
+    cross-path tolerance.
     """
     tp, tm = np.asarray(tp, dtype=np.int64), np.asarray(tm, dtype=np.int64)
     lf = _log_factorials(tj)
@@ -231,27 +238,36 @@ def _wigner_sum(tj: int, tp, tm, theta: float) -> np.ndarray:
     jm_plus, jm_minus = (tj + tm) // 2, (tj - tm) // 2  # j + m, j - m
     diff = (tp - tm) // 2  # m' - m; s_min = max(0, -diff)
     s_max = np.minimum(jp_minus, jm_plus)
-    s = np.arange(max(0, -int(diff.max())), int(s_max.max()) + 1)
-    s = s.reshape((-1,) + (1,) * max(tp.ndim, tm.ndim))
-    live = (s >= -diff) & (s <= s_max)
     pref = 0.5 * (lf[jm_plus] + lf[jm_minus] - lf[jp_plus] - lf[jp_minus])
-    lb1 = lf[jp_plus] - lf[np.where(live, jm_plus - s, 0)] - lf[np.where(live, diff + s, 0)]
-    lb2 = lf[jp_minus] - lf[s] - lf[np.where(live, jp_minus - s, 0)]
-    k_sin = np.where(live, diff + 2 * s, 0)
-    sign = 1.0 - 2.0 * ((diff + s) % 2)
-    with np.errstate(over="raise"):
-        try:  # masked terms are exp(-inf) = 0
-            size = np.exp(np.where(live, pref + lb1 + lb2, -np.inf))
-        except FloatingPointError:
-            raise ComputationError(f"binomial sum overflows at j = {HalfInt(tj)}") from None
-    cos_pow = math.cos(theta / 2) ** (tj - k_sin)
-    terms = sign * size * cos_pow * math.sin(theta / 2) ** k_sin
-    error = 4 * tj * np.finfo(float).eps * float(np.max(np.abs(terms).sum(axis=0)))
+    shape = np.broadcast_shapes(tp.shape, tm.shape)
+    s_all = np.arange(max(0, -int(diff.max())), int(s_max.max()) + 1)
+    step = max(1, SUM_BLOCK // math.prod(shape))
+    total = magnitude = None
+    for lo in range(0, len(s_all), step):
+        s = s_all[lo : lo + step].reshape((-1,) + (1,) * len(shape))
+        live = (s >= -diff) & (s <= s_max)
+        lb1 = lf[jp_plus] - lf[np.where(live, jm_plus - s, 0)] - lf[np.where(live, diff + s, 0)]
+        lb2 = lf[jp_minus] - lf[s] - lf[np.where(live, jp_minus - s, 0)]
+        k_sin = np.where(live, diff + 2 * s, 0)
+        sign = 1.0 - 2.0 * ((diff + s) % 2)
+        with np.errstate(over="raise"):
+            try:  # masked terms are exp(-inf) = 0
+                size = np.exp(np.where(live, pref + lb1 + lb2, -np.inf))
+            except FloatingPointError:
+                raise ComputationError(f"binomial sum overflows at j = {HalfInt(tj)}") from None
+        cos_pow = math.cos(theta / 2) ** (tj - k_sin)
+        terms = sign * size * cos_pow * math.sin(theta / 2) ** k_sin
+        if total is None:
+            total, magnitude = terms.sum(axis=0), np.abs(terms).sum(axis=0)
+        else:
+            total = np.concatenate([total[None], terms]).sum(axis=0)
+            magnitude = np.concatenate([magnitude[None], np.abs(terms)]).sum(axis=0)
+    error = 4 * tj * np.finfo(float).eps * float(np.max(magnitude))
     if error > 1e-8:
         raise ComputationError(
             f"binomial sum lost to cancellation at j = {HalfInt(tj)}: error estimate {error:.3g}"
         )
-    return terms.sum(axis=0)
+    return total
 
 
 def wigner_d_sum(j, mprime, m, theta: float) -> float:

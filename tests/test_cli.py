@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from speclab import ContractError, models
+from speclab import ContractError, linalg, models
 from speclab.cli import _worker_count, main, regress_rows
 from speclab.models import FAMILIES
 
@@ -69,8 +69,8 @@ def test_su2_norms_never_form_the_projection(tmp_path, monkeypatch, family):
     def forbidden(*args, **kwargs):
         raise AssertionError("an SU(2) norm must not form P_x or call a dense solve")
 
-    for name in ("projection_x", "operator_norm", "_block_norm"):
-        monkeypatch.setattr(models, name, forbidden)
+    monkeypatch.setattr(models, "projection_x", forbidden)
+    monkeypatch.setattr(linalg, "operator_norm", forbidden)
     out = tmp_path / "n.csv"
     args = ["norms", "--family", family, "--n-start", "2", "--n-stop", "40", "--n-step", "7"]
     assert run(args + ["--a", "0.3", "--out", str(out)]) == 0
@@ -78,16 +78,19 @@ def test_su2_norms_never_form_the_projection(tmp_path, monkeypatch, family):
 
 
 @pytest.mark.parametrize(
-    "family, thresholds, rows", [("ring", ["--a", "0,0.3"], 12), ("se2", [], 6)]
+    "family, thresholds, rows",
+    [("ring", ["--a", "0,0.3"], 12), ("se2", [], 6), ("heisenberg", ["--a", "0,0.3"], 12)],
 )
-def test_fourier_norms_never_form_the_matrix(tmp_path, monkeypatch, family, thresholds, rows):
+def test_fourier_norms_never_call_a_dense_solve(tmp_path, monkeypatch, family, thresholds, rows):
     args = ["norms", "--family", family, "--n-start", "2", "--n-stop", "40", "--n-step", "7"]
     plain, patched = tmp_path / "plain.csv", tmp_path / "patched.csv"
     assert run(args + thresholds + ["--out", str(plain)]) == 0
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a ring or SE(2) norm must not form the commutator matrix")
+        raise AssertionError("a Fourier-family norm must be matrix-free")
 
+    assert not hasattr(models, "operator_norm")
+    monkeypatch.setattr(linalg, "operator_norm", forbidden)
     monkeypatch.setattr(models, "_masked", forbidden)
     assert run(args + thresholds + ["--out", str(patched)]) == 0
     assert patched.read_bytes() == plain.read_bytes()
@@ -118,10 +121,17 @@ def test_norms_sidecar_norm_records(tmp_path):
         assert record == {
             "value": norm, "method": "principal_angles", "matvecs": 0, "lower": norm, "upper": norm
         }
-    out = tmp_path / "r.csv"
-    assert run(["norms", "--family", "ring", "--n-start", "2", "--n-stop", "4", "--out", str(out)]) == 0
-    records = json.loads((tmp_path / "r.csv.meta.json").read_text())["norm_records"]
-    assert [r["method"] for r in records] == ["dense"] * 3
+    for family in ("ring", "heisenberg", "se2"):
+        out = tmp_path / f"{family}.csv"
+        args = ["norms", "--family", family, "--n-start", "2", "--n-stop", "4"]
+        assert run(args + ["--out", str(out)]) == 0
+        norms = [float(line.split(",")[4]) for line in out.read_text().splitlines()[1:]]
+        records = json.loads((tmp_path / f"{family}.csv.meta.json").read_text())["norm_records"]
+        assert [r["method"] for r in records] == ["lanczos"] * 3
+        for record, norm in zip(records, norms):
+            assert record["value"] == norm
+            assert record["lower"] <= norm <= record["upper"] == 0.5
+            assert record["matvecs"] >= 2
 
 
 def test_norms_parallel_equals_serial(tmp_path):

@@ -222,3 +222,37 @@ def test_lanczos_top_raises_instead_of_returning_unconverged():
         lanczos_top(_diagonal(d), 200)
     with pytest.raises(ContractError):
         lanczos_top(_diagonal(np.ones(1)), 0)
+
+
+def test_lanczos_top_start_must_lie_in_the_top_sector():
+    # an operator that commutes with the reflection x -> x[::-1], with its
+    # eigenvalue of largest modulus on an odd eigenvector
+    m = 9
+    b = np.random.default_rng(5).standard_normal((m, m))
+    a = b + b.T
+    a = a + a[::-1, ::-1]
+    a = a + 12.0 * (np.eye(m) - np.eye(m)[::-1]) / 2  # lifts the odd sector
+    w, v = np.linalg.eigh(a)
+    top = w[np.argmax(np.abs(w))]
+    odd = v[:, np.argmax(np.abs(w))]
+    assert np.allclose(odd, -odd[::-1])
+    # from the default start, ones/sqrt(m), Lanczos never leaves the even
+    # sector: it converges with a tiny residual to an eigenvalue that is not
+    # the top
+    even = lanczos_top(lambda x: a @ x, m)
+    assert abs(even.value - top) > 1.0
+    assert np.linalg.norm(a @ even.vector - even.value * even.vector) <= 1e-10 * abs(top)
+    # a start inside the odd sector finds it
+    x = np.arange(m) - (m - 1) / 2.0 + np.cos(np.arange(m))
+    found = lanczos_top(lambda x: a @ x, m, x - x[::-1])
+    assert abs(found.value - top) <= 1e-12 * abs(top)
+
+
+def test_lanczos_top_start_contract():
+    d = np.linspace(1.0, 2.0, 4)
+    given, default = lanczos_top(_diagonal(d), 4, np.full(4, 3.0)), lanczos_top(_diagonal(d), 4)
+    assert (given.value, given.matvecs) == (default.value, default.matvecs)
+    assert np.array_equal(given.vector, default.vector)
+    for bad in (np.zeros(4), np.ones(3), np.full(4, np.nan)):
+        with pytest.raises(ContractError):
+            lanczos_top(_diagonal(d), 4, bad)

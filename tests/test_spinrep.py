@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,20 @@ def test_binomial_sum_cancellation_raises():
         wigner_d_sum(100, 0, 0, 1.0)
     with pytest.raises(ComputationError, match="cancellation"):
         wigner_d_sum_matrix(SpinRep(201))
+
+
+def test_binomial_sum_memory_is_that_of_the_matrix():
+    # one (n, n) term at a time: the whole (s, n, n) term array at n = 201
+    # peaked at 563 MB before the cancellation check could fire
+    rep = SpinRep(201)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ComputationError, match="cancellation"):
+            wigner_d_sum_matrix(rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
 def test_binomial_sum_refuses_before_losing_the_cross_path_tolerance():
