@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.fft  # noqa: F401  (loaded at import, not on the first transform)
 
 from ._errors import ContractError
 from .linalg import NormRecord, lanczos_top
@@ -69,10 +70,23 @@ def fourier_coeff(sym: ArcSymbol, p: int) -> float:
 
 def _coeff_grid(sym: ArcSymbol, p: np.ndarray) -> np.ndarray:
     """fourier_coeff over an integer array: tabulated once per frequency in
-    [min p, max p], then gathered, so the values are fourier_coeff's bitwise."""
+    [min p, max p], then gathered, so the values are fourier_coeff's bitwise.
+
+    At a = 0 the table is fourier_coeff's integer logic as array operations:
+    the same IEEE divisions of the same operands, so the same bits.  At
+    a != 0 it is one fourier_coeff call per frequency, since np.sin need not
+    round as the C library's sin does.
+    """
     p = np.asarray(p, dtype=np.int64)
     lo = int(p.min())
-    vals = np.array([fourier_coeff(sym, q) for q in range(lo, int(p.max()) + 1)])
+    q = np.arange(lo, int(p.max()) + 1)
+    if sym.a == 0.0:
+        vals = np.zeros(len(q))
+        odd = q % 2 == 1
+        vals[odd] = np.where(q[odd] % 4 == 1, 1.0, -1.0) / (math.pi * q[odd])
+        vals[q == 0] = 0.5
+    else:
+        vals = np.array([fourier_coeff(sym, int(x)) for x in q])
     return vals[p - lo]
 
 

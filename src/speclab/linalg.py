@@ -1,10 +1,13 @@
 """Linear-algebra kernel: tridiagonal eigensolver, operator norms, commutators,
 and a matrix-free Lanczos eigensolver.
 
-Everything here is a pure function of its inputs.  Matrices are plain numpy
-arrays (row-major), real or complex.  A dense norm is one LAPACK solve with
-no fast paths; the Lanczos solver starts from a fixed vector or from one
-its caller passes.  Nothing draws random numbers, so repeated runs are
+Everything here is a pure function of its inputs and runs on numpy alone.
+Matrices are plain numpy arrays (row-major), real or complex.  A dense norm
+is one LAPACK solve with no fast paths, and so is a tridiagonal
+eigendecomposition (numpy's symmetric eigensolver on the matrix formed
+densely); the Lanczos solver starts from a fixed vector or from one its
+caller passes and takes each Ritz pair from the same eigensolver on its
+small tridiagonal.  Nothing draws random numbers, so repeated runs are
 bit-identical.
 """
 
@@ -14,7 +17,6 @@ import math
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from ._errors import ComputationError, ContractError
 
@@ -58,6 +60,9 @@ class EigenDecomposition(NamedTuple):
 def tridiag_eigh(diag, offdiag) -> EigenDecomposition:
     """Full eigendecomposition of a real symmetric tridiagonal matrix.
 
+    One LAPACK symmetric eigensolve (numpy.linalg.eigh) of the matrix formed
+    densely, so O(n^2) memory: meant for small and moderate n.
+
     Args:
         diag: main diagonal, length n.
         offdiag: first off-diagonal, length n - 1.
@@ -77,8 +82,9 @@ def tridiag_eigh(diag, offdiag) -> EigenDecomposition:
         raise ContractError("non-finite entry in tridiagonal data")
     if len(d) == 1:
         return EigenDecomposition(d.copy(), np.ones((1, 1)))
+    a = np.diag(d) + np.diag(e, -1)  # eigh reads the lower triangle only
     try:
-        w, v = eigh_tridiagonal(d, e)
+        w, v = np.linalg.eigh(a, UPLO="L")
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise ComputationError(f"tridiagonal eigensolver did not converge: {exc}") from exc
     return EigenDecomposition(w, v)
@@ -149,8 +155,11 @@ def lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], m: int,
     from the last cycle's Ritz vector), reorthogonalising each new vector
     against the whole cycle's basis, and stops as soon as the residual bound
     |beta_j s_j| of the Ritz pair of largest modulus is at most
-    LANCZOS_TOL * eps * |theta|.  An invariant Krylov space (beta_j = 0) is
-    converged by the same test, so a 1 x 1 operator takes one matvec.
+    LANCZOS_TOL * eps * |theta|.  The cycle's tridiagonal is filled one
+    entry per step, and each step's Ritz pairs come from numpy's symmetric
+    eigensolver on its leading (j + 1) x (j + 1) block.  An invariant Krylov
+    space (beta_j = 0) is converged by the same test, so a 1 x 1 operator
+    takes one matvec.
     Lanczos only sees the invariant subspace its start vector generates: an
     operator that commutes with a reflection keeps an even start even, so a
     caller whose top eigenvector may be odd runs each reflection sector from
@@ -162,7 +171,7 @@ def lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], m: int,
     eps = np.finfo(float).eps
     steps = min(LANCZOS_STEPS, m)
     basis = np.empty((steps, m))
-    alpha, beta = np.empty(steps), np.empty(steps)
+    tri = np.zeros((steps, steps))  # lower triangle: alpha on the diagonal, beta below
     if start is None:
         start = np.full(m, 1.0 / math.sqrt(m))
     else:
@@ -176,17 +185,18 @@ def lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], m: int,
         for j in range(steps):
             w = matvec(basis[j])
             matvecs += 1
-            alpha[j] = basis[j] @ w
+            tri[j, j] = basis[j] @ w
             q = basis[: j + 1]
             w = w - q.T @ (q @ w)
             w = w - q.T @ (q @ w)  # twice is enough (Kahan-Parlett)
-            beta[j] = np.linalg.norm(w)
-            theta, s = eigh_tridiagonal(alpha[: j + 1], beta[:j])
+            beta = np.linalg.norm(w)
+            theta, s = np.linalg.eigh(tri[: j + 1, : j + 1], UPLO="L")
             top = int(np.argmax(np.abs(theta)))
-            if abs(beta[j] * s[j, top]) <= LANCZOS_TOL * eps * abs(theta[top]):
+            if abs(beta * s[j, top]) <= LANCZOS_TOL * eps * abs(theta[top]):
                 return RitzPair(float(theta[top]), s[:, top] @ q, matvecs)
             if j + 1 < steps:
-                basis[j + 1] = w / beta[j]
+                basis[j + 1] = w / beta
+                tri[j + 1, j] = beta
         start = s[:, top] @ basis
         start /= np.linalg.norm(start)
     raise ComputationError(

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import numpy.polynomial  # noqa: F401  (loaded at import, not on the first quadrature)
 
 from ._errors import ContractError
 

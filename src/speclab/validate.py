@@ -13,6 +13,7 @@ import math
 import time
 
 import numpy as np
+import numpy.random  # noqa: F401  (loaded at import, not on the first validate call)
 
 from . import hankel, models, specfun, spinrep
 from .linalg import commutator, operator_norm, tridiag_eigh

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from speclab.cli import _worker_count, main, regress_rows
 from speclab.models import FAMILIES
 
 HEADER = "family,n,a,b,norm,n_mod_4,wall_ms"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(args):
@@ -488,3 +493,13 @@ def test_validate_sign_flip_injection(tmp_path):
     report = json.loads(out.read_text())
     failed = {s["name"] for s in report["suites"] if s["status"] == "fail"}
     assert failed == {"spinrep.wigner_cross_path"}
+
+
+def test_cli_import_loads_no_scipy():
+    # the package runs on numpy alone; scipy is a test-only oracle
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    code = "import speclab.cli, sys; assert 'scipy' not in sys.modules, sorted(sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

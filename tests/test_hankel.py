@@ -81,6 +81,15 @@ def test_coeff_grid_bitwise_equals_per_entry_loop(a):
         assert np.array_equal(fast.view(np.int64), loop.view(np.int64))
 
 
+def test_coeff_grid_half_circle_is_fourier_coeff_over_every_lag():
+    # the a = 0 table is array arithmetic, not one fourier_coeff call per lag
+    lags = np.arange(-(1 << 19), (1 << 19) + 1, dtype=np.int64)
+    loop = np.array([fourier_coeff(HALF_CIRCLE, int(p)) for p in lags])
+    fast = _coeff_grid(HALF_CIRCLE, lags)
+    assert np.array_equal(fast.view(np.int64), loop.view(np.int64))
+    assert np.array_equal(_coeff_grid(HALF_CIRCLE, lags[::-3]), loop[::-3])
+
+
 def test_truncation_even_antidiagonals_vanish_exactly():
     h = hankel_truncation(HALF_CIRCLE, 17)
     k = np.arange(1, 18)

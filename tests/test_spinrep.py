@@ -26,13 +26,18 @@ from speclab import (
     wigner_d_sum,
     wigner_d_theta,
 )
+from speclab.models import _principal_angle_record
 from speclab.spinrep import (
+    _fourier_entries,
     _jx_eigensystem,
+    jx_offdiagonal,
+    jx_residual_bound,
     weight_at_most,
     weight_exceeds,
     weights_at_most,
     weights_exceeding,
     wigner_d_sum_matrix,
+    z_interval_mask,
 )
 from speclab.validate import projection_from_sum, wigner_sum_matrix
 
@@ -135,6 +140,88 @@ def test_jx_spectrum_is_weight_lattice(n):
     w = np.linalg.eigvalsh(ops.jx)
     expected = np.array([-(n - 1) / 2 + i for i in range(n)])
     assert np.max(np.abs(w - expected)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# J_x eigensystem: the recurrence gated against the dense eigensolver
+# ---------------------------------------------------------------------------
+
+# (a, D's range) of the SU(2) families' principal-angle norms: plain,
+# interval (a, b) = (0.3, 0.5), and caps either side of 1/sqrt(2)
+def _angle_points(rep):
+    return [
+        (0.0, z_interval_mask(rep, 1.0)),
+        (0.3, z_interval_mask(rep, 0.5)),
+        (0.6, weights_exceeding(rep.twice, 0.6, rep.n)),
+        (0.75, weights_exceeding(rep.twice, 0.75, rep.n)),
+    ]
+
+
+def _max_abs_diff(a, b):
+    a -= b  # a is a fresh product, so it can hold the difference
+    return float(np.max(np.abs(a, out=a)))
+
+
+def _check_jx_eigensystem_against_dense(n):
+    rep = SpinRep(n)
+    tw, v = _jx_eigensystem(n)
+    assert not tw.flags.writeable and not v.flags.writeable
+    off = jx_offdiagonal(rep)
+    w, dense = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    assert np.array_equal(tw, np.arange(-(n - 1), n, 2))
+    assert np.max(np.abs(2 * w - tw)) <= 1e-9
+    resid = -v * (tw / 2.0)
+    resid[:-1] += off[:, None] * v[1:]
+    resid[1:] += off[:, None] * v[:-1]
+    assert np.max(np.abs(resid)) <= jx_residual_bound(n)
+    del resid
+    assert _max_abs_diff(v.T @ v, np.eye(n)) <= 1e-12
+    for a, inside in _angle_points(rep):
+        kept = weights_exceeding(tw, a, n)
+        ds = dense[:, kept]
+        assert _max_abs_diff(ds @ ds.T, projection_x(rep, a)) <= 1e-13, (n, a)
+        fast = _principal_angle_record(v[:, kept], inside).value
+        assert abs(fast - _principal_angle_record(ds, inside).value) <= 1e-13, (n, a)
+
+
+def test_jx_eigensystem_matches_dense_at_every_size():
+    for n in range(2, 301):
+        _check_jx_eigensystem_against_dense(n)
+
+
+@pytest.mark.parametrize("n", [1021, 2048, 2049, 4001])
+def test_jx_eigensystem_matches_dense_at_large_sizes(n):
+    try:
+        _check_jx_eigensystem_against_dense(n)
+    finally:
+        _jx_eigensystem.cache_clear()  # do not hold the large eigenvectors
+
+
+def test_jx_eigensystem_has_no_subnormals():
+    # the recurrence's rescaled columns leave tiny entries behind; they are
+    # flushed to 0 rather than left subnormal (slow in every later product)
+    try:
+        _, v = _jx_eigensystem(4096)
+        for lo in range(0, 4096, 256):
+            rows = np.abs(v[lo : lo + 256])
+            assert not np.any((rows > 0.0) & (rows < np.finfo(float).tiny)), lo
+        assert np.count_nonzero(v == 0.0) > 0  # the flush did act at this size
+    finally:
+        _jx_eigensystem.cache_clear()
+
+
+@pytest.mark.parametrize("n", [2, 3, 31, 101, 880, 1895, 2048])
+def test_wigner_pi_half_signs_match_fourier_route(n):
+    # each column's sign comes from the recurrence's positive start; the
+    # Fourier route's entries do not depend on eigenvector signs.  Checked on
+    # each column's largest entry (where a wrong sign shows as >= 2/sqrt(n)),
+    # the top and bottom rows, the diagonal and an offset diagonal
+    rep = SpinRep(n)
+    d = wigner_d_pi_half(rep)
+    cols = np.arange(n)
+    for rows in (np.argmax(np.abs(d), axis=0), 0 * cols, 0 * cols + n - 1, cols, (cols + 7) % n):
+        ref = _fourier_entries(rep, rows, cols, math.pi / 2)
+        assert np.max(np.abs(d[rows, cols] - ref)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
