@@ -18,12 +18,10 @@ from .hankel import (
     truncated_norm_record,
 )
 from .linalg import (
-    EigenDecomposition,
     NormRecord,
     commutator,
     lanczos_top,
     operator_norm,
-    tridiag_eigh,
 )
 from .models import (
     CommutatorReport,
@@ -64,7 +62,6 @@ __all__ = [
     "CommutatorReport",
     "ComputationError",
     "ContractError",
-    "EigenDecomposition",
     "ExtremalVector",
     "HALF_CIRCLE",
     "HalfInt",
@@ -98,7 +95,6 @@ __all__ = [
     "su2_commutator",
     "su2_submatrix",
     "szego_approximation",
-    "tridiag_eigh",
     "truncated_norm",
     "truncated_norm_record",
     "verify_hilbert_formula",

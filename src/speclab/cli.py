@@ -73,10 +73,10 @@ def _family_args(args) -> tuple:
 
 
 # Keeps desk-scale runtimes.  An SU(2) point is one k x k eigvalsh on the
-# principal angles after the cached J_x eigensystem, O(n^3); a ring,
-# Heisenberg or SE(2) point is a Lanczos solve with O(n log n) FFT matvecs,
-# but Heisenberg's closed-form cross-check holds an n x |arc| table, O(n^2)
-# memory, so the cap stays for those too.
+# principal angles after the cached J_x eigensystem, O(n^3).  A ring,
+# Heisenberg or SE(2) point is a Lanczos solve with O(n log n) FFT matvecs
+# and O(n) memory, Heisenberg's closed-form cross-check included; the cap
+# stays for those until it is lifted per family.
 MAX_SWEEP_N = 2048
 
 
@@ -157,13 +157,22 @@ def cmd_norms(args) -> int:
 MAX_HANKEL_N = 2**18
 
 
+def _distinct(flag: str, values: list) -> list:
+    """values sorted; a repeated value, which would compute and write its
+    rows twice, is a contract error."""
+    if len(set(values)) < len(values):
+        raise ContractError(f"--{flag} repeats a value: {values}")
+    return sorted(values)
+
+
 def cmd_hankel(args) -> int:
-    sizes = sorted(args.N if args.N else [1, 2, 4, 8, 16, 32, 64, 128, 256, 512])
+    sizes = _distinct("N", args.N or [1, 2, 4, 8, 16, 32, 64, 128, 256, 512])
+    a_list = _distinct("a", args.a or [0.0])
     if sizes[0] < 1:
         raise ContractError(f"truncation size must be >= 1, got {sizes[0]}")
     if sizes[-1] > MAX_HANKEL_N:
         raise ContractError(f"hankel cap is N <= {MAX_HANKEL_N}, got {sizes[-1]}")
-    symbols = [ArcSymbol(a) for a in sorted(args.a if args.a else [0.0])]
+    symbols = [ArcSymbol(a) for a in a_list]
     t0 = time.perf_counter()
     lines, wall_ms, records = [HANKEL_HEADER], [], []
     for sym in symbols:
@@ -207,8 +216,8 @@ def regress_rows(rows, residue: int) -> dict:
             "reason": "exact half",
             "points_used": 0,
         }
-    if len(usable) < 2:
-        raise ContractError("need at least 2 rows below 1/2 to regress")
+    if len({n for n, _ in usable}) < 2:
+        raise ContractError("need rows below 1/2 at 2 or more distinct n to regress")
     x = np.log([n for n, _ in usable])
     y = np.log([0.5 - norm for _, norm in usable])
     design = np.vstack([x, np.ones(len(x))]).T
@@ -455,11 +464,19 @@ def _apply_config(args) -> None:
             setattr(args, attr, value)
 
 
+def _plus_zero(args) -> None:
+    """-0.0 in --a or --b becomes 0.0, so --a=-0 writes the bytes --a 0 does."""
+    for attr in ("a", "b"):
+        if getattr(args, attr, None) is not None:
+            setattr(args, attr, [x + 0.0 for x in getattr(args, attr)])
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         _apply_config(args)
+        _plus_zero(args)
         return args.func(args)
     except ContractError as exc:
         print(f"contract error: {exc}", file=sys.stderr)

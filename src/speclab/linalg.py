@@ -1,14 +1,12 @@
-"""Linear-algebra kernel: tridiagonal eigensolver, operator norms, commutators,
-and a matrix-free Lanczos eigensolver.
+"""Linear-algebra kernel: operator norms, commutators, and a matrix-free
+Lanczos eigensolver.
 
 Everything here is a pure function of its inputs and runs on numpy alone.
 Matrices are plain numpy arrays (row-major), real or complex.  A dense norm
-is one LAPACK solve with no fast paths, and so is a tridiagonal
-eigendecomposition (numpy's symmetric eigensolver on the matrix formed
-densely); the Lanczos solver starts from a fixed vector or from one its
-caller passes and takes each Ritz pair from the same eigensolver on its
-small tridiagonal.  Nothing draws random numbers, so repeated runs are
-bit-identical.
+is one LAPACK solve with no fast paths; the Lanczos solver starts from a
+fixed vector or from one its caller passes and takes each Ritz pair from
+numpy's symmetric eigensolver on its small tridiagonal.  Nothing draws
+random numbers, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -45,49 +43,6 @@ class RitzPair(NamedTuple):
     value: float
     vector: np.ndarray
     matvecs: int
-
-
-class EigenDecomposition(NamedTuple):
-    """Spectral decomposition of a real symmetric matrix.
-
-    eigenvalues are ascending; eigenvector k is ``eigenvectors[:, k]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def tridiag_eigh(diag, offdiag) -> EigenDecomposition:
-    """Full eigendecomposition of a real symmetric tridiagonal matrix.
-
-    One LAPACK symmetric eigensolve (numpy.linalg.eigh) of the matrix formed
-    densely, so O(n^2) memory: meant for small and moderate n.
-
-    Args:
-        diag: main diagonal, length n.
-        offdiag: first off-diagonal, length n - 1.
-
-    Returns:
-        EigenDecomposition with ascending eigenvalues and orthonormal columns.
-    """
-    d = np.asarray(diag, dtype=float)
-    e = np.asarray(offdiag, dtype=float)
-    if d.ndim != 1 or e.ndim != 1 or len(e) != max(len(d) - 1, 0):
-        raise ContractError(
-            f"offdiag must have length len(diag)-1, got {len(d)} and {len(e)}"
-        )
-    if len(d) == 0:
-        raise ContractError("empty diagonal")
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-        raise ContractError("non-finite entry in tridiagonal data")
-    if len(d) == 1:
-        return EigenDecomposition(d.copy(), np.ones((1, 1)))
-    a = np.diag(d) + np.diag(e, -1)  # eigh reads the lower triangle only
-    try:
-        w, v = np.linalg.eigh(a, UPLO="L")
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise ComputationError(f"tridiagonal eigensolver did not converge: {exc}") from exc
-    return EigenDecomposition(w, v)
 
 
 def commutator(a, b) -> np.ndarray:
@@ -162,8 +117,8 @@ def lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], m: int,
     takes one matvec.
     Lanczos only sees the invariant subspace its start vector generates: an
     operator that commutes with a reflection keeps an even start even, so a
-    caller whose top eigenvector may be odd runs each reflection sector from
-    a start inside it.  A given start gives a bit-reproducible result.
+    caller whose top eigenvector may be odd passes a start with a part in
+    every reflection sector.  A given start gives a bit-reproducible result.
     Raises ComputationError if LANCZOS_CYCLES cycles do not converge.
     """
     if m < 1:

@@ -8,10 +8,10 @@ diagonal 0/1 projection D, reported by one helper whose norm is that of the
 block B = P[in, out]: from principal angles for SU(2), without forming P;
 for ring, SE(2) and Heisenberg matrix-free, by Lanczos on B^H B with P
 applied by FFT (a convolution with the table of Fourier coefficients, or
-the circulant of the DFT-conjugated arc projection), split by the
-reflection that P and D share.  No Fourier family forms an n x n or K x K
-array for a norm.  Circle-grid membership tests (which grid points lie on
-the open arc Re z > a) run on exact integers when a = 0, where
+the circulant of the DFT-conjugated arc projection), in one run from a
+start with no reflection symmetry.  No Fourier family forms an n x n or
+K x K array for a norm.  Circle-grid membership tests (which grid points
+lie on the open arc Re z > a) run on exact integers when a = 0, where
 cos(2*pi*k/n) = 0 exactly at the quarter points and the strict inequality
 must exclude them.
 """
@@ -90,33 +90,28 @@ def _masked(p: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _asymmetric_start(m: int) -> np.ndarray:
-    """A fixed start vector of length m with no reflection symmetry, so that
-    for m >= 2 both its even and its odd part under x -> x[perm] are nonzero."""
+    """A fixed start vector of length m with no reflection symmetry: for
+    m >= 2 both its even and its odd part under x -> x[::-1] are nonzero."""
     return 1.0 + 0.5 * np.linspace(-1.0, 1.0, m) + 0.1 * np.cos(1.234 * np.arange(m))
 
 
-def _lanczos_norm(apply: Callable, inside: np.ndarray, mirror: np.ndarray | None = None,
-                  complex_: bool = False) -> NormRecord:
+def _lanczos_norm(apply: Callable, inside: np.ndarray, complex_: bool = False) -> NormRecord:
     """||P[in, out]|| matrix-free, with its certificate; P Hermitian is
     applied to a whole vector by ``apply`` (complex when ``complex_``), and
     ``inside`` is the bool mask of D's range.
 
     With B = P[in, out], B^H B x is apply(inside * apply(x on out))[out],
     and the norm is sqrt(theta) for the top eigenvalue theta of B^H B, found
-    by lanczos_top on the out side.  A complex B^H B runs as its real form
-    [Re x; Im x], which has the same eigenvalues, each twice; P is complex
-    here only where D has no mirror symmetry (Heisenberg).
+    by one lanczos_top run on the out side.  A complex B^H B runs as its
+    real form [Re x; Im x], which has the same eigenvalues, each twice.
 
-    ``mirror`` is an index permutation (a reflection) that commutes with P.
-    When D is mirror-symmetric too, B^H B commutes with the reflection of
-    the out side, so each eigenvector can be taken even or odd, and Lanczos
-    from an even start never sees an odd one: it can converge, with a tiny
-    residual, to the top even eigenvalue below an odd top.  So the even and
-    the odd sector are solved apart, each by B^H B followed by the exact
-    projection (y +- y[perm]) / 2 onto the sector, from a start inside it,
-    and the larger result is the norm.  Without the symmetry (no mirror, or
-    a membership that rounding made asymmetric, such as a = 1/sqrt(2) at
-    n = 8) one run from an asymmetric start sees every eigenvector.
+    The start must not be reflection-symmetric.  P and D often share a
+    reflection (k -> -k on the ring's modes, m -> -m mod n on Heisenberg's
+    sites), and then B^H B commutes with its restriction to the out side,
+    the reversal x -> x[::-1]: Lanczos from an even start never sees an odd
+    eigenvector, and can converge, with a tiny residual, to the top even
+    eigenvalue below an odd top.  _asymmetric_start has a part in both
+    sectors.
 
     Record: method "lanczos"; matvecs counts every B^H B product, the
     residual one included; lower = sqrt(theta - r) with
@@ -143,25 +138,10 @@ def _lanczos_norm(apply: Callable, inside: np.ndarray, mirror: np.ndarray | None
     else:
         op = gram
     size = 2 * m if complex_ else m
-    start = _asymmetric_start(size)
-    if mirror is None or not np.array_equal(inside, inside[mirror]):
-        sectors = [(op, start)]
-    else:
-        perm = np.searchsorted(out, mirror[out])  # the reflection of the out side
-
-        def sector(sign):
-            def project(x):
-                y = op(x)
-                return 0.5 * (y + sign * y[perm])
-            return project, start + sign * start[perm]
-
-        sectors = [sec for sec in map(sector, (1.0, -1.0)) if sec[1].any()]
-    runs = [(lanczos_top(f, size, x0), f) for f, x0 in sectors]
-    ritz, f = max(runs, key=lambda run: run[0].value)
-    residual = float(np.linalg.norm(f(ritz.vector) - ritz.value * ritz.vector))
-    matvecs = sum(run[0].matvecs for run in runs) + 1
+    ritz = lanczos_top(op, size, _asymmetric_start(size))
+    residual = float(np.linalg.norm(op(ritz.vector) - ritz.value * ritz.vector))
     value, lower = (min(math.sqrt(max(t, 0.0)), 0.5) for t in (ritz.value, ritz.value - residual))
-    return NormRecord(value, "lanczos", matvecs, lower, 0.5)
+    return NormRecord(value, "lanczos", ritz.matvecs + 1, lower, 0.5)
 
 
 def _report(family: str, params: dict, inside: np.ndarray, block: Callable,
@@ -338,8 +318,7 @@ def ring_commutator(n: int, window: int, a: float = 0.0) -> CommutatorReport:
         raise ContractError(f"ring_commutator: a must lie in [0, 1), got {a}")
     inside = _arc_membership(range(-window, window + 1), n, a) != 0.0
     block, apply = _toeplitz(ArcSymbol(a), window)
-    # P is Toeplitz with coeff(-p) = coeff(p): it commutes with k -> -k
-    record = _lanczos_norm(apply, inside, np.arange(2 * window, -1, -1))
+    record = _lanczos_norm(apply, inside)
     return _report("ring", {"n": n, "K": window, "a": a}, inside, block, record)
 
 
@@ -371,12 +350,31 @@ def ring_submatrix(n: int, size: int, a: float = 0.0) -> np.ndarray:
 def _heis_pairing_table(n: int, a: float, ps=None) -> np.ndarray:
     """Discretized pairings (1/n) * sum over arc grid points m of
     exp(-2*pi*i*p*m/n) for an array of differences ps; by default for every
-    p = -(n-1)..(n-1) (entry p + n - 1)."""
-    ms = np.flatnonzero(_arc_membership(range(n), n, a))
-    ps = np.arange(-(n - 1), n, dtype=np.int64) if ps is None else np.asarray(ps)
-    if len(ms) == 0:
+    p = -(n-1)..(n-1) (entry p + n - 1).
+
+    The arc's grid points are one cyclic run m0, ..., m0 + L - 1 (mod n),
+    so the sum is geometric: with q = p mod n it is
+    exp(-i*pi*q*(2*m0 + L - 1)/n) * sin(pi*q*L/n) / (n * sin(pi*q/n)), and
+    L/n at q = 0.  The integer products are reduced mod 2n before scaling,
+    and the denominator takes min(q, n - q), whose sine is the same but
+    evaluated away from pi.  O(n + len(ps)) time and memory; raises
+    ComputationError if the membership is not one run.
+    """
+    memb = _arc_membership(range(n), n, a) != 0.0
+    ps = np.arange(-(n - 1), n, dtype=np.int64) if ps is None else np.asarray(ps, dtype=np.int64)
+    length = int(np.count_nonzero(memb))
+    if length == 0:
         return np.zeros(ps.shape, dtype=complex)
-    return np.exp(-2j * math.pi * (ps[..., None] * ms) / n).sum(axis=-1) / n
+    starts = np.flatnonzero(memb & ~np.roll(memb, 1))
+    if length < n and len(starts) != 1:
+        raise ComputationError(f"heisenberg: the arc at n = {n}, a = {a} is not one run of points")
+    m0 = int(starts[0]) if length < n else 0
+    q = ps % n
+    phase = np.exp(-1j * math.pi * ((q * (2 * m0 + length - 1)) % (2 * n)) / n)
+    top = (q * length) % (2 * n)
+    num = np.where(top % n == 0, 0.0, np.sin(math.pi * top / n))
+    den = n * np.sin(math.pi * np.minimum(q, n - q) / n)
+    return np.where(q == 0, length / n, phase * num / np.where(q == 0, 1.0, den))
 
 
 def _heis_apply(memb: np.ndarray) -> tuple[Callable, bool]:
@@ -413,10 +411,10 @@ def heisenberg_commutator(n: int, a: float = 0.0) -> CommutatorReport:
     conjugate under the unitary DFT.
 
     The projection for the shift operator is the DFT conjugation of the
-    diagonal one, applied with FFTs; it commutes with m -> -m mod n.  The
-    operator the norm solve applies is checked against the closed-form
-    matrix elements (heisenberg_closed_form_residual checks the whole
-    matrix); the residual is kept in diagnostics.
+    diagonal one, applied with FFTs.  The operator the norm solve applies
+    is checked against the closed-form matrix elements
+    (heisenberg_closed_form_residual checks the whole matrix); the residual
+    is kept in diagnostics.
     """
     if n < 2:
         raise ContractError(f"heisenberg_commutator: n must be >= 2, got {n}")
@@ -438,7 +436,7 @@ def heisenberg_commutator(n: int, a: float = 0.0) -> CommutatorReport:
         {"n": n, "a": a},
         inside,
         lambda rows, cols: row[(grid[None, cols] - grid[rows, None]) % n],
-        _lanczos_norm(apply, inside, -grid % n, complex_),
+        _lanczos_norm(apply, inside, complex_),
     )
     report.diagnostics["closed_form_residual"] = residual
     return report
@@ -487,8 +485,6 @@ def se2_commutator(window: int) -> CommutatorReport:
         raise ContractError(f"se2_commutator: window must be >= 1, got {window}")
     pos = np.arange(-window, window + 1) >= 0
     block, apply = _toeplitz(HALF_CIRCLE, window)
-    # one run: no reflection keeps D, and B is entrywise positive up to
-    # diagonal signs, so its top singular vectors have no sector to miss
     return _report(
         "se2",
         {"K": window},

@@ -16,7 +16,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (loaded at import, not on the first validate call)
 
 from . import hankel, models, specfun, spinrep
-from .linalg import commutator, operator_norm, tridiag_eigh
+from .linalg import commutator, operator_norm
 
 SCHEMA_VERSION = 1
 
@@ -46,19 +46,6 @@ def _suite_operator_norm_symmetries():
         q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
         q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
         worst = max(worst, abs(operator_norm(q1 @ a @ q2) - base) / base)
-    return worst, 1e-10
-
-
-def _suite_tridiag_reconstruction():
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for n in (2, 5, 24):
-        d = rng.standard_normal(n)
-        e = rng.standard_normal(n - 1)
-        w, v = tridiag_eigh(d, e)
-        full = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        resid = np.max(np.abs(v @ np.diag(w) @ v.T - full))
-        worst = max(worst, resid / max(1.0, operator_norm(full)))
     return worst, 1e-10
 
 
@@ -282,7 +269,6 @@ def run_validation(inject_sign_flip: bool = False) -> tuple[dict, list[int]]:
     )
     suites = [
         ("linalg.operator_norm_symmetries", _suite_operator_norm_symmetries),
-        ("linalg.tridiag_reconstruction", _suite_tridiag_reconstruction),
         ("linalg.projection_commutator_bound", _suite_projection_commutator_bound),
         ("specfun.bessel_series_vs_integral", _suite_bessel_series_vs_integral),
         ("specfun.bessel_decay", _suite_bessel_decay),

@@ -243,7 +243,14 @@ def _never_called(*args, **kwargs):
 def test_hankel_checks_every_request_before_any_row(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("speclab.cli.truncated_norm_record", _never_called)
     out = tmp_path / "h.csv"
-    for flags in (["--N", "2048", "--a", "0.3,1.5"], ["--N", "8,0"], ["--N=-3,8", "--a", "0.3"]):
+    for flags in (
+        ["--N", "2048", "--a", "0.3,1.5"],
+        ["--N", "8,0"],
+        ["--N=-3,8", "--a", "0.3"],
+        ["--N", "4,4"],
+        ["--N", "8", "--a", "0.3,0.3"],
+        ["--N", "8", "--a=0,-0"],
+    ):
         assert run(["hankel", *flags, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("contract error")
     assert not out.exists()
@@ -293,6 +300,7 @@ def test_vectors_size_cap(tmp_path):
         ("vectors", "se2", ["--a", "0.3"]),
         ("vectors", "ring", ["--a", "0.3,0.4"]),
         ("vectors", "su2", ["--b", "0.5,1"]),
+        ("vectors", "ring", ["--a", "0.3,0.3"]),
     ],
 )
 def test_unread_or_repeated_thresholds_exit_1(tmp_path, command, family, flags):
@@ -300,6 +308,20 @@ def test_unread_or_repeated_thresholds_exit_1(tmp_path, command, family, flags):
     out = tmp_path / "x.csv"
     assert run([command, "--family", family, *size, *flags, "--out", str(out)]) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["norms", "--family", "ring", "--n-stop", "6"], ["hankel", "--N", "1,8"]],
+)
+def test_negative_zero_threshold_writes_zero(tmp_path, argv):
+    outs = []
+    for a in ("0", "-0"):
+        out = tmp_path / f"x{a}.csv"
+        assert run([*argv, f"--a={a}", "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert b"-0" not in outs[1]
 
 
 def test_hankel_table(tmp_path):
@@ -404,6 +426,8 @@ def test_regress_two_points_interpolate(tmp_path):
 def test_regress_rows_contract():
     with pytest.raises(Exception):
         regress_rows([(4, 0.25)], 0)  # single usable row
+    with pytest.raises(ContractError):
+        regress_rows([(4, 0.25), (4, 0.3)], 0)  # two rows, one n: no line to fit
 
 
 def test_vectors_unit_norm_and_interior_max(tmp_path):
@@ -471,11 +495,11 @@ def test_validate_report_reproducible_with_timing_sidecar(tmp_path):
         names = [s["name"] for s in json.loads(out.read_text())["suites"]]
         meta = json.loads((tmp_path / f"{name}.meta.json").read_text())
         assert meta["command"] == "validate"
-        assert meta["suites"] == names and len(names) == 21
-        assert len(meta["wall_ms_suites"]) == 21
+        assert meta["suites"] == names and len(names) == 20
+        assert len(meta["wall_ms_suites"]) == 20
         assert all(isinstance(ms, int) and ms >= 0 for ms in meta["wall_ms_suites"])
         assert isinstance(meta["wall_ms_total"], int)
-        assert meta["wall_ms_total"] >= sum(meta["wall_ms_suites"]) - 21
+        assert meta["wall_ms_total"] >= sum(meta["wall_ms_suites"]) - 20
     assert reports[0] == reports[1]
     assert b"wall_ms" not in reports[0]
 

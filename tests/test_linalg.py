@@ -11,51 +11,8 @@ from speclab import (
     commutator,
     lanczos_top,
     operator_norm,
-    tridiag_eigh,
 )
 from speclab.linalg import _exact_norm
-
-
-def test_tridiag_pauli_half():
-    dec = tridiag_eigh([0.0, 0.0], [0.5])
-    assert np.allclose(dec.eigenvalues, [-0.5, 0.5], atol=1e-14)
-
-
-def test_tridiag_spin_one_by_hand():
-    # characteristic polynomial of [[0,c,0],[c,0,c],[0,c,0]] with c = 1/sqrt(2)
-    # is -t^3 + 2 c^2 t = -t (t^2 - 1), so the spectrum is {-1, 0, 1}
-    c = 1 / math.sqrt(2)
-    dec = tridiag_eigh([0.0, 0.0, 0.0], [c, c])
-    assert np.allclose(dec.eigenvalues, [-1.0, 0.0, 1.0], atol=1e-14)
-
-
-def test_tridiag_singleton():
-    dec = tridiag_eigh([5.0], [])
-    assert dec.eigenvalues[0] == 5.0
-    assert dec.eigenvectors[0, 0] == 1.0
-
-
-@pytest.mark.parametrize("n", [2, 3, 7, 20, 63])
-def test_tridiag_decomposition_invariants(n):
-    rng = np.random.default_rng(100 + n)
-    d = rng.standard_normal(n)
-    e = rng.standard_normal(n - 1)
-    w, v = tridiag_eigh(d, e)
-    a = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-    norm_a = operator_norm(a)
-    assert np.all(np.diff(w) >= 0)
-    for i in range(n):
-        resid = np.linalg.norm(a @ v[:, i] - w[i] * v[:, i])
-        assert resid <= 1e-10 * (1 + abs(w[i])) * norm_a
-    assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-10
-    assert np.max(np.abs(v @ np.diag(w) @ v.T - a)) <= 1e-10 * norm_a
-
-
-def test_tridiag_contract_errors():
-    with pytest.raises(ContractError):
-        tridiag_eigh([1.0, 2.0], [1.0, 2.0])
-    with pytest.raises(ContractError):
-        tridiag_eigh([1.0, np.nan], [1.0])
 
 
 def test_operator_norm_identity():

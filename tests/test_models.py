@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speclab import (
+    ComputationError,
     ContractError,
     HALF_CIRCLE,
     HalfInt,
@@ -284,6 +286,34 @@ def test_heisenberg_riemann_rate():
         assert errs[2] <= 0.625 * errs[1]
 
 
+def _direct_pairings(n, a, ps):
+    """(1/n) * sum over arc grid points m of exp(-2*pi*i*p*m/n) for each p
+    in ps, summed term by term in long double."""
+    ms = np.flatnonzero([grid_in_arc(k, n, a) for k in range(n)])
+    angle = 8 * np.arctan(np.longdouble(1)) * (np.outer(ps, ms) % n).astype(np.longdouble) / n
+    re, im = (f(angle).sum(axis=1) / n for f in (np.cos, np.sin))
+    return re.astype(float) - 1j * im.astype(float)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.3, 1 / math.sqrt(2), 0.9])
+def test_heisenberg_pairing_sums_match_direct_sum(a):
+    for n in list(range(2, 41)) + [97, 320, 1024]:
+        got = _heis_pairing_table(n, a)
+        assert np.max(np.abs(got - _direct_pairings(n, a, np.arange(-(n - 1), n)))) <= 1e-14, n
+        lags = np.array([[-(n - 1), 0], [n - 1, 1]])
+        assert np.array_equal(_heis_pairing_table(n, a, lags), got[lags + n - 1])
+    # lags near +-n, where sin(pi q/n) is small and q/n is near 1
+    n = 4096
+    ps = np.r_[-(n - 1) : -(n - 33), -32:33, n - 32 : n]
+    assert np.max(np.abs(_heis_pairing_table(n, a, ps) - _direct_pairings(n, a, ps))) <= 1e-14
+
+
+def test_heisenberg_pairing_needs_one_run(monkeypatch):
+    monkeypatch.setattr(models, "_arc_membership", lambda ks, n, a: np.array([1.0, 0.0, 1.0, 0.0]))
+    with pytest.raises(ComputationError, match="one run"):
+        _heis_pairing_table(4, 0.0)
+
+
 def test_heisenberg_submatrix_converges():
     target = hankel_truncation(HALF_CIRCLE, 4)
     errs = [
@@ -508,6 +538,31 @@ def test_fourier_norms_match_dense_at_every_size(family, a):
         assert abs(record.value - dense) <= 1e-12, (n, record, dense)
         assert record.method == "lanczos"
         assert record.lower <= record.value <= record.upper == 0.5
+
+
+@pytest.mark.parametrize("a", [0.0, 0.3])
+@pytest.mark.parametrize(
+    "family, n", [("heisenberg", 2047), ("heisenberg", 2048), ("ring", 1023), ("ring", 1024)]
+)
+def test_fourier_norms_match_dense_at_large_sizes(family, n, a):
+    record = models.FAMILIES[family].build(n, a, 1.0).record
+    p, d = _fourier_dense(family, n, a)
+    inside = d != 0.0
+    dense = operator_norm(p[np.ix_(inside, ~inside)])
+    assert abs(record.value - dense) <= 1e-12, (n, record, dense)
+    assert record.lower <= record.value <= record.upper == 0.5
+
+
+def test_heisenberg_point_memory_is_linear_in_n():
+    # the closed-form check once held an n x |arc| complex table: over 128 MB
+    # at n = 4096
+    tracemalloc.start()
+    try:
+        heisenberg_commutator(4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def _su2_dense(family, n, a, b):
