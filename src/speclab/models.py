@@ -6,14 +6,14 @@ each family name to its builder, the thresholds it reads and its basis
 labels.  Every family is a commutator [P, D] of a Hermitian P with a
 diagonal 0/1 projection D, reported by one helper whose norm is that of the
 block B = P[in, out]: from principal angles for SU(2), without forming P;
-for ring, SE(2) and Heisenberg matrix-free, by Lanczos on B^H B with P
+for ring, SE(2) and Heisenberg matrix-free, by Lanczos on B^T B with P
 applied by FFT (a convolution with the table of Fourier coefficients, or
 the circulant of the DFT-conjugated arc projection), in one run from a
 start with no reflection symmetry.  No Fourier family forms an n x n or
 K x K array for a norm.  Circle-grid membership tests (which grid points
 lie on the open arc Re z > a) run on exact integers when a = 0, where
 cos(2*pi*k/n) = 0 exactly at the quarter points and the strict inequality
-must exclude them.
+must exclude them; at a != 0 one cosine decides each mirror pair k, -k.
 """
 
 from __future__ import annotations
@@ -95,27 +95,26 @@ def _asymmetric_start(m: int) -> np.ndarray:
     return 1.0 + 0.5 * np.linspace(-1.0, 1.0, m) + 0.1 * np.cos(1.234 * np.arange(m))
 
 
-def _lanczos_norm(apply: Callable, inside: np.ndarray, complex_: bool = False) -> NormRecord:
-    """||P[in, out]|| matrix-free, with its certificate; P Hermitian is
-    applied to a whole vector by ``apply`` (complex when ``complex_``), and
-    ``inside`` is the bool mask of D's range.
+def _lanczos_norm(apply: Callable, inside: np.ndarray) -> NormRecord:
+    """||P[in, out]|| matrix-free, with its certificate; P real symmetric is
+    applied to a whole real vector by ``apply``, and ``inside`` is the bool
+    mask of D's range.
 
-    With B = P[in, out], B^H B x is apply(inside * apply(x on out))[out],
-    and the norm is sqrt(theta) for the top eigenvalue theta of B^H B, found
-    by one lanczos_top run on the out side.  A complex B^H B runs as its
-    real form [Re x; Im x], which has the same eigenvalues, each twice.
+    With B = P[in, out], B^T B x is apply(inside * apply(x on out))[out],
+    and the norm is sqrt(theta) for the top eigenvalue theta of B^T B, found
+    by one lanczos_top run on the out side.
 
     The start must not be reflection-symmetric.  P and D often share a
     reflection (k -> -k on the ring's modes, m -> -m mod n on Heisenberg's
-    sites), and then B^H B commutes with its restriction to the out side,
+    sites), and then B^T B commutes with its restriction to the out side,
     the reversal x -> x[::-1]: Lanczos from an even start never sees an odd
     eigenvector, and can converge, with a tiny residual, to the top even
     eigenvalue below an odd top.  _asymmetric_start has a part in both
     sectors.
 
-    Record: method "lanczos"; matvecs counts every B^H B product, the
+    Record: method "lanczos"; matvecs counts every B^T B product, the
     residual one included; lower = sqrt(theta - r) with
-    r = ||B^H B x - theta x|| (some eigenvalue lies within r of theta) and
+    r = ||B^T B x - theta x|| (some eigenvalue lies within r of theta) and
     upper = 1/2, the bound on a commutator of two projections, which
     sqrt(theta) exceeds only by rounding (by one ulp at the n = 2 mod 4
     Heisenberg points, whose norm is 1/2) and is clipped to.  Exactly 0.0
@@ -124,21 +123,13 @@ def _lanczos_norm(apply: Callable, inside: np.ndarray, complex_: bool = False) -
     if inside.all() or not inside.any():
         return NormRecord(0.0, "lanczos", 0, 0.0, 0.5)
     out = np.flatnonzero(~inside)
-    m = len(out)
 
-    def gram(x):
-        v = np.zeros(len(inside), complex if complex_ else float)
+    def op(x):
+        v = np.zeros(len(inside))
         v[out] = x
         return apply(apply(v) * inside)[out]
 
-    if complex_:
-        def op(x):
-            g = gram(x[:m] + 1j * x[m:])
-            return np.concatenate([g.real, g.imag])
-    else:
-        op = gram
-    size = 2 * m if complex_ else m
-    ritz = lanczos_top(op, size, _asymmetric_start(size))
+    ritz = lanczos_top(op, len(out), _asymmetric_start(len(out)))
     residual = float(np.linalg.norm(op(ritz.vector) - ritz.value * ritz.vector))
     value, lower = (min(math.sqrt(max(t, 0.0)), 0.5) for t in (ritz.value, ritz.value - residual))
     return NormRecord(value, "lanczos", ritz.matvecs + 1, lower, 0.5)
@@ -262,12 +253,15 @@ def grid_in_arc(k: int, n: int, a: float = 0.0) -> bool:
     """Whether the grid point exp(2*pi*i*k/n) lies on the open arc Re z > a.
 
     At a = 0 the test is pure integer arithmetic on 4k mod 4n, so points with
-    Re z exactly zero are excluded the way a strict inequality demands.
+    Re z exactly zero are excluded the way a strict inequality demands.  At
+    a != 0 both points of a mirror pair k, -k share one cosine, of the
+    reduced index min(r, n - r) with r = k mod n, so the arc is symmetric.
     """
     if a == 0.0:
         r = (4 * k) % (4 * n)
         return r < n or r > 3 * n
-    return math.cos(2 * math.pi * (k % n) / n) > a
+    r = k % n
+    return math.cos(2 * math.pi * min(r, n - r) / n) > a
 
 
 def _arc_membership(ks, n: int, a: float) -> np.ndarray:
@@ -347,57 +341,52 @@ def ring_submatrix(n: int, size: int, a: float = 0.0) -> np.ndarray:
 # finite Heisenberg
 # ---------------------------------------------------------------------------
 
-def _heis_pairing_table(n: int, a: float, ps=None) -> np.ndarray:
-    """Discretized pairings (1/n) * sum over arc grid points m of
-    exp(-2*pi*i*p*m/n) for an array of differences ps; by default for every
+def _heis_pairing_table(memb: np.ndarray, ps=None) -> np.ndarray:
+    """Discretized pairings (1/n) * sum over the arc's grid points m of
+    exp(-2*pi*i*p*m/n) for an array of differences ps, given the arc
+    membership ``memb`` of the sites 0..n-1; by default for every
     p = -(n-1)..(n-1) (entry p + n - 1).
 
-    The arc's grid points are one cyclic run m0, ..., m0 + L - 1 (mod n),
-    so the sum is geometric: with q = p mod n it is
-    exp(-i*pi*q*(2*m0 + L - 1)/n) * sin(pi*q*L/n) / (n * sin(pi*q/n)), and
-    L/n at q = 0.  The integer products are reduced mod 2n before scaling,
-    and the denominator takes min(q, n - q), whose sine is the same but
-    evaluated away from pi.  O(n + len(ps)) time and memory; raises
-    ComputationError if the membership is not one run.
+    The arc's grid points are the run m = -h..h (mod n) of L = 2h + 1
+    points centred on 0, so the sum is the real Dirichlet kernel: with
+    q = p mod n it is sin(pi*q*L/n) / (n * sin(pi*q/n)), and L/n at q = 0.
+    The integer product q*L is reduced mod 2n before scaling, and the
+    denominator takes min(q, n - q), whose sine is the same but evaluated
+    away from pi.  O(n + len(ps)) time and memory; raises ComputationError
+    if the membership is not the run {min(m, n - m) <= h}.
     """
-    memb = _arc_membership(range(n), n, a) != 0.0
+    memb = np.asarray(memb) != 0
+    n = len(memb)
     ps = np.arange(-(n - 1), n, dtype=np.int64) if ps is None else np.asarray(ps, dtype=np.int64)
     length = int(np.count_nonzero(memb))
-    if length == 0:
-        return np.zeros(ps.shape, dtype=complex)
-    starts = np.flatnonzero(memb & ~np.roll(memb, 1))
-    if length < n and len(starts) != 1:
-        raise ComputationError(f"heisenberg: the arc at n = {n}, a = {a} is not one run of points")
-    m0 = int(starts[0]) if length < n else 0
+    grid = np.arange(n)
+    if not np.array_equal(memb, np.minimum(grid, n - grid) <= (length - 1) // 2):
+        raise ComputationError(f"heisenberg: the arc at n = {n} is not one run centred on 0")
     q = ps % n
-    phase = np.exp(-1j * math.pi * ((q * (2 * m0 + length - 1)) % (2 * n)) / n)
     top = (q * length) % (2 * n)
     num = np.where(top % n == 0, 0.0, np.sin(math.pi * top / n))
     den = n * np.sin(math.pi * np.minimum(q, n - q) / n)
-    return np.where(q == 0, length / n, phase * num / np.where(q == 0, 1.0, den))
+    return np.where(q == 0, length / n, num / np.where(q == 0, 1.0, den))
 
 
-def _heis_apply(memb: np.ndarray) -> tuple[Callable, bool]:
+def _heis_apply(memb: np.ndarray) -> Callable:
     """x -> P x for the DFT conjugation P = F^* diag(memb) F (F the unitary
-    DFT), applied as ifft(memb * fft(x)), and whether P is complex.
-
-    P is real when memb is symmetric under m -> -m mod n, as the arc is
-    unless rounding in cos broke that at a != 0; then P x is one rfft/irfft
-    pair."""
+    DFT) on real x, as one rfft/irfft pair.  P is real because memb is
+    symmetric under m -> -m mod n (grid_in_arc decides each mirror pair
+    once); the row check in heisenberg_commutator certifies it."""
     n = len(memb)
-    if np.array_equal(memb, memb[-np.arange(n) % n]):
-        half = memb[: n // 2 + 1]
-        return (lambda x: np.fft.irfft(half * np.fft.rfft(x), n)), False
-    return (lambda x: np.fft.ifft(memb * np.fft.fft(x))), True
+    half = memb[: n // 2 + 1]
+    return lambda x: np.fft.irfft(half * np.fft.rfft(x), n)
 
 
-def _heis_row_check(n: int, a: float, row: np.ndarray, apply: Callable) -> float:
+def _heis_row_check(memb: np.ndarray, row: np.ndarray, apply: Callable) -> float:
     """How far the operator the solver applies is from the closed form: the
     largest of |row[p] - pairing(p)| over every lag p = 0..n-1 and of
     |(P x)_j - sum_k row[(k - j) mod n] x_k| for one fixed unit vector x at
     a fixed set of rows j."""
+    n = len(memb)
     grid = np.arange(n)
-    residual = np.max(np.abs(row - _heis_pairing_table(n, a, grid)))
+    residual = np.max(np.abs(row - _heis_pairing_table(memb, grid)))
     x = _asymmetric_start(n)
     x /= np.linalg.norm(x)
     rows = np.linspace(0, n - 1, 9).astype(np.int64)  # repeats at n < 9 change no max
@@ -423,8 +412,8 @@ def heisenberg_commutator(n: int, a: float = 0.0) -> CommutatorReport:
     memb = _arc_membership(range(n), n, a)
     # P is the circulant with entry (j, k) = row[(k - j) mod n]
     row = np.fft.fft(memb) / n
-    apply, complex_ = _heis_apply(memb)
-    residual = _heis_row_check(n, a, row, apply)
+    apply = _heis_apply(memb)
+    residual = _heis_row_check(memb, row, apply)
     if residual > 1e-12:
         raise ComputationError(
             f"heisenberg closed form disagrees with the operator construction: {residual}"
@@ -436,7 +425,7 @@ def heisenberg_commutator(n: int, a: float = 0.0) -> CommutatorReport:
         {"n": n, "a": a},
         inside,
         lambda rows, cols: row[(grid[None, cols] - grid[rows, None]) % n],
-        _lanczos_norm(apply, inside, complex_),
+        _lanczos_norm(apply, inside),
     )
     report.diagnostics["closed_form_residual"] = residual
     return report
@@ -452,7 +441,7 @@ def heisenberg_closed_form_residual(report: CommutatorReport) -> float:
     c_e = np.fft.ifft(np.fft.fft(report.matrix, axis=0, norm="ortho"), axis=1, norm="ortho")
     grid = np.arange(n)
     lag = np.subtract.outer(grid, grid)  # lag[j, k] = j - k
-    closed = (memb[:, None] - memb[None, :]) * _heis_pairing_table(n, a)[lag + (n - 1)]
+    closed = (memb[:, None] - memb[None, :]) * _heis_pairing_table(memb)[lag + (n - 1)]
     return float(np.max(np.abs(c_e - closed)))
 
 
@@ -462,10 +451,12 @@ def heisenberg_submatrix(n: int, size: int, a: float = 0.0) -> np.ndarray:
 
     Entries converge to the arc-symbol Hankel truncation as n grows.
     """
+    if not 0.0 <= a < 1.0:
+        raise ContractError(f"heisenberg_submatrix: a must lie in [0, 1), got {a}")
     rows, cols = _designated("heisenberg_submatrix", n, size)
-    # the pairing is real: the arc grid is symmetric under m -> n - m
-    pairing = _heis_pairing_table(n, a, np.subtract.outer(rows, cols)).real
-    return (_arc_membership(rows, n, a)[:, None] - _arc_membership(cols, n, a)[None, :]) * pairing
+    memb = _arc_membership(range(n), n, a)
+    pairing = _heis_pairing_table(memb, np.subtract.outer(rows, cols))
+    return (memb[rows][:, None] - memb[cols][None, :]) * pairing
 
 
 # ---------------------------------------------------------------------------

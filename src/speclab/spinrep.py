@@ -186,8 +186,7 @@ def build_spin_operators(rep: SpinRep) -> SpinOperators:
 RECURRENCE_RESCALE = 1e150  # a column passing this is rescaled to max 1
 
 
-@lru_cache(maxsize=64)
-def _jx_eigensystem(n: int):
+def _jx_recurrence(n: int):
     """Eigensystem of tridiagonal J_x: (twice-eigenvalues asc, vectors).
 
     The spectrum is the exact weight lattice, so the twice-eigenvalues are
@@ -207,8 +206,7 @@ def _jx_eigensystem(n: int):
 
     Certified: a residual max|J_x v - mu v| above jx_residual_bound(n) raises
     ComputationError; with eigenvalue gaps of 1 it also bounds each column's
-    distance from the true eigenvector.  Cached; returned arrays are
-    read-only.
+    distance from the true eigenvector.  Returned arrays are read-only.
     """
     b = jx_offdiagonal(SpinRep(n))
     tw = np.arange(-(n - 1), n, 2, dtype=np.int64)
@@ -244,6 +242,16 @@ def _jx_eigensystem(n: int):
     tw.setflags(write=False)
     v.setflags(write=False)
     return tw, v
+
+
+_jx_small = lru_cache(maxsize=64)(_jx_recurrence)  # n <= 128: 8.4 MB at most
+
+
+@lru_cache(maxsize=4)  # an entry is n x n: 33.5 MB at n = 2048
+def _jx_eigensystem(n: int):
+    """_jx_recurrence(n), cached for the last four sizes (a sweep visits each n
+    in turn) and for 64 sizes n <= 128 (validate's suites revisit n = 2..31)."""
+    return _jx_small(n) if n <= 128 else _jx_recurrence(n)
 
 
 def jx_residual_bound(n: int) -> float:

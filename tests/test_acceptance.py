@@ -32,7 +32,7 @@ from speclab import (
     wigner_d_theta,
 )
 from speclab.cli import main as cli_main
-from speclab.models import _heis_pairing_table
+from speclab.models import _arc_membership, _heis_pairing_table
 from speclab.validate import projection_from_sum
 
 LADDER = list(range(2, 103, 4))  # 2, 6, ..., 102
@@ -211,7 +211,8 @@ def test_criterion_13_riemann_sum_rate():
     details = []
     for p in (1, 3):
         errs = [
-            abs(_heis_pairing_table(n, 0.0)[p + n - 1] - fourier_coeff(HALF_CIRCLE, p))
+            abs(_heis_pairing_table(_arc_membership(range(n), n, 0.0))[p + n - 1]
+                - fourier_coeff(HALF_CIRCLE, p))
             for n in (64, 128, 256)
         ]
         halved = errs[1] <= 0.625 * errs[0] and errs[2] <= 0.625 * errs[1]

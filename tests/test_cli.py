@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from speclab import ContractError, linalg, models
 from speclab.cli import _worker_count, main, regress_rows
 from speclab.models import FAMILIES
+from speclab.spinrep import _jx_eigensystem
 
 HEADER = "family,n,a,b,norm,n_mod_4,wall_ms"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -158,6 +160,22 @@ def test_norms_row_ordering(tmp_path):
         parts = line.split(",")
         keys.append((int(parts[1]), float(parts[2]), float(parts[3])))
     assert keys == sorted(keys)
+
+
+def test_su2_sweep_memory_is_bounded(tmp_path):
+    # each cached J_x eigensystem is n x n (8.4 MB at n = 1025): a cache that
+    # keeps every size of a sweep peaks at 145 MB here, over 2 GB for 64
+    # sizes near n = 2048
+    _jx_eigensystem.cache_clear()
+    tracemalloc.start()
+    try:
+        args = ["norms", "--family", "su2", "--n-start", "1025", "--n-stop", "1040"]
+        assert run(args + ["--jobs", "1", "--out", str(tmp_path / "m.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _jx_eigensystem.cache_clear()
+    assert peak < 64e6
 
 
 def test_config_file(tmp_path):

@@ -265,7 +265,7 @@ def test_heisenberg_ladder(n):
 
 
 def test_heisenberg_closed_form_residual():
-    # 1/sqrt(2) at n = 64: rounding breaks the arc's symmetry, P is complex
+    # 1/sqrt(2) at n = 64: the unreduced cosine test would break the arc's symmetry
     for n, a in [(n, 0.0) for n in (5, 12, 33, 64)] + [(33, 0.3), (64, 1 / math.sqrt(2))]:
         r = heisenberg_commutator(n, a)
         # the whole matrix in the shift eigenbasis, and the operator the solver applies
@@ -278,12 +278,17 @@ def test_heisenberg_riemann_rate():
     # on this grid family the decay is in fact quadratic
     for p in (1, 3):
         errs = [
-            abs(_heis_pairing_table(n, 0.0)[p + n - 1] - fourier_coeff(HALF_CIRCLE, p))
+            abs(_pairings(n, 0.0)[p + n - 1] - fourier_coeff(HALF_CIRCLE, p))
             for n in (64, 128, 256)
         ]
         assert errs[0] > errs[1] > errs[2]
         assert errs[1] <= 0.625 * errs[0]
         assert errs[2] <= 0.625 * errs[1]
+
+
+def _pairings(n, a, ps=None):
+    """_heis_pairing_table on the arc membership of the n sites at threshold a."""
+    return _heis_pairing_table(models._arc_membership(range(n), n, a), ps)
 
 
 def _direct_pairings(n, a, ps):
@@ -298,20 +303,22 @@ def _direct_pairings(n, a, ps):
 @pytest.mark.parametrize("a", [0.0, 0.3, 1 / math.sqrt(2), 0.9])
 def test_heisenberg_pairing_sums_match_direct_sum(a):
     for n in list(range(2, 41)) + [97, 320, 1024]:
-        got = _heis_pairing_table(n, a)
+        got = _pairings(n, a)
+        assert got.dtype == float
         assert np.max(np.abs(got - _direct_pairings(n, a, np.arange(-(n - 1), n)))) <= 1e-14, n
         lags = np.array([[-(n - 1), 0], [n - 1, 1]])
-        assert np.array_equal(_heis_pairing_table(n, a, lags), got[lags + n - 1])
+        assert np.array_equal(_pairings(n, a, lags), got[lags + n - 1])
     # lags near +-n, where sin(pi q/n) is small and q/n is near 1
     n = 4096
     ps = np.r_[-(n - 1) : -(n - 33), -32:33, n - 32 : n]
-    assert np.max(np.abs(_heis_pairing_table(n, a, ps) - _direct_pairings(n, a, ps))) <= 1e-14
+    assert np.max(np.abs(_pairings(n, a, ps) - _direct_pairings(n, a, ps))) <= 1e-14
 
 
-def test_heisenberg_pairing_needs_one_run(monkeypatch):
-    monkeypatch.setattr(models, "_arc_membership", lambda ks, n, a: np.array([1.0, 0.0, 1.0, 0.0]))
-    with pytest.raises(ComputationError, match="one run"):
-        _heis_pairing_table(4, 0.0)
+def test_heisenberg_pairing_needs_one_run():
+    # two runs, and one run that is not centred on site 0
+    for memb in ([1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0, 0.0]):
+        with pytest.raises(ComputationError, match="one run"):
+            _heis_pairing_table(np.array(memb))
 
 
 def test_heisenberg_submatrix_converges():
@@ -345,7 +352,7 @@ def test_heisenberg_shifted():
     a = 1 / math.sqrt(2)
     count = sum(grid_in_arc(k, n, a) for k in range(n))
     assert abs(count / n - 0.25) <= 2e-3
-    assert abs(_heis_pairing_table(n, a)[n - 1].real - 0.25) <= 2e-3
+    assert abs(_pairings(n, a)[n - 1] - 0.25) <= 2e-3
 
 
 def test_heisenberg_contracts():
@@ -355,6 +362,16 @@ def test_heisenberg_contracts():
         heisenberg_submatrix(16, 4)
     with pytest.raises(ContractError):
         heisenberg_commutator(8, 1.0)
+    for a in (1.5, -0.5):
+        with pytest.raises(ContractError):
+            heisenberg_submatrix(64, 2, a)
+
+
+@pytest.mark.parametrize("n, a", [(64, 1 / math.sqrt(2)), (18, 0.5), (12, math.sqrt(3) / 2)])
+def test_heisenberg_projection_is_real_at_rounded_thresholds(n, a):
+    # an unreduced cosine test splits a mirror pair at these points, which
+    # makes P complex (imaginary parts 0.0156, 0.048 and 0.083)
+    assert np.max(np.abs(heisenberg_commutator(n, a).matrix.imag)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -510,14 +527,30 @@ def test_projection_pair_matches_dense_path(family, n, a, b):
 # singular vector misses the norm at sizes that follow n mod 4.
 GATE_SIZES = {"heisenberg": range(2, 401), "ring": range(2, 261), "se2": range(1, 201)}
 GATE_A = (0.0, 0.3, 0.3183)
-# thresholds at which rounding in cos breaks the arc's mirror symmetry for
-# some n (n = 8, 16, ... at 1/sqrt(2)), leaving Heisenberg's P complex
+# thresholds at which the unreduced test cos(2*pi*(k mod n)/n) > a disagrees
+# across a mirror pair k, -k for some n (n = 8, 16, ... at 1/sqrt(2));
+# grid_in_arc decides each pair once, from the reduced index
 ROUNDED_A = (0.5, 1 / math.sqrt(2), math.sqrt(3) / 2)
 
 
+def _mirror(family, d):
+    """d on the family's grid reflected by k -> -k (Heisenberg's sites mod n)."""
+    return d[-np.arange(len(d)) % len(d)] if family == "heisenberg" else d[::-1]
+
+
 def _mirror_broken(family, n, a):
-    d = _fourier_dense(family, n, a)[1]
-    return not np.array_equal(d, d[-np.arange(n) % n] if family == "heisenberg" else d[::-1])
+    """Whether the unreduced cosine test disagrees across a mirror pair of
+    the family's grid at sweep size n."""
+    ks = range(n) if family == "heisenberg" else range(-n, n + 1)
+    unreduced = np.array([math.cos(2 * math.pi * (k % n) / n) > a for k in ks])
+    return not np.array_equal(unreduced, _mirror(family, unreduced))
+
+
+@pytest.mark.parametrize("a", ROUNDED_A)
+def test_arc_membership_is_mirror_symmetric(a):
+    for n in range(2, 2049):
+        d = models._arc_membership(range(n), n, a)
+        assert np.array_equal(d, _mirror("heisenberg", d)), n
 
 
 @pytest.mark.parametrize(
@@ -532,6 +565,8 @@ def test_fourier_norms_match_dense_at_every_size(family, a):
     for n in sizes:
         record = models.FAMILIES[family].build(n, a, 1.0).record
         p, d = _fourier_dense(family, n, a)
+        if family != "se2":
+            assert np.array_equal(d, _mirror(family, d)), n
         inside = d != 0.0
         block = p[np.ix_(inside, ~inside)]
         dense = operator_norm(block) if block.size else 0.0

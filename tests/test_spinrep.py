@@ -162,12 +162,44 @@ def _max_abs_diff(a, b):
     return float(np.max(np.abs(a, out=a)))
 
 
+def _flip_block_eigh(off):
+    """Dense LAPACK eigensystem (ascending) of the tridiagonal J_x with
+    off-diagonal ``off``, from its flip-even and flip-odd blocks.
+
+    J_x commutes with the flip i -> n-1-i (off is a palindrome), so in the
+    basis (e_i +- e_{n-1-i})/sqrt(2), i < n/2 (and e_mid for odd n, which is
+    even) it is two tridiagonal blocks of about n/2; their eigenvectors map
+    back to v_i = u_i/sqrt(2), v_{n-1-i} = +-u_i/sqrt(2) (v_mid = u_mid)."""
+    n = len(off) + 1
+    h = n // 2
+    odd = np.diag(off[: h - 1], 1) + np.diag(off[: h - 1], -1)
+    if n % 2:
+        even = np.pad(odd, (0, 1))
+        even[h - 1, h] = even[h, h - 1] = math.sqrt(2.0) * off[h - 1]
+    else:
+        even = odd.copy()
+        even[-1, -1], odd[-1, -1] = off[h - 1], -off[h - 1]
+    vectors = []
+    for block, sign in ((even, 1.0), (odd, -1.0)):
+        w, u = np.linalg.eigh(block)
+        v = np.zeros((n, len(w)))
+        v[:h] = u[:h] / math.sqrt(2.0)
+        v[n - h :] = sign * v[:h][::-1]
+        if n % 2 and sign > 0:
+            v[h] = u[h]
+        vectors.append((w, v))
+    w = np.concatenate([vectors[0][0], vectors[1][0]])
+    order = np.argsort(w)
+    return w[order], np.hstack([vectors[0][1], vectors[1][1]])[:, order]
+
+
 def _check_jx_eigensystem_against_dense(n):
     rep = SpinRep(n)
     tw, v = _jx_eigensystem(n)
     assert not tw.flags.writeable and not v.flags.writeable
     off = jx_offdiagonal(rep)
-    w, dense = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    assert np.array_equal(off, off[::-1])
+    w, dense = _flip_block_eigh(off)
     assert np.array_equal(tw, np.arange(-(n - 1), n, 2))
     assert np.max(np.abs(2 * w - tw)) <= 1e-9
     resid = -v * (tw / 2.0)
