@@ -13,13 +13,13 @@ For a = 0 fourier_coeff evaluates the coefficients by integer logic
 Then h_{k,l} = 0.0 unless k = l (mod 2), so the truncation is the direct
 sum of its odd-index and even-index blocks, both sign-conjugated Cauchy
 (generalized Hilbert) matrices, and the odd one carries the norm.
-Every coefficient grid in the package is fourier_coeff tabulated once per
-frequency and gathered, so the Hankel truncations and the ring and SE(2)
-matrices built from them agree bit for bit.
+Every coefficient grid in the package is _coeff_grid, fourier_coeff's
+formula on an array, so the Hankel truncations and the ring and SE(2)
+matrices built from it agree bit for bit.
 
-Norms are matrix-free: a Hankel matrix H[i, j] = c[i + j] is applied by one
-FFT convolution, its eigenvalue of largest modulus comes from Lanczos, and
-each norm comes with a certificate (truncated_norm_record).
+Norms are matrix-free: H[i, j] = c[i + j] is applied as a Toeplitz product
+on the reversed vector, its eigenvalue of largest modulus comes from
+Lanczos, and each norm comes with a certificate (truncated_norm_record).
 hankel_truncation builds the dense matrix, which the tests and validate
 solve as the reference.
 """
@@ -30,10 +30,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.fft  # noqa: F401  (loaded at import, not on the first transform)
 
 from ._errors import ContractError
-from .linalg import NormRecord, lanczos_top
+from .linalg import NormRecord, lanczos_top, toeplitz_matvec
 
 
 @dataclass(frozen=True)
@@ -70,12 +69,13 @@ def fourier_coeff(sym: ArcSymbol, p: int) -> float:
 
 def _coeff_grid(sym: ArcSymbol, p: np.ndarray) -> np.ndarray:
     """fourier_coeff over an integer array: tabulated once per frequency in
-    [min p, max p], then gathered, so the values are fourier_coeff's bitwise.
+    [min p, max p] by array arithmetic, then gathered.
 
-    At a = 0 the table is fourier_coeff's integer logic as array operations:
-    the same IEEE divisions of the same operands, so the same bits.  At
-    a != 0 it is one fourier_coeff call per frequency, since np.sin need not
-    round as the C library's sin does.
+    The table is fourier_coeff's formula on the array, the same IEEE
+    operations on the same operands: at a = 0 its integer logic, at a != 0
+    np.sin(q alpha) / (pi q) with alpha/pi at q = 0.  The bits equal
+    fourier_coeff's where np.sin rounds as the C library's sin does, which
+    the tests check over every lag in +-2^19.
     """
     p = np.asarray(p, dtype=np.int64)
     lo = int(p.min())
@@ -86,7 +86,8 @@ def _coeff_grid(sym: ArcSymbol, p: np.ndarray) -> np.ndarray:
         vals[odd] = np.where(q[odd] % 4 == 1, 1.0, -1.0) / (math.pi * q[odd])
         vals[q == 0] = 0.5
     else:
-        vals = np.array([fourier_coeff(sym, int(x)) for x in q])
+        vals = np.sin(q * sym.alpha) / (math.pi * np.where(q == 0, 1, q))
+        vals[q == 0] = sym.alpha / math.pi
     return vals[p - lo]
 
 
@@ -96,18 +97,6 @@ def hankel_truncation(sym: ArcSymbol, n: int) -> np.ndarray:
         raise ContractError(f"truncation size must be >= 1, got {n}")
     k = np.arange(1, n + 1, dtype=np.int64)
     return _coeff_grid(sym, 1 - np.add.outer(k, k))
-
-
-def _hankel_matvec(c: np.ndarray, m: int):
-    """x -> H x for the m x m Hankel matrix H[i, j] = c[i + j] (len(c) = 2m - 1).
-
-    (H x)_i = sum_j c[i + j] x[j] is entry m - 1 + i of the linear convolution
-    of c with x reversed, computed by one rfft/irfft pair of length
-    2^ceil(log2(3m - 2)), the convolution's length.
-    """
-    size = 1 << (3 * m - 3).bit_length()
-    c_hat = np.fft.rfft(c, size)
-    return lambda x: np.fft.irfft(c_hat * np.fft.rfft(x[::-1], size), size)[m - 1 : 2 * m - 1]
 
 
 def truncated_norm_record(sym: ArcSymbol, n: int) -> NormRecord:
@@ -121,7 +110,7 @@ def truncated_norm_record(sym: ArcSymbol, n: int) -> NormRecord:
     <= ||C|| <= max_i (Cx)_i/x_i brackets it; x is the modulus of the Lanczos
     Ritz vector, and each ratio is widened by 2 eps max(Cx)/x_i for the FFT's
     rounding.  That is an allowance, not a proven bound: against a
-    long-double evaluation the FFT product was off by at most 0.7 eps
+    long-double evaluation the FFT product was off by at most 1.2 eps
     max|Hx| in any entry (N <= 16384, a = 0 and a != 0).  method "perron".
 
     At a != 0 the whole truncation is solved, and the norm is the modulus of
@@ -137,7 +126,11 @@ def truncated_norm_record(sym: ArcSymbol, n: int) -> NormRecord:
     else:
         m = n
         c = _coeff_grid(sym, -np.arange(1, 2 * m))
-    matvec = _hankel_matvec(c, m)
+    toeplitz = toeplitz_matvec(c, m)
+
+    def matvec(x):  # c[i + j] is entry (i, m - 1 - j) of the Toeplitz matrix
+        return toeplitz(x[::-1])
+
     ritz = lanczos_top(matvec, m)
     value = abs(ritz.value)
     if sym.a == 0.0:

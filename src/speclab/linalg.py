@@ -1,5 +1,5 @@
-"""Linear-algebra kernel: operator norms, commutators, and a matrix-free
-Lanczos eigensolver.
+"""Linear-algebra kernel: operator norms, commutators, the Toeplitz FFT
+product, and a matrix-free Lanczos eigensolver.
 
 Everything here is a pure function of its inputs and runs on numpy alone.
 Matrices are plain numpy arrays (row-major), real or complex.  A dense norm
@@ -15,6 +15,7 @@ import math
 from typing import Callable, NamedTuple
 
 import numpy as np
+import numpy.fft  # noqa: F401  (loaded at import, not on the first transform)
 
 from ._errors import ComputationError, ContractError
 
@@ -94,6 +95,18 @@ def operator_norm(a) -> float:
     if not np.all(np.isfinite(A.real)) or (np.iscomplexobj(A) and not np.all(np.isfinite(A.imag))):
         raise ContractError("operator_norm: non-finite entries")
     return _exact_norm(A)
+
+
+def toeplitz_matvec(table: np.ndarray, m: int) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> T x for the m x m Toeplitz matrix T[i, j] = table[i - j + m - 1]
+    (len(table) = 2m - 1), by one rfft/irfft pair of length
+    2^ceil(log2(2m - 1)): (T x)_i is entry i + m - 1 of the linear
+    convolution of table with x, whose m - 1 entries past that length wrap
+    onto entries 0..m - 2, none of which is read.
+    """
+    size = 1 << (2 * m - 2).bit_length()
+    t_hat = np.fft.rfft(table, size)
+    return lambda x: np.fft.irfft(t_hat * np.fft.rfft(x, size), size)[m - 1 : 2 * m - 1]
 
 
 LANCZOS_STEPS = 24   # Krylov dimension of one cycle

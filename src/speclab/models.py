@@ -24,11 +24,10 @@ from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
-import numpy.fft  # noqa: F401  (loaded at import, not on the first transform)
 
 from ._errors import ComputationError, ContractError
 from .hankel import HALF_CIRCLE, ArcSymbol, _coeff_grid
-from .linalg import NormRecord, lanczos_top
+from .linalg import NormRecord, lanczos_top, toeplitz_matvec
 from .spinrep import (
     HalfInt,
     SpinRep,
@@ -257,6 +256,8 @@ def grid_in_arc(k: int, n: int, a: float = 0.0) -> bool:
     a != 0 both points of a mirror pair k, -k share one cosine, of the
     reduced index min(r, n - r) with r = k mod n, so the arc is symmetric.
     """
+    if n < 1:
+        raise ContractError(f"grid_in_arc: n must be >= 1, got {n}")
     if a == 0.0:
         r = (4 * k) % (4 * n)
         return r < n or r > 3 * n
@@ -266,12 +267,11 @@ def grid_in_arc(k: int, n: int, a: float = 0.0) -> bool:
 
 def _arc_membership(ks, n: int, a: float) -> np.ndarray:
     """1.0 where the grid point exp(2*pi*i*k/n) lies on the arc Re z > a,
-    else 0.0: grid_in_arc's integer test on the whole array at a = 0, its
-    cosine test point by point otherwise."""
-    if a == 0.0:
-        r = (4 * np.asarray(ks, dtype=np.int64)) % (4 * n)
-        return ((r < n) | (r > 3 * n)).astype(float)
-    return np.array([1.0 if grid_in_arc(int(k), n, a) else 0.0 for k in ks])
+    else 0.0: grid_in_arc on the array of reduced indices i = min(r, n - r),
+    r = k mod n, as 4 i < n at a = 0 and cos(2 pi i / n) > a otherwise."""
+    r = np.asarray(ks, dtype=np.int64) % n
+    i = np.minimum(r, n - r)
+    return (4 * i < n if a == 0.0 else np.cos(2 * math.pi * i / n) > a).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -281,19 +281,13 @@ def _arc_membership(ks, n: int, a: float) -> np.ndarray:
 def _toeplitz(sym: ArcSymbol, window: int) -> tuple[Callable, Callable]:
     """P[k, l] = coeff(k - l) on the modes k, l = -K..K from one table of
     coeff over the lags -2K..2K, as a block function gathered from it and as
-    x -> P x.
-
-    (P x)_k is entry k + 3K of the linear convolution of the table with x
-    (modes shifted to 0..2K), computed by one rfft/irfft pair of length
-    2^ceil(log2(4K + 1)), long enough that no wrapped entry lands on it.
+    x -> P x, the table's linalg.toeplitz_matvec product (m = 2K + 1).
     """
     ks = np.arange(-window, window + 1, dtype=np.int64)
     table = _coeff_grid(sym, np.arange(-2 * window, 2 * window + 1))
-    size = 1 << (4 * window).bit_length()
-    t_hat = np.fft.rfft(table, size)
     return (
         lambda rows, cols: table[ks[rows, None] - ks[None, cols] + 2 * window],
-        lambda x: np.fft.irfft(t_hat * np.fft.rfft(x, size), size)[2 * window : 4 * window + 1],
+        toeplitz_matvec(table, 2 * window + 1),
     )
 
 
@@ -318,7 +312,9 @@ def ring_commutator(n: int, window: int, a: float = 0.0) -> CommutatorReport:
 
 def _designated(name: str, n: int, size: int):
     """Rows ceil(n/4) - k and columns ceil(n/4) + l - 1 (k, l = 1..N) of the
-    designated N x N window; requires n > 4N."""
+    designated N x N window; requires N >= 1 and n > 4N."""
+    if size < 1:
+        raise ContractError(f"{name}: size must be >= 1, got {size}")
     if n <= 4 * size:
         raise ContractError(f"{name} requires n > 4N, got n = {n}, N = {size}")
     q = -(-n // 4)  # ceil(n/4)
@@ -381,12 +377,13 @@ def _heis_apply(memb: np.ndarray) -> Callable:
 
 def _heis_row_check(memb: np.ndarray, row: np.ndarray, apply: Callable) -> float:
     """How far the operator the solver applies is from the closed form: the
-    largest of |row[p] - pairing(p)| over every lag p = 0..n-1 and of
+    largest of |fft(memb)[p] / n - row[p]| over every lag p = 0..n-1 (the
+    DFT conjugation's circulant row against the closed-form row) and of
     |(P x)_j - sum_k row[(k - j) mod n] x_k| for one fixed unit vector x at
     a fixed set of rows j."""
     n = len(memb)
     grid = np.arange(n)
-    residual = np.max(np.abs(row - _heis_pairing_table(memb, grid)))
+    residual = np.max(np.abs(np.fft.fft(memb) / n - row))
     x = _asymmetric_start(n)
     x /= np.linalg.norm(x)
     rows = np.linspace(0, n - 1, 9).astype(np.int64)  # repeats at n < 9 change no max
@@ -400,25 +397,25 @@ def heisenberg_commutator(n: int, a: float = 0.0) -> CommutatorReport:
     conjugate under the unitary DFT.
 
     The projection for the shift operator is the DFT conjugation of the
-    diagonal one, applied with FFTs.  The operator the norm solve applies
-    is checked against the closed-form matrix elements
-    (heisenberg_closed_form_residual checks the whole matrix); the residual
-    is kept in diagnostics.
+    diagonal one, applied with FFTs; its matrix is the real circulant of the
+    closed-form pairing sums.  The operator the norm solve applies is
+    checked against them (heisenberg_closed_form_residual checks the whole
+    matrix); the residual is kept in diagnostics.
     """
     if n < 2:
         raise ContractError(f"heisenberg_commutator: n must be >= 2, got {n}")
     if not 0.0 <= a < 1.0:
         raise ContractError(f"heisenberg_commutator: a must lie in [0, 1), got {a}")
     memb = _arc_membership(range(n), n, a)
-    # P is the circulant with entry (j, k) = row[(k - j) mod n]
-    row = np.fft.fft(memb) / n
+    grid = np.arange(n)
+    # P is the real circulant with entry (j, k) = row[(k - j) mod n]
+    row = _heis_pairing_table(memb, grid)
     apply = _heis_apply(memb)
     residual = _heis_row_check(memb, row, apply)
     if residual > 1e-12:
         raise ComputationError(
             f"heisenberg closed form disagrees with the operator construction: {residual}"
         )
-    grid = np.arange(n)
     inside = memb != 0.0
     report = _report(
         "heisenberg",
@@ -554,8 +551,8 @@ def extremal_vector(source, which: str = "max") -> ExtremalVector:
     if which not in ("max", "min"):
         raise ContractError(f"which must be 'max' or 'min', got {which!r}")
     mat = source.matrix if isinstance(source, CommutatorReport) else np.asarray(source)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ContractError("extremal_vector needs a square commutator matrix")
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
+        raise ContractError("extremal_vector needs a non-empty square commutator matrix")
     scale = max(1.0, float(np.max(np.abs(mat))))
     if float(np.max(np.abs(mat + mat.conj().T))) > 1e-10 * scale:
         raise ContractError("extremal_vector expects a skew-adjoint commutator matrix")

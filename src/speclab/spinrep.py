@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -102,9 +102,14 @@ class SpinRep:
             raise ContractError(f"representation dimension must be >= 2, got {n}")
         self.n = n
         self.j = HalfInt(n - 1)
-        self.weights = tuple(HalfInt(n - 1 - 2 * i) for i in range(n))
         self.twice = np.arange(n - 1, -n, -2, dtype=np.int64)  # twice each weight
         self.twice.setflags(write=False)
+
+    @cached_property
+    def weights(self) -> tuple:
+        """The weights as HalfInt, built on first read (``twice`` holds them
+        as integers)."""
+        return tuple(HalfInt(int(t)) for t in self.twice)
 
     def index_of(self, m) -> int:
         """Row index of weight m in the descending weight ordering."""
@@ -159,7 +164,7 @@ class SpinOperators(NamedTuple):
 def jx_offdiagonal(rep: SpinRep) -> np.ndarray:
     """Off-diagonal of J_x in the descending J_z eigenbasis (ladder formula)."""
     j = rep.j.value
-    m = np.array([w.value for w in rep.weights])
+    m = rep.twice / 2.0
     return 0.5 * np.sqrt(j * (j + 1) - m[:-1] * m[1:])
 
 
@@ -171,7 +176,7 @@ def build_spin_operators(rep: SpinRep) -> SpinOperators:
     roundoff.
     """
     n = rep.n
-    m = np.array([w.value for w in rep.weights])
+    m = rep.twice / 2.0
     off = jx_offdiagonal(rep)
     jz = np.diag(m)
     jx = np.zeros((n, n))

@@ -137,7 +137,7 @@ def _suite_projection_properties():
             p = spinrep.projection_x(rep, a)
             worst = max(worst, float(np.max(np.abs(p - p.T))))
             worst = max(worst, float(np.max(np.abs(p @ p - p))))
-            expected = sum(1 for w in rep.weights if spinrep.weight_exceeds(w.twice, a, n))
+            expected = sum(1 for t in rep.twice if spinrep.weight_exceeds(t, a, n))
             worst = max(worst, abs(float(np.trace(p)) - expected))
     return worst, 1e-9
 

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from speclab import ContractError, linalg, models
+from speclab import ContractError, hankel, linalg, models
 from speclab.cli import _worker_count, main, regress_rows
 from speclab.models import FAMILIES
 from speclab.spinrep import _jx_eigensystem
@@ -102,6 +102,20 @@ def test_fourier_norms_never_call_a_dense_solve(tmp_path, monkeypatch, family, t
     assert run(args + thresholds + ["--out", str(patched)]) == 0
     assert patched.read_bytes() == plain.read_bytes()
     assert len(plain.read_text().splitlines()) == 1 + rows
+
+
+def test_fourier_tables_never_call_the_scalar_reference(tmp_path, monkeypatch):
+    # coefficient tables and arc memberships are array expressions; the
+    # scalar fourier_coeff and grid_in_arc are only the tests' reference
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Fourier table must not be built per element")
+
+    monkeypatch.setattr(hankel, "fourier_coeff", forbidden)
+    monkeypatch.setattr(models, "grid_in_arc", forbidden)
+    for family in ("ring", "heisenberg"):
+        args = ["norms", "--family", family, "--n-start", "2", "--n-stop", "40", "--n-step", "7"]
+        assert run(args + ["--a", "0.3", "--out", str(tmp_path / f"{family}.csv")]) == 0
+    assert run(["hankel", "--N", "64,65", "--a", "0.3", "--out", str(tmp_path / "h.csv")]) == 0
 
 
 @pytest.mark.parametrize("family", ["ring", "heisenberg", "se2"])

@@ -17,7 +17,8 @@ from speclab import (
     truncated_norm,
     truncated_norm_record,
 )
-from speclab.hankel import _coeff_grid, _hankel_matvec
+from speclab.hankel import _coeff_grid
+from speclab.linalg import toeplitz_matvec
 
 
 def test_arc_symbol_contract():
@@ -90,6 +91,16 @@ def test_coeff_grid_half_circle_is_fourier_coeff_over_every_lag():
     assert np.array_equal(_coeff_grid(HALF_CIRCLE, lags[::-3]), loop[::-3])
 
 
+@pytest.mark.parametrize("a", [0.3, 1 / math.sqrt(2)])
+def test_coeff_grid_off_half_circle_is_fourier_coeff_over_every_lag(a):
+    # the a != 0 table is np.sin on the array; it must round as libm's sin
+    sym = ArcSymbol(a)
+    lags = np.arange(-(1 << 19), (1 << 19) + 1, dtype=np.int64)
+    loop = np.array([fourier_coeff(sym, int(p)) for p in lags])
+    fast = _coeff_grid(sym, lags)
+    assert np.array_equal(fast.view(np.int64), loop.view(np.int64))
+
+
 def test_truncation_even_antidiagonals_vanish_exactly():
     h = hankel_truncation(HALF_CIRCLE, 17)
     k = np.arange(1, 18)
@@ -156,14 +167,15 @@ def test_large_truncation_norm_is_bounded_certified_and_reproducible(a):
 
 @pytest.mark.parametrize("a, n", [(0.0, 64), (0.0, 4096), (0.3, 777)])
 def test_fft_matvec_within_the_rounding_allowance(a, n):
-    # the Hankel matrix c[i + j] applied by one FFT convolution, against the
-    # same product in long double; the bracket allows 2 eps max(Hx) per entry
+    # the Hankel matrix c[i + j] applied as the Toeplitz FFT product on the
+    # reversed vector, against the same product in long double; the bracket
+    # allows 2 eps max(Hx) per entry
     sym = ArcSymbol(a)
     m = (n + 1) // 2 if a == 0.0 else n
     lags = 2 * np.arange(2 * m - 1) + 1 if a == 0.0 else np.arange(1, 2 * m)
     c = _coeff_grid(sym, -lags)
     x = 1.0 / np.sqrt(np.arange(1.0, m + 1))
-    fast = _hankel_matvec(c, m)(x)
+    fast = toeplitz_matvec(c, m)(x[::-1])
     exact = c.astype(np.longdouble)[np.add.outer(np.arange(m), np.arange(m))] @ x
     assert np.max(np.abs(fast - exact)) <= 2 * np.finfo(float).eps * np.max(np.abs(fast))
 

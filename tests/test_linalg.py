@@ -12,7 +12,7 @@ from speclab import (
     lanczos_top,
     operator_norm,
 )
-from speclab.linalg import _exact_norm
+from speclab.linalg import _exact_norm, toeplitz_matvec
 
 
 def test_operator_norm_identity():
@@ -139,6 +139,19 @@ def test_projection_commutator_bound():
             p = q1[:, :k1] @ q1[:, :k1].T
             q = q2[:, :k2] @ q2[:, :k2].T
             assert operator_norm(commutator(p, q)) <= 0.5 + 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 512, 513, 1025])
+def test_toeplitz_matvec_matches_long_double_dense(m):
+    # a non-symmetric table, so that T[j, i] in place of T[i, j] fails (by
+    # about 2% of max|Tx| at these sizes)
+    rng = np.random.default_rng(m)
+    table, x = rng.uniform(0.5, 1.5, 2 * m - 1), rng.uniform(0.5, 1.5, m)
+    i = np.arange(m)
+    exact = table.astype(np.longdouble)[np.subtract.outer(i, i) + m - 1] @ x
+    fast = toeplitz_matvec(table, m)(x)
+    assert fast.shape == (m,)
+    assert np.max(np.abs(fast - exact)) <= 16 * np.finfo(float).eps * np.max(np.abs(exact))
 
 
 def _diagonal(d):

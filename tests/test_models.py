@@ -176,11 +176,13 @@ def test_grid_membership_matches_cosine_generic():
 
 
 def test_arc_membership_array_is_grid_in_arc_bitwise():
-    for n in range(2, 301):
-        ks = range(-n, 2 * n + 1)
-        expected = np.array([1.0 if grid_in_arc(k, n) else 0.0 for k in ks])
-        got = models._arc_membership(ks, n, 0.0)
-        assert got.dtype == expected.dtype and np.array_equal(got, expected), n
+    # at a != 0 the array test is np.cos, which must round as libm's cos
+    for a in (0.0, 0.3, 0.3183, 0.5, 1 / math.sqrt(2), math.sqrt(3) / 2):
+        for n in [*range(1, 513), 1021, 1024, 2047, 2048]:
+            ks = range(-n, n + 1)
+            expected = np.array([1.0 if grid_in_arc(k, n, a) else 0.0 for k in ks])
+            got = models._arc_membership(ks, n, a)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), (n, a)
     assert models._arc_membership(range(0), 5, 0.0).shape == (0,)
 
 
@@ -243,6 +245,12 @@ def test_ring_contracts():
         ring_commutator(8, 4, 1.0)
     with pytest.raises(ContractError):
         ring_submatrix(16, 4)
+    for size in (0, -1):
+        with pytest.raises(ContractError):
+            ring_submatrix(10, size)
+    for n in (0, -4):
+        with pytest.raises(ContractError):
+            grid_in_arc(3, n)
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +373,18 @@ def test_heisenberg_contracts():
     for a in (1.5, -0.5):
         with pytest.raises(ContractError):
             heisenberg_submatrix(64, 2, a)
+    with pytest.raises(ContractError):
+        heisenberg_submatrix(10, 0)
 
 
-@pytest.mark.parametrize("n, a", [(64, 1 / math.sqrt(2)), (18, 0.5), (12, math.sqrt(3) / 2)])
+@pytest.mark.parametrize(
+    "n, a", [(64, 1 / math.sqrt(2)), (18, 0.5), (12, math.sqrt(3) / 2), (12, 0.0), (256, 0.3)]
+)
 def test_heisenberg_projection_is_real_at_rounded_thresholds(n, a):
-    # an unreduced cosine test splits a mirror pair at these points, which
-    # makes P complex (imaginary parts 0.0156, 0.048 and 0.083)
-    assert np.max(np.abs(heisenberg_commutator(n, a).matrix.imag)) <= 1e-14
+    # an unreduced cosine test splits a mirror pair at the first three points,
+    # which makes P complex (imaginary parts 0.0156, 0.048 and 0.083); P is
+    # built real, from the closed-form row
+    assert heisenberg_commutator(n, a).matrix.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +454,8 @@ def test_extremal_vector_contracts():
         extremal_vector(su2_commutator(4), "median")
     with pytest.raises(ContractError):
         extremal_vector(np.array([[1.0, 2.0], [0.0, 1.0]]))  # not skew-adjoint
+    with pytest.raises(ContractError):
+        extremal_vector(np.zeros((0, 0)))
 
 
 # ---------------------------------------------------------------------------
