@@ -72,11 +72,13 @@ def _family_args(args) -> tuple:
     return family, a_list, b_list
 
 
-# Keeps desk-scale runtimes.  An SU(2) point is one k x k eigvalsh on the
-# principal angles after the cached J_x eigensystem, O(n^3).  A ring,
-# Heisenberg or SE(2) point is a Lanczos solve with O(n log n) FFT matvecs
-# and O(n) memory, Heisenberg's closed-form cross-check included; the cap
-# stays for those until it is lifted per family.
+# Keeps desk-scale runtimes.  No point makes an O(n^3) solve: each is one
+# Lanczos run on a Gram operator of the commutator's block.  An SU(2)
+# matvec is four O(n^2) GEMVs on a view of the cached J_x eigensystem
+# (n x n, built in O(n^2) time and memory); a ring, Heisenberg or SE(2)
+# matvec is O(n log n) FFTs in O(n) memory, Heisenberg's closed-form
+# cross-check included.  The cap stays until it is lifted per family, once
+# a benchmark workload measures the large sizes.
 MAX_SWEEP_N = 2048
 
 

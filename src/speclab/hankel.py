@@ -129,7 +129,7 @@ def truncated_norm_record(sym: ArcSymbol, n: int) -> NormRecord:
     toeplitz = toeplitz_matvec(c, m)
 
     def matvec(x):  # c[i + j] is entry (i, m - 1 - j) of the Toeplitz matrix
-        return toeplitz(x[::-1])
+        return toeplitz(x[..., ::-1])
 
     ritz = lanczos_top(matvec, m)
     value = abs(ritz.value)

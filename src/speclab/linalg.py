@@ -5,7 +5,9 @@ Everything here is a pure function of its inputs and runs on numpy alone.
 Matrices are plain numpy arrays (row-major), real or complex.  A dense norm
 is one LAPACK solve with no fast paths; the Lanczos solver starts from a
 fixed vector or from one its caller passes and takes each Ritz pair from
-numpy's symmetric eigensolver on its small tridiagonal.  Nothing draws
+numpy's symmetric eigensolver on its small tridiagonal (on the whole
+operator, applied once to the identity, when that is no larger than one
+Krylov cycle).  Nothing draws
 random numbers, so repeated runs are bit-identical.
 """
 
@@ -24,11 +26,10 @@ class NormRecord(NamedTuple):
     """An operator norm and how it was obtained and certified.
 
     ``method`` names the solver (``"perron"`` or ``"lanczos"`` for a Hankel
-    truncation; ``"principal_angles"`` for an SU(2) commutator, ``"lanczos"``
-    for a ring, Heisenberg or SE(2) one), ``matvecs`` counts the products
-    with the operator it took (0 for a direct solve), and
-    ``lower <= value <= upper`` is the certificate that comes with it (both
-    ends equal to the value for a direct solve).
+    truncation, ``"lanczos"`` for every commutator family: one matrix-free
+    run on a Gram operator, so no point costs a dense O(n^3) solve),
+    ``matvecs`` counts the products with the operator it took, and
+    ``lower <= value <= upper`` is the certificate that comes with it.
     """
 
     value: float
@@ -102,11 +103,12 @@ def toeplitz_matvec(table: np.ndarray, m: int) -> Callable[[np.ndarray], np.ndar
     (len(table) = 2m - 1), by one rfft/irfft pair of length
     2^ceil(log2(2m - 1)): (T x)_i is entry i + m - 1 of the linear
     convolution of table with x, whose m - 1 entries past that length wrap
-    onto entries 0..m - 2, none of which is read.
+    onto entries 0..m - 2, none of which is read.  x may be a 2-D block, each
+    of whose rows is multiplied.
     """
     size = 1 << (2 * m - 2).bit_length()
     t_hat = np.fft.rfft(table, size)
-    return lambda x: np.fft.irfft(t_hat * np.fft.rfft(x, size), size)[m - 1 : 2 * m - 1]
+    return lambda x: np.fft.irfft(t_hat * np.fft.rfft(x, size), size)[..., m - 1 : 2 * m - 1]
 
 
 LANCZOS_STEPS = 24   # Krylov dimension of one cycle
@@ -118,16 +120,21 @@ def lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], m: int,
                 start: np.ndarray | None = None) -> RitzPair:
     """Eigenvalue of largest modulus of a real symmetric m x m operator.
 
-    Explicitly restarted Lanczos: each cycle runs up to LANCZOS_STEPS steps
-    from ``start`` normalised, by default the unit vector ones/sqrt(m) (then
-    from the last cycle's Ritz vector), reorthogonalising each new vector
-    against the whole cycle's basis, and stops as soon as the residual bound
-    |beta_j s_j| of the Ritz pair of largest modulus is at most
-    LANCZOS_TOL * eps * |theta|.  The cycle's tridiagonal is filled one
-    entry per step, and each step's Ritz pairs come from numpy's symmetric
-    eigensolver on its leading (j + 1) x (j + 1) block.  An invariant Krylov
-    space (beta_j = 0) is converged by the same test, so a 1 x 1 operator
-    takes one matvec.
+    At m <= LANCZOS_STEPS one cycle would span the whole space, so the
+    operator is solved outright: ``matvec`` is applied once to the rows of
+    the m x m identity (it must map each row of a 2-D block), numpy's
+    symmetric eigensolver takes the result, and matvecs = m.  The start
+    does not matter there.
+    Otherwise explicitly restarted Lanczos: each cycle runs up to
+    LANCZOS_STEPS steps from ``start`` normalised, by default the unit
+    vector ones/sqrt(m) (then from the last cycle's Ritz vector),
+    reorthogonalising each new vector against the whole cycle's basis, and
+    stops as soon as the residual bound |beta_j s_j| of the Ritz pair of
+    largest modulus is at most LANCZOS_TOL * eps * |theta|.  The cycle's
+    tridiagonal is filled one entry per step, and each step's Ritz pairs
+    come from numpy's symmetric eigensolver on its leading (j + 1) x (j + 1)
+    block.  An invariant Krylov space (beta_j = 0) is converged by the same
+    test, so a start that is an eigenvector takes one matvec.
     Lanczos only sees the invariant subspace its start vector generates: an
     operator that commutes with a reflection keeps an even start even, so a
     caller whose top eigenvector may be odd passes a start with a part in
@@ -136,21 +143,22 @@ def lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], m: int,
     """
     if m < 1:
         raise ContractError(f"lanczos_top needs m >= 1, got {m}")
-    eps = np.finfo(float).eps
-    steps = min(LANCZOS_STEPS, m)
-    basis = np.empty((steps, m))
-    tri = np.zeros((steps, steps))  # lower triangle: alpha on the diagonal, beta below
-    if start is None:
-        start = np.full(m, 1.0 / math.sqrt(m))
-    else:
+    if start is not None:
         start = np.asarray(start, dtype=float)
         if start.shape != (m,) or not np.linalg.norm(start) > 0.0:
             raise ContractError(f"lanczos_top needs a nonzero start of length {m}")
-        start = start / np.linalg.norm(start)
+    if m <= LANCZOS_STEPS:
+        theta, s = np.linalg.eigh(matvec(np.eye(m)), UPLO="L")
+        top = int(np.argmax(np.abs(theta)))
+        return RitzPair(float(theta[top]), s[:, top], m)
+    start = np.full(m, 1.0 / math.sqrt(m)) if start is None else start / np.linalg.norm(start)
+    eps = np.finfo(float).eps
+    basis = np.empty((LANCZOS_STEPS, m))
+    tri = np.zeros((LANCZOS_STEPS, LANCZOS_STEPS))  # lower: alpha on the diagonal, beta below
     matvecs = 0
     for _ in range(LANCZOS_CYCLES):
         basis[0] = start
-        for j in range(steps):
+        for j in range(LANCZOS_STEPS):
             w = matvec(basis[j])
             matvecs += 1
             tri[j, j] = basis[j] @ w
@@ -162,11 +170,12 @@ def lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], m: int,
             top = int(np.argmax(np.abs(theta)))
             if abs(beta * s[j, top]) <= LANCZOS_TOL * eps * abs(theta[top]):
                 return RitzPair(float(theta[top]), s[:, top] @ q, matvecs)
-            if j + 1 < steps:
+            if j + 1 < LANCZOS_STEPS:
                 basis[j + 1] = w / beta
                 tri[j + 1, j] = beta
         start = s[:, top] @ basis
         start /= np.linalg.norm(start)
     raise ComputationError(
-        f"Lanczos did not converge in {LANCZOS_CYCLES} cycles of {steps} steps (m = {m})"
+        f"Lanczos did not converge in {LANCZOS_CYCLES} cycles of {LANCZOS_STEPS} steps "
+        f"(m = {m})"
     )

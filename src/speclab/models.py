@@ -5,12 +5,14 @@ record, the matrix on demand, and model-specific diagnostics; FAMILIES maps
 each family name to its builder, the thresholds it reads and its basis
 labels.  Every family is a commutator [P, D] of a Hermitian P with a
 diagonal 0/1 projection D, reported by one helper whose norm is that of the
-block B = P[in, out]: from principal angles for SU(2), without forming P;
-for ring, SE(2) and Heisenberg matrix-free, by Lanczos on B^T B with P
-applied by FFT (a convolution with the table of Fourier coefficients, or
-the circulant of the DFT-conjugated arc projection), in one run from a
-start with no reflection symmetry.  No Fourier family forms an n x n or
-K x K array for a norm.  Circle-grid membership tests (which grid points
+block B = P[in, out], matrix-free: one Lanczos run, from a start with no
+reflection symmetry, on a Gram operator of B.  For SU(2) that is B B^T on
+the in side, P = V V^T for the kept J_x eigenvectors V, applied through
+V_in, a view of the cached eigenvectors; for ring, SE(2) and Heisenberg it
+is B^T B on the out side with P applied by FFT (a convolution with the
+table of Fourier coefficients, or the circulant of the DFT-conjugated arc
+projection).  No family forms an n x n or K x K array or makes a dense
+O(n^3) solve for a norm.  Circle-grid membership tests (which grid points
 lie on the open arc Re z > a) run on exact integers when a = 0, where
 cos(2*pi*k/n) = 0 exactly at the quarter points and the strict inequality
 must exclude them; at a != 0 one cosine decides each mirror pair k, -k.
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -29,11 +31,9 @@ from ._errors import ComputationError, ContractError
 from .hankel import HALF_CIRCLE, ArcSymbol, _coeff_grid
 from .linalg import NormRecord, lanczos_top, toeplitz_matvec
 from .spinrep import (
-    HalfInt,
     SpinRep,
     _kept_vectors,
     projection_x,
-    projection_x_entries,
     weights_exceeding,
     z_interval_mask,
 )
@@ -88,20 +88,22 @@ def _masked(p: np.ndarray, d: np.ndarray) -> np.ndarray:
     return p * (d[None, :] - d[:, None])
 
 
+@lru_cache(maxsize=64)
 def _asymmetric_start(m: int) -> np.ndarray:
     """A fixed start vector of length m with no reflection symmetry: for
-    m >= 2 both its even and its odd part under x -> x[::-1] are nonzero."""
-    return 1.0 + 0.5 * np.linspace(-1.0, 1.0, m) + 0.1 * np.cos(1.234 * np.arange(m))
+    m >= 2 both its even and its odd part under x -> x[::-1] are nonzero.
+    Cached per m, read-only."""
+    x = 1.0 + 0.5 * np.linspace(-1.0, 1.0, m) + 0.1 * np.cos(1.234 * np.arange(m))
+    x.setflags(write=False)
+    return x
 
 
-def _lanczos_norm(apply: Callable, inside: np.ndarray) -> NormRecord:
-    """||P[in, out]|| matrix-free, with its certificate; P real symmetric is
-    applied to a whole real vector by ``apply``, and ``inside`` is the bool
-    mask of D's range.
-
-    With B = P[in, out], B^T B x is apply(inside * apply(x on out))[out],
-    and the norm is sqrt(theta) for the top eigenvalue theta of B^T B, found
-    by one lanczos_top run on the out side.
+def _lanczos_norm(gram: Callable, m: int) -> NormRecord:
+    """||B|| of a real block B matrix-free, with its certificate, from its
+    Gram operator ``gram`` (x -> B^T B x or B B^T x) of dimension m, which
+    also maps each row of a 2-D block (lanczos_top solves m <= LANCZOS_STEPS
+    outright).  The norm is sqrt(theta) for the top eigenvalue theta of the
+    Gram operator, found by one lanczos_top run.
 
     The start must not be reflection-symmetric.  P and D often share a
     reflection (k -> -k on the ring's modes, m -> -m mod n on Heisenberg's
@@ -111,27 +113,60 @@ def _lanczos_norm(apply: Callable, inside: np.ndarray) -> NormRecord:
     eigenvalue below an odd top.  _asymmetric_start has a part in both
     sectors.
 
-    Record: method "lanczos"; matvecs counts every B^T B product, the
+    Record: method "lanczos"; matvecs counts every Gram product, the
     residual one included; lower = sqrt(theta - r) with
-    r = ||B^T B x - theta x|| (some eigenvalue lies within r of theta) and
+    r = ||G x - theta x|| (some eigenvalue lies within r of theta) and
     upper = 1/2, the bound on a commutator of two projections, which
     sqrt(theta) exceeds only by rounding (by one ulp at the n = 2 mod 4
     Heisenberg points, whose norm is 1/2) and is clipped to.  Exactly 0.0
-    when a side of D is empty.
+    when m = 0, a block with no rows or no columns.
     """
-    if inside.all() or not inside.any():
+    if m == 0:
         return NormRecord(0.0, "lanczos", 0, 0.0, 0.5)
-    out = np.flatnonzero(~inside)
-
-    def op(x):
-        v = np.zeros(len(inside))
-        v[out] = x
-        return apply(apply(v) * inside)[out]
-
-    ritz = lanczos_top(op, len(out), _asymmetric_start(len(out)))
-    residual = float(np.linalg.norm(op(ritz.vector) - ritz.value * ritz.vector))
+    ritz = lanczos_top(gram, m, _asymmetric_start(m))
+    residual = float(np.linalg.norm(gram(ritz.vector) - ritz.value * ritz.vector))
     value, lower = (min(math.sqrt(max(t, 0.0)), 0.5) for t in (ritz.value, ritz.value - residual))
     return NormRecord(value, "lanczos", ritz.matvecs + 1, lower, 0.5)
+
+
+def _fourier_norm(apply: Callable, inside: np.ndarray) -> NormRecord:
+    """||P[in, out]|| for P real symmetric, applied to a whole real vector
+    (or to each row of a block) by ``apply``, and ``inside`` the bool mask
+    of D's range: _lanczos_norm on the out side, where with B = P[in, out]
+    B^T B x is apply(inside * apply(x on out))[out]."""
+    out = np.flatnonzero(~inside)
+
+    def gram(x):
+        v = np.zeros(x.shape[:-1] + (len(inside),))
+        v[..., out] = x
+        return apply(apply(v) * inside)[..., out]
+
+    return _lanczos_norm(gram, len(out) if inside.any() else 0)
+
+
+def _su2_norm(v: np.ndarray, inside: np.ndarray) -> NormRecord:
+    """||[V V^T, D]|| for orthonormal columns V (n x k) and the 0/1 diagonal
+    D whose range is the rows ``inside``, one run of rows, without forming
+    V V^T: _lanczos_norm on the in side.
+
+    The norm is that of B = V_in V_out^T.  With C = V_in^T V_in,
+    V_out^T V_out is I - C, so B B^T = V_in (I - C) V_in^T: x -> V_in(y - C y)
+    with y = V_in^T x, four products with V_in.  V_in is a slice of V's rows,
+    so a view of V when V is one.  Exactly 0.0 when k = 0 or either side of
+    D is empty.
+    """
+    rows = np.flatnonzero(inside)
+    if not v.shape[1] or len(rows) in (0, len(inside)):
+        return _lanczos_norm(None, 0)
+    v_in = v[rows[0] : rows[-1] + 1]
+    if len(v_in) != len(rows):
+        raise ComputationError("su2: the range of D is not one run of rows")
+
+    def gram(x):
+        y = x @ v_in
+        return (y - (y @ v_in.T) @ v_in) @ v_in.T
+
+    return _lanczos_norm(gram, len(rows))
 
 
 def _report(family: str, params: dict, inside: np.ndarray, block: Callable,
@@ -148,26 +183,6 @@ def _report(family: str, params: dict, inside: np.ndarray, block: Callable,
         build=lambda: _masked(block(slice(None), slice(None)), inside.astype(float)),
         **fields,
     )
-
-
-def _principal_angle_record(v: np.ndarray, inside: np.ndarray) -> NormRecord:
-    """||[V V^T, D]|| for orthonormal columns V (n x k) and the 0/1 diagonal
-    D whose range is the rows ``inside``, without forming V V^T.
-
-    The norm is ||V_in V_out^T||.  With C = V_in^T V_in, V_out^T V_out is
-    I - C, so (V_in V_out^T)(V_in V_out^T)^T = V_in (I - C) V_in^T, whose
-    nonzero eigenvalues are those of C (I - C): the norm is the largest
-    sqrt(c (1 - c)) over the eigenvalues c of C, the cosines squared of the
-    principal angles between the two ranges.  Exactly 0.0 when k = 0 or
-    either side of D is empty.  A direct solve: the record's bounds are its
-    value.
-    """
-    norm = 0.0
-    if v.shape[1] and inside.any() and not inside.all():
-        v_in = v[inside]
-        c = np.linalg.eigvalsh(v_in.T @ v_in)
-        norm = math.sqrt(max(float(np.max(c * (1.0 - c))), 0.0))
-    return NormRecord(norm, "principal_angles", 0, norm, norm)
 
 
 def _block_residual(c: np.ndarray, rows: np.ndarray) -> float:
@@ -202,7 +217,7 @@ def su2_commutator(n: int, a: float = 0.0, b: float = 1.0) -> CommutatorReport:
         {"n": n, "a": a, "b": b},
         inside,
         lambda rows, cols: projection_x(rep, a)[rows][:, cols],
-        _principal_angle_record(_kept_vectors(rep, a, family), inside),
+        _su2_norm(_kept_vectors(rep, a, family), inside),
         check=partial(_block_residual, rows=rep.twice > 0) if plain else None,
     )
 
@@ -222,7 +237,7 @@ def su2_caps_commutator(n: int, a: float) -> CommutatorReport:
         {"n": n, "a": a, "b": a},  # both projections thresholded at a
         inside,
         lambda rows, cols: projection_x(rep, a)[rows][:, cols],
-        _principal_angle_record(_kept_vectors(rep, a, "su2_caps"), inside),
+        _su2_norm(_kept_vectors(rep, a, "su2_caps"), inside),
     )
 
 
@@ -239,9 +254,11 @@ def su2_submatrix(n: int, size: int) -> np.ndarray:
     if rep.j.twice <= 2 * size:
         raise ContractError(f"su2_submatrix requires j > N, got j = {rep.j}, N = {size}")
     half = 1 - n % 2  # even dimensions sit half a step lower
-    idx = range(1, size + 1)
-    pairs = [(HalfInt(2 * k - half), HalfInt(2 - 2 * l - half)) for k in idx for l in idx]
-    return projection_x_entries(rep, 0.0, pairs).reshape(size, size)
+    k = np.arange(1, size + 1)
+    # rows j - m' at m' = k - half/2 and columns j - m at m = 1 - l - half/2, k, l = 1..N
+    rows, cols = (n - 1 - 2 * k + half) // 2, (n - 3 + 2 * k + half) // 2
+    vs = _kept_vectors(rep, 0.0, "su2_submatrix")
+    return vs[rows] @ vs[cols].T
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +323,7 @@ def ring_commutator(n: int, window: int, a: float = 0.0) -> CommutatorReport:
         raise ContractError(f"ring_commutator: a must lie in [0, 1), got {a}")
     inside = _arc_membership(range(-window, window + 1), n, a) != 0.0
     block, apply = _toeplitz(ArcSymbol(a), window)
-    record = _lanczos_norm(apply, inside)
+    record = _fourier_norm(apply, inside)
     return _report("ring", {"n": n, "K": window, "a": a}, inside, block, record)
 
 
@@ -385,7 +402,7 @@ def _heis_row_check(memb: np.ndarray, row: np.ndarray, apply: Callable) -> float
     grid = np.arange(n)
     residual = np.max(np.abs(np.fft.fft(memb) / n - row))
     x = _asymmetric_start(n)
-    x /= np.linalg.norm(x)
+    x = x / np.linalg.norm(x)
     rows = np.linspace(0, n - 1, 9).astype(np.int64)  # repeats at n < 9 change no max
     direct = row[(grid[None, :] - rows[:, None]) % n] @ x
     return float(max(residual, np.max(np.abs(apply(x)[rows] - direct))))
@@ -422,7 +439,7 @@ def heisenberg_commutator(n: int, a: float = 0.0) -> CommutatorReport:
         {"n": n, "a": a},
         inside,
         lambda rows, cols: row[(grid[None, cols] - grid[rows, None]) % n],
-        _lanczos_norm(apply, inside),
+        _fourier_norm(apply, inside),
     )
     report.diagnostics["closed_form_residual"] = residual
     return report
@@ -478,7 +495,7 @@ def se2_commutator(window: int) -> CommutatorReport:
         {"K": window},
         pos,
         block,
-        _lanczos_norm(apply, pos),
+        _fourier_norm(apply, pos),
         check=partial(_block_residual, rows=~pos),
         extract=lambda: block(~pos, pos)[::-1],  # d_l - d_k is exactly 1 on this block
     )

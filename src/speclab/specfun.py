@@ -15,6 +15,7 @@ would dominate.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import numpy.polynomial  # noqa: F401  (loaded at import, not on the first quadrature)
@@ -149,9 +150,18 @@ def cap_integral(a: float, p: int) -> float:
     return math.cos(p * math.asin(a)) / p
 
 
+@lru_cache(maxsize=8)
+def _legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's Gauss-Legendre nodes and weights of one order; cached, read-only."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def gauss_legendre_quad(f, lo: float, hi: float, nodes: int = 64) -> float:
     """Gauss-Legendre quadrature of a callable on [lo, hi] (validation helper)."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _legendre_rule(nodes)
     mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
     return float(half * np.sum(w * np.asarray([f(mid + half * xi) for xi in x])))

@@ -138,10 +138,12 @@ def weight_at_most(twice_m: int, b, n: int) -> bool:
     return Fraction(int(twice_m)) <= Fraction(b) * n
 
 
+@lru_cache(maxsize=256)
 def _floor_scaled(x, n: int) -> int:
     """floor(x*n) in exact rational arithmetic.  For an integer t,
     t > x*n exactly when t > floor(x*n), and t <= x*n exactly when
-    t <= floor(x*n), so one integer settles a whole array of weights."""
+    t <= floor(x*n), so one integer settles a whole array of weights.
+    Cached per (x, n), which validate and the tests revisit."""
     return math.floor(Fraction(x) * n)
 
 
@@ -402,11 +404,13 @@ def wigner_d_pi_half(rep: SpinRep) -> np.ndarray:
 
 
 def _kept_vectors(rep: SpinRep, a: float, name: str) -> np.ndarray:
-    """J_x eigenvectors (columns) whose weights exceed a*(j+1/2); may be n x 0."""
+    """J_x eigenvectors (columns) whose weights exceed a*(j+1/2); may be n x 0.
+    The eigenvalues ascend, so these are the last columns: a read-only view
+    of the cached eigenvectors, not a copy."""
     if not 0.0 <= a < 1.0:
         raise ContractError(f"{name}: a must lie in [0, 1), got {a}")
     tw, v = _jx_eigensystem(rep.n)
-    return v[:, weights_exceeding(tw, a, rep.n)]
+    return v[:, int(np.searchsorted(tw, _floor_scaled(a, rep.n), side="right")) :]
 
 
 def projection_x(rep: SpinRep, a: float) -> np.ndarray:
@@ -425,14 +429,18 @@ def projection_x_entries(rep: SpinRep, a: float, pairs) -> np.ndarray:
     """Selected entries P_{m',m} of projection_x without forming the matrix.
 
     ``pairs`` is an iterable of (m', m); useful at dimensions where the full
-    n x n projection would be wasteful.
+    n x n projection would be wasteful.  The weights become row indices in
+    one array expression, and each entry is a row dot product of the kept
+    J_x eigenvectors.
     """
     vs = _kept_vectors(rep, a, "projection_x_entries")
-    pairs = list(pairs)
-    out = np.zeros(len(pairs))
-    for i, (mp, m) in enumerate(pairs):
-        out[i] = float(vs[rep.index_of(mp)] @ vs[rep.index_of(m)])
-    return out
+    twice = np.array([HalfInt.coerce(x).twice for pair in pairs for x in pair], dtype=np.int64)
+    off = rep.j.twice - twice
+    bad = (off % 2 != 0) | (np.abs(twice) > rep.j.twice)
+    if bad.any():
+        raise ContractError(f"weight {HalfInt(twice[bad][0])} not in the lattice of spin {rep.j}")
+    idx = (off // 2).reshape(-1, 2)
+    return np.einsum("ij,ij->i", vs[idx[:, 0]], vs[idx[:, 1]])
 
 
 def z_interval_mask(rep: SpinRep, b: float) -> np.ndarray:

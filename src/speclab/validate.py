@@ -216,7 +216,7 @@ def _suite_su2_block_structure():
 
 def _suite_su2_angles_match_dense():
     worst = 0.0
-    for n in range(2, 32):  # principal-angle norm vs the dense solve of the matrix
+    for n in range(2, 32):  # the Lanczos norm vs the dense solve of the matrix
         for a in (0.0, 0.3, 0.7):
             for b in (0.5, 1.0):
                 r = models.su2_commutator(n, a, b)

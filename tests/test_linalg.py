@@ -12,7 +12,7 @@ from speclab import (
     lanczos_top,
     operator_norm,
 )
-from speclab.linalg import _exact_norm, toeplitz_matvec
+from speclab.linalg import LANCZOS_STEPS, _exact_norm, toeplitz_matvec
 
 
 def test_operator_norm_identity():
@@ -181,8 +181,48 @@ def test_lanczos_top_restarts_until_converged():
 def test_lanczos_top_invariant_start_takes_one_matvec():
     one = lanczos_top(_diagonal(np.array([0.25])), 1)
     assert (one.value, one.vector.tolist(), one.matvecs) == (0.25, [1.0], 1)
-    zero = lanczos_top(lambda x: 0.0 * x, 5)
+    m = LANCZOS_STEPS + 6  # above the one-shot solve
+    zero = lanczos_top(lambda x: 0.0 * x, m)
     assert zero.value == 0.0 and zero.matvecs == 1
+    d = np.linspace(1.0, 2.0, m)
+    eigenvector = lanczos_top(_diagonal(d), m, np.eye(m)[-1])
+    assert (eigenvector.value, eigenvector.matvecs) == (2.0, 1)
+
+
+def _reflection_odd_top(m, seed):
+    """A symmetric m x m matrix that commutes with x -> x[::-1], with its
+    eigenvalue of largest modulus, 12, on a reflection-odd eigenvector
+    (m >= 2; 10 on an even one at m = 1) and the even-sector top at 10, the
+    rest of the spectrum in [-1, 1]."""
+    b = np.random.default_rng(seed).standard_normal((m, m))
+    b = b + b.T
+    _, u = np.linalg.eigh(b + b[::-1, ::-1])  # each eigenvector even or odd
+    odd = np.all(np.abs(u + u[::-1]) <= 1e-12, axis=0)
+    w = np.linspace(-1.0, 1.0, m)
+    w[np.flatnonzero(~odd)[0]] = 10.0
+    if m >= 2:
+        w[np.flatnonzero(odd)[0]] = 12.0
+    a = (u * w) @ u.T
+    a = (a + a.T) / 2
+    return (a + a[::-1, ::-1]) / 2, w.max()  # exactly symmetric under the reflection
+
+
+@pytest.mark.parametrize("m", range(1, LANCZOS_STEPS + 1))
+def test_lanczos_top_one_shot_solve_at_small_m(m):
+    # one product with the identity and one dense eigensolve: the default
+    # start is reflection-even, yet the odd top is found
+    a, top = _reflection_odd_top(m, m)
+    calls = []
+
+    def matvec(x):
+        calls.append(x.shape)
+        return x @ a
+
+    found = lanczos_top(matvec, m)
+    assert calls == [(m, m)] and found.matvecs == m
+    assert abs(found.value - top) <= 1e-12 * abs(top)
+    assert abs(np.linalg.norm(found.vector) - 1.0) <= 1e-12
+    assert np.linalg.norm(a @ found.vector - found.value * found.vector) <= 1e-10 * abs(top)
 
 
 def test_lanczos_top_raises_instead_of_returning_unconverged():
@@ -196,16 +236,10 @@ def test_lanczos_top_raises_instead_of_returning_unconverged():
 
 def test_lanczos_top_start_must_lie_in_the_top_sector():
     # an operator that commutes with the reflection x -> x[::-1], with its
-    # eigenvalue of largest modulus on an odd eigenvector
-    m = 9
-    b = np.random.default_rng(5).standard_normal((m, m))
-    a = b + b.T
-    a = a + a[::-1, ::-1]
-    a = a + 12.0 * (np.eye(m) - np.eye(m)[::-1]) / 2  # lifts the odd sector
-    w, v = np.linalg.eigh(a)
-    top = w[np.argmax(np.abs(w))]
-    odd = v[:, np.argmax(np.abs(w))]
-    assert np.allclose(odd, -odd[::-1])
+    # eigenvalue of largest modulus on an odd eigenvector, at a size above
+    # the one-shot solve
+    m = LANCZOS_STEPS + 9
+    a, top = _reflection_odd_top(m, 5)
     # from the default start, ones/sqrt(m), Lanczos never leaves the even
     # sector: it converges with a tiny residual to an eigenvalue that is not
     # the top

@@ -31,7 +31,7 @@ from speclab import (
 from speclab import models
 from speclab.hankel import ArcSymbol, _coeff_grid
 from speclab.models import _heis_pairing_table
-from speclab.spinrep import weight_at_most, weight_exceeds
+from speclab.spinrep import _jx_eigensystem, weight_at_most, weight_exceeds
 
 # frozen by oracle runs (see tests/test_acceptance.py for the committed values)
 SU2_SUBMATRIX_TOL_N4001 = 2.5e-4
@@ -149,6 +149,19 @@ def test_su2_submatrix_even_dimension_convention():
             i = rep.index_of(HalfInt(2 * k - 1))
             jdx = rep.index_of(HalfInt(1 - 2 * l))
             assert abs(s[k - 1, l - 1] - p[i, jdx]) <= 1e-13
+
+
+@pytest.mark.parametrize("n, size", [(9, 3), (12, 5), (101, 20), (102, 20), (401, 7), (402, 7)])
+def test_su2_submatrix_is_projection_x_at_the_designated_weights(n, size):
+    # entry (k, l) is P[m', m] at m' = k, m = 1 - l (odd n) or m' = k - 1/2,
+    # m = 1/2 - l (even n), read through index_of from the whole projection
+    rep = SpinRep(n)
+    p = projection_x(rep, 0.0)
+    half = 1 - n % 2
+    idx = range(1, size + 1)
+    want = [[p[rep.index_of(HalfInt(2 * k - half)), rep.index_of(HalfInt(2 - 2 * l - half))]
+             for l in idx] for k in idx]
+    assert np.max(np.abs(su2_submatrix(n, size) - np.array(want))) <= 1e-13
 
 
 def test_su2_submatrix_contract():
@@ -615,6 +628,21 @@ def test_heisenberg_point_memory_is_linear_in_n():
     assert peak < 16e6
 
 
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.3, 0.6)])
+def test_su2_point_memory_reads_the_cached_eigenvectors(a, b):
+    # the norm reads V_in as a view of the cached J_x eigenvectors; copying
+    # the kept columns and forming their Gram once took 33.6 MB at n = 2048
+    _jx_eigensystem(2048)
+    tracemalloc.start()
+    try:
+        su2_commutator(2048, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _jx_eigensystem.cache_clear()  # do not hold the large eigenvectors
+    assert peak <= 2e6
+
+
 def _su2_dense(family, n, a, b):
     """[P_x, D] formed densely from projection_x and the J_z membership."""
     rep = SpinRep(n)
@@ -635,7 +663,9 @@ def _su2_dense(family, n, a, b):
 def test_su2_principal_angles_match_dense_path(family, n, a, b):
     report = models.FAMILIES[family].build(n, a, b)
     dense = _su2_dense(family, n, a, b)
-    assert report.record.method == "principal_angles"
+    record = report.record
+    assert record.method == "lanczos"
+    assert record.lower <= record.value <= record.upper == 0.5
     assert abs(report.norm - np.linalg.norm(dense, 2)) <= 1e-12
     assert np.max(np.abs(report.matrix - dense)) <= 1e-15
     assert report.norm <= 0.5 + 1e-12

@@ -26,7 +26,7 @@ from speclab import (
     wigner_d_sum,
     wigner_d_theta,
 )
-from speclab.models import _principal_angle_record
+from speclab.models import _su2_norm
 from speclab.spinrep import (
     _fourier_entries,
     _jx_eigensystem,
@@ -146,7 +146,7 @@ def test_jx_spectrum_is_weight_lattice(n):
 # J_x eigensystem: the recurrence gated against the dense eigensolver
 # ---------------------------------------------------------------------------
 
-# (a, D's range) of the SU(2) families' principal-angle norms: plain,
+# (a, D's range) of the SU(2) families' Lanczos norms: plain,
 # interval (a, b) = (0.3, 0.5), and caps either side of 1/sqrt(2)
 def _angle_points(rep):
     return [
@@ -212,8 +212,8 @@ def _check_jx_eigensystem_against_dense(n):
         kept = weights_exceeding(tw, a, n)
         ds = dense[:, kept]
         assert _max_abs_diff(ds @ ds.T, projection_x(rep, a)) <= 1e-13, (n, a)
-        fast = _principal_angle_record(v[:, kept], inside).value
-        assert abs(fast - _principal_angle_record(ds, inside).value) <= 1e-13, (n, a)
+        fast = _su2_norm(v[:, kept], inside).value
+        assert abs(fast - _su2_norm(ds, inside).value) <= 1e-13, (n, a)
 
 
 def test_jx_eigensystem_matches_dense_at_every_size():
