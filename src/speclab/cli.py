@@ -75,8 +75,9 @@ def _family_args(args) -> tuple:
 # Keeps desk-scale runtimes.  No point makes an O(n^3) solve: each is one
 # Lanczos run on a Gram operator of the commutator's block.  An SU(2)
 # matvec is four O(n^2) GEMVs on a view of the cached J_x eigensystem
-# (n x n, built in O(n^2) time and memory); a ring, Heisenberg or SE(2)
-# matvec is O(n log n) FFTs in O(n) memory, Heisenberg's closed-form
+# (the top-half rows of the mu >= 0 columns, about n^2/4 doubles, built in
+# O(n^2) time; spinrep refuses n > 2^14 itself); a ring, Heisenberg or
+# SE(2) matvec is O(n log n) FFTs in O(n) memory, Heisenberg's closed-form
 # cross-check included.  The cap stays until it is lifted per family, once
 # a benchmark workload measures the large sizes.
 MAX_SWEEP_N = 2048

@@ -161,31 +161,15 @@ def nehari_bound(sym: ArcSymbol) -> float:
     return max(abs(1.0 - c), abs(c))
 
 
-def _indicator_at_angle(sym: ArcSymbol, theta: float) -> float:
-    return 1.0 if math.cos(theta) > sym.a else 0.0
-
-
 def power_essential_radius(sym: ArcSymbol) -> float:
-    """Lower-bound certificate: radius of the essential spectrum.
+    """Lower-bound certificate: radius of the essential spectrum, 1/2 for
+    every arc.
 
     The arc indicator jumps at the two endpoints exp(+-i*alpha); the jump at
-    angle t is half the difference of one-sided limits.  The endpoints form a
-    conjugate pair contributing the segment [-sqrt(-j1*j2), sqrt(-j1*j2)],
-    while z = +-1 are continuity points contributing nothing.
+    angle t is half the difference of one-sided limits, -1/2 at alpha and
+    +1/2 at -alpha.  The endpoints form a conjugate pair contributing the
+    segment [-sqrt(-j1*j2), sqrt(-j1*j2)] = [-1/2, 1/2].  ArcSymbol admits
+    only 0 <= a < 1, so 0 < alpha <= pi/2: z = 1 lies inside the arc and
+    z = -1 outside, continuity points contributing nothing.
     """
-    eps = 1e-8
-
-    def jump(theta: float) -> float:
-        return 0.5 * (
-            _indicator_at_angle(sym, theta + eps) - _indicator_at_angle(sym, theta - eps)
-        )
-
-    j_plus = jump(sym.alpha)
-    j_minus = jump(-sym.alpha)
-    j_one = jump(0.0)
-    j_minus_one = jump(math.pi)
-    radius = max(abs(j_one), abs(j_minus_one))
-    pair = -j_plus * j_minus
-    if pair > 0:
-        radius = max(radius, math.sqrt(pair))
-    return radius
+    return 0.5

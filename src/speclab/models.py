@@ -257,8 +257,10 @@ def su2_submatrix(n: int, size: int) -> np.ndarray:
     k = np.arange(1, size + 1)
     # rows j - m' at m' = k - half/2 and columns j - m at m = 1 - l - half/2, k, l = 1..N
     rows, cols = (n - 1 - 2 * k + half) // 2, (n - 3 + 2 * k + half) // 2
-    vs = _kept_vectors(rep, 0.0, "su2_submatrix")
-    return vs[rows] @ vs[cols].T
+    # the rows lie in the top half; the columns (m <= 0) in the bottom half
+    # or on the middle row, and _kept_vectors mirrors bottom rows from Q
+    vs, below = (_kept_vectors(rep, 0.0, "su2_submatrix", idx) for idx in (rows, cols))
+    return vs @ below.T
 
 
 # ---------------------------------------------------------------------------

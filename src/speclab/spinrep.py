@@ -13,13 +13,14 @@ Krawtchouk function) comes from the three-term recurrence at its known
 eigenvalue, certified by its residual.  Every recurrence column starts
 positive, which fixes the d-matrix's column signs by construction;
 projections are sums of column outer products and do not depend on them.
+Only a quarter of the eigensystem is computed and cached, the top-half
+rows of the columns mu >= 0; two exact symmetries give the rest.
 
 Each route works on the whole (m', m) grid at once: the binomial sum is one
 masked array kernel over broadcast twice-indices, the Fourier route at any
-theta is one complex GEMM on the cached J_x eigenvectors
-(`wigner_d_matrix`), and the Hilbert-formula check is one GEMM plus an
-outer product.  `wigner_d_sum` and `wigner_d_theta` stay as the scalar
-entry points.
+theta is one complex GEMM on the J_x eigenvectors (`wigner_d_matrix`), and
+the Hilbert-formula check is one GEMM plus an outer product.
+`wigner_d_sum` and `wigner_d_theta` stay as the scalar entry points.
 """
 
 from __future__ import annotations
@@ -193,53 +194,67 @@ def build_spin_operators(rep: SpinRep) -> SpinOperators:
 RECURRENCE_RESCALE = 1e150  # a column passing this is rescaled to max 1
 
 
+MAX_JX_N = 1 << 14  # largest J_x eigensystem: Q is then 8192 x 8192, 537 MB
+JX_SMALL_N = 128  # sizes whose whole eigensystem is cached (_jx_small)
+
+
 def _jx_recurrence(n: int):
-    """Eigensystem of tridiagonal J_x: (twice-eigenvalues asc, vectors).
+    """Quarter of the eigensystem of tridiagonal J_x: (tw, Q), the
+    twice-eigenvalues tw >= 0 ascending and Q, the top ceil(n/2) rows of
+    their eigenvectors (columns).
 
     The spectrum is the exact weight lattice, so the twice-eigenvalues are
     the integers -(n-1), -(n-3), ..., n-1 and no eigensolver runs: column k
     solves b_{i-1} v_{i-1} + b_i v_{i+1} = mu_k v_i (b = jx_offdiagonal) from
-    v_0 = 1, v_1 = mu_k/b_0, down to the middle row, all n columns at once.
-    Run from the classically forbidden edge into the oscillatory middle the
-    recurrence is stable (Gautschi, SIAM Rev. 9, 1967).  A column passing
-    RECURRENCE_RESCALE is divided by its largest entry in the last two rows,
-    and what that pushes below 1/RECURRENCE_RESCALE is flushed to 0, so the
-    final normalisation (by at most sqrt(n) RECURRENCE_RESCALE) leaves no
-    subnormal.  J_x commutes with the flip i -> n-1-i, under which the
-    eigenvector of mu has parity (-1)^(j-mu): that fills the bottom rows (and
-    zeroes the middle row of the odd columns when n is odd).  Every column
-    starts positive, so the columns carry the sign of d(pi/2)'s top row up
-    to (-1)^(j-mu).
+    v_0 = 1, v_1 = mu_k/b_0, down to the middle row, all mu >= 0 columns at
+    once.  Run from the classically forbidden edge into the oscillatory
+    middle the recurrence is stable (Gautschi, SIAM Rev. 9, 1967).  A column
+    passing RECURRENCE_RESCALE is divided by its largest entry in the last
+    two rows, and what that pushes below 1/RECURRENCE_RESCALE is flushed to
+    0, so the final normalisation (by at most sqrt(n) RECURRENCE_RESCALE)
+    leaves no subnormal.  Every column starts positive, so the columns carry
+    the sign of d(pi/2)'s top row up to (-1)^(j-mu).
+
+    Q holds all of the eigensystem, by two exact symmetries that
+    `_expand_rows` applies (sign flips and copies only).  J_x commutes with
+    the flip i -> n-1-i, under which the eigenvector of mu has parity
+    (-1)^(j-mu): that gives the bottom rows (and zeroes the middle row of
+    the odd columns when n is odd).  With S = diag((-1)^i), S J_x S = -J_x,
+    so the eigenvector of -mu is S times that of mu: the recurrence for -mu
+    computes exactly the sign-flipped numbers, rescales included.
 
     Certified: a residual max|J_x v - mu v| above jx_residual_bound(n) raises
     ComputationError; with eigenvalue gaps of 1 it also bounds each column's
     distance from the true eigenvector.  Returned arrays are read-only.
     """
     b = jx_offdiagonal(SpinRep(n))
-    tw = np.arange(-(n - 1), n, 2, dtype=np.int64)
+    tw = np.arange((n - 1) % 2, n, 2, dtype=np.int64)
     mu = tw / 2.0
     half = (n + 1) // 2  # rows 0..half-1 come from the recurrence
-    v = np.empty((n, n))
+    v = np.empty((half + 1, half))  # row half (a mirrored row) is for the residual
     v[0] = 1.0
     v[1] = mu / b[0]
+    work = np.empty(half)
     for i in range(1, half - 1):
-        v[i + 1] = (mu * v[i] - b[i - 1] * v[i - 1]) / b[i]
-        big = np.flatnonzero(np.abs(v[i + 1]) > RECURRENCE_RESCALE)
-        if big.size:
+        row = v[i + 1]  # (mu v_i - b_{i-1} v_{i-1}) / b_i, written in place
+        np.multiply(mu, v[i], out=row)
+        row -= np.multiply(v[i - 1], b[i - 1], out=work)
+        row /= b[i]
+        if np.abs(row, out=work).max() > RECURRENCE_RESCALE:
+            big = np.flatnonzero(work > RECURRENCE_RESCALE)
             block = v[: i + 2, big]
             block /= np.maximum(np.abs(block[i]), np.abs(block[i + 1]))
             block[np.abs(block) < 1.0 / RECURRENCE_RESCALE] = 0.0
             v[: i + 2, big] = block
-    parity = np.where((n - 1 - tw) % 4 == 0, 1.0, -1.0)  # (-1)^(j - mu)
+    parity = _flip_parity(n, tw)
     if n % 2:
         v[half - 1, parity < 0] = 0.0
     top = v[:half]
     sq = 2.0 * np.einsum("ij,ij->j", top, top)
     if n % 2:
         sq -= top[-1] ** 2  # the middle row is its own mirror
-    scale = 1.0 / np.sqrt(sq)
-    np.multiply(v[: n // 2][::-1], parity * scale, out=v[half:])  # v[n-1-i] = ±v[i]
-    top *= scale
+    top *= 1.0 / np.sqrt(sq)
+    np.multiply(v[n // 2 - 1], parity, out=v[half])
     residual = _jx_residual(b, mu, v, half)
     if not residual <= jx_residual_bound(n):
         raise ComputationError(
@@ -247,18 +262,72 @@ def _jx_recurrence(n: int):
             f"{jx_residual_bound(n):.3g}"
         )
     tw.setflags(write=False)
+    top.setflags(write=False)
+    return tw, top
+
+
+def _flip_parity(n: int, tw: np.ndarray) -> np.ndarray:
+    """(-1)^(j - mu) for the twice-eigenvalues tw: the parity of each J_x
+    eigenvector under the flip i -> n-1-i."""
+    return np.where((n - 1 - tw) % 4 == 0, 1.0, -1.0)
+
+
+@lru_cache(maxsize=4)  # an entry is about n^2/4 doubles: 8.4 MB at n = 2048
+def _jx_eigensystem(n: int):
+    """_jx_recurrence(n), cached for the last four sizes (a sweep visits each n
+    in turn); at n <= JX_SMALL_N, views of `_jx_small`.  Sizes past MAX_JX_N
+    raise ContractError before anything is allocated."""
+    if n > MAX_JX_N:
+        raise ContractError(f"J_x eigensystem: n must be <= {MAX_JX_N}, got {n}")
+    if n > JX_SMALL_N:
+        return _jx_recurrence(n)
+    tw, v = _jx_small(n)
+    return tw[n // 2 :], v[: (n + 1) // 2, n // 2 :]
+
+
+@lru_cache(maxsize=64)  # n <= JX_SMALL_N: 8.4 MB at most
+def _jx_small(n: int):
+    """The whole eigensystem (tw, V) at a size n <= JX_SMALL_N, kept for 64
+    sizes: validate's suites revisit n = 2..31, and the dense routes and
+    scalar entries there read whole rows of V."""
+    tw, v = _expand_rows(n, *_jx_recurrence(n), np.arange(n))
+    tw.setflags(write=False)
     v.setflags(write=False)
     return tw, v
 
 
-_jx_small = lru_cache(maxsize=64)(_jx_recurrence)  # n <= 128: 8.4 MB at most
+def _expand_rows(n: int, tw_q: np.ndarray, q: np.ndarray, rows, start: int = 0):
+    """Rows of the whole J_x eigensystem from its quarter (tw_q, Q) (see
+    _jx_recurrence): (tw, V[rows, start:]) for the ascending
+    twice-eigenvalues tw[start:] and row indices ``rows`` (0..n-1, any
+    shape), as a new array, bit for bit the recurrence run on every column.
+    Column -mu is (-1)^i times column mu on the top rows (adding 0.0 leaves
+    its zeros unsigned, as the recurrence for -mu does), and a bottom row i
+    is the flip parity times row n-1-i."""
+    tw = np.arange(-(n - 1), n, 2, dtype=np.int64)[start:]
+    rows = np.asarray(rows)
+    bottom = rows >= len(q)
+    mirrored = np.where(bottom, n - 1 - rows, rows)
+    top = q[mirrored, max(0, start - n // 2) :]
+    if start < n // 2:
+        signs = np.where(mirrored % 2, -1.0, 1.0)[..., None]
+        neg = q[mirrored, n % 2 : len(q) - start][..., ::-1] * signs + 0.0
+        top = np.concatenate([neg, top], axis=-1)
+    return tw, top * np.where(bottom[..., None], _flip_parity(n, tw), 1.0)
 
 
-@lru_cache(maxsize=4)  # an entry is n x n: 33.5 MB at n = 2048
-def _jx_eigensystem(n: int):
-    """_jx_recurrence(n), cached for the last four sizes (a sweep visits each n
-    in turn) and for 64 sizes n <= 128 (validate's suites revisit n = 2..31)."""
-    return _jx_small(n) if n <= 128 else _jx_recurrence(n)
+def _jx_rows(n: int, rows, start: int = 0):
+    """(tw, V[rows, start:]) of the whole J_x eigensystem (see
+    _expand_rows), read from `_jx_small` at n <= JX_SMALL_N."""
+    if n > JX_SMALL_N:
+        return _expand_rows(n, *_jx_eigensystem(n), rows, start)
+    tw, v = _jx_small(n)
+    return tw[start:], v[rows, start:]
+
+
+def _jx_vectors(n: int):
+    """The whole eigensystem of J_x, (tw, V) with V n x n, as a new array."""
+    return _jx_rows(n, np.arange(n))
 
 
 def jx_residual_bound(n: int) -> float:
@@ -267,23 +336,26 @@ def jx_residual_bound(n: int) -> float:
     return 64 * n * np.finfo(float).eps
 
 
-RESIDUAL_BLOCK = 1 << 17  # entries of one block of residual rows (1 MB of floats)
+RESIDUAL_BLOCK = 1 << 15  # entries of one block of residual rows (256 kB of floats)
 
 
 def _jx_residual(b: np.ndarray, mu: np.ndarray, v: np.ndarray, half: int) -> float:
-    """max|J_x v - mu v| over rows 0..half-1, in blocks of RESIDUAL_BLOCK
-    entries.  That is the max over all rows: the bottom rows are exact signed
-    copies of the top ones and b is exactly symmetric."""
+    """max|J_x v - mu v| over rows 0..half-1 (v holds rows 0..half), in
+    blocks of RESIDUAL_BLOCK entries.  That is the max over all rows and all
+    eigenvalues: the bottom rows are exact signed copies of the top ones, b
+    is exactly symmetric, and every term of column -mu is the negated term
+    of column mu."""
     worst = 0.0
     step = max(1, RESIDUAL_BLOCK // len(mu))
     for lo in range(0, half, step):
         hi = min(half, lo + step)
-        r = b[lo:hi, None] * v[lo + 1 : hi + 1] - mu * v[lo:hi]
+        r = b[lo:hi, None] * v[lo + 1 : hi + 1]
+        r -= mu * v[lo:hi]
         if lo:
             r += b[lo - 1 : hi - 1, None] * v[lo - 1 : hi - 1]
         else:  # row 0 has no upper neighbour
             r[1:] += b[: hi - 1, None] * v[: hi - 1]
-        worst = max(worst, float(np.max(np.abs(r))))
+        worst = max(worst, float(np.max(np.abs(r, out=r))))
     return worst
 
 
@@ -385,8 +457,8 @@ def _fourier_entries(rep: SpinRep, rows, cols, theta: float) -> np.ndarray:
     eigenvalues nu: products of two entries of one eigenvector, so the value
     does not depend on the sign of any eigenvector.
     """
-    tw, v = _jx_eigensystem(rep.n)
-    sums = (v[rows] * v[cols]) @ np.exp(-1j * (tw / 2.0) * theta)
+    tw, left = _jx_rows(rep.n, rows)
+    sums = (left * _jx_rows(rep.n, cols)[1]) @ np.exp(-1j * (tw / 2.0) * theta)
     return (np.exp(1j * (math.pi / 4) * (rep.twice[cols] - rep.twice[rows])) * sums).real
 
 
@@ -396,21 +468,25 @@ def wigner_d_pi_half(rep: SpinRep) -> np.ndarray:
     Row/column indices follow the descending weight order, so column mu holds
     the J_x eigenvector of eigenvalue mu in the z-basis.  Its top entry is
     d_{j,mu}(pi/2) = (-1)^(j-mu) 2^(-j) sqrt(C(2j, j+mu)), and every
-    `_jx_eigensystem` column starts positive, so column k (mu = j - k) is the
+    J_x eigenvector column starts positive, so column k (mu = j - k) is the
     eigenvector times (-1)^k: the signs are exact by construction.
     """
-    _, v = _jx_eigensystem(rep.n)
+    _, v = _jx_vectors(rep.n)
     return v[:, ::-1] * np.where(np.arange(rep.n) % 2, -1.0, 1.0)
 
 
-def _kept_vectors(rep: SpinRep, a: float, name: str) -> np.ndarray:
-    """J_x eigenvectors (columns) whose weights exceed a*(j+1/2); may be n x 0.
-    The eigenvalues ascend, so these are the last columns: a read-only view
-    of the cached eigenvectors, not a copy."""
+def _kept_vectors(rep: SpinRep, a: float, name: str, rows=None) -> np.ndarray:
+    """J_x eigenvectors (columns) whose weights exceed a*(j+1/2); may have no
+    columns.  The eigenvalues ascend and a >= 0, so these are the last
+    columns of Q (see _jx_recurrence).  Without ``rows``: their top
+    ceil(n/2) rows, a read-only view of the cached Q, not a copy (D's range
+    in every SU(2) family lies there).  With ``rows`` (indices 0..n-1, any
+    shape): those rows, a new array, the bottom ones mirrored from Q."""
     if not 0.0 <= a < 1.0:
         raise ContractError(f"{name}: a must lie in [0, 1), got {a}")
-    tw, v = _jx_eigensystem(rep.n)
-    return v[:, int(np.searchsorted(tw, _floor_scaled(a, rep.n), side="right")) :]
+    tw, q = _jx_eigensystem(rep.n)
+    start = int(np.searchsorted(tw, _floor_scaled(a, rep.n), side="right"))
+    return q[:, start:] if rows is None else _jx_rows(rep.n, rows, rep.n // 2 + start)[1]
 
 
 def projection_x(rep: SpinRep, a: float) -> np.ndarray:
@@ -420,7 +496,7 @@ def projection_x(rep: SpinRep, a: float) -> np.ndarray:
     lattice, compared with the threshold in exact rational arithmetic, so
     classification is exact even when a*(j+1/2) grazes an eigenvalue.
     """
-    vs = _kept_vectors(rep, a, "projection_x")
+    vs = _kept_vectors(rep, a, "projection_x", np.arange(rep.n))
     p = vs @ vs.T
     return (p + p.T) / 2
 
@@ -430,17 +506,17 @@ def projection_x_entries(rep: SpinRep, a: float, pairs) -> np.ndarray:
 
     ``pairs`` is an iterable of (m', m); useful at dimensions where the full
     n x n projection would be wasteful.  The weights become row indices in
-    one array expression, and each entry is a row dot product of the kept
-    J_x eigenvectors.
+    one array expression, and each entry is a dot product of two rows of the
+    kept J_x eigenvectors.
     """
-    vs = _kept_vectors(rep, a, "projection_x_entries")
     twice = np.array([HalfInt.coerce(x).twice for pair in pairs for x in pair], dtype=np.int64)
     off = rep.j.twice - twice
     bad = (off % 2 != 0) | (np.abs(twice) > rep.j.twice)
     if bad.any():
         raise ContractError(f"weight {HalfInt(twice[bad][0])} not in the lattice of spin {rep.j}")
     idx = (off // 2).reshape(-1, 2)
-    return np.einsum("ij,ij->i", vs[idx[:, 0]], vs[idx[:, 1]])
+    left, right = (_kept_vectors(rep, a, "projection_x_entries", idx[:, k]) for k in (0, 1))
+    return np.einsum("ij,ij->i", left, right)
 
 
 def z_interval_mask(rep: SpinRep, b: float) -> np.ndarray:
@@ -469,9 +545,7 @@ def fourier_expansion_d(rep: SpinRep, mprime, m) -> dict:
     """
     mp = HalfInt.coerce(mprime)
     m = HalfInt.coerce(m)
-    tw, v = _jx_eigensystem(rep.n)
-    row_m = v[rep.index_of(m)]
-    row_mp = v[rep.index_of(mp)]
+    tw, (row_m, row_mp) = _jx_rows(rep.n, [rep.index_of(m), rep.index_of(mp)])
     prods = row_m * row_mp
     order = np.argsort(tw)[::-1]
     return {HalfInt(int(tw[i])): float(prods[i]) for i in order}
@@ -488,11 +562,11 @@ def wigner_d_theta(rep: SpinRep, mprime, m, theta: float) -> float:
 def wigner_d_matrix(rep: SpinRep, theta: float) -> np.ndarray:
     """The whole d^j(theta) matrix through the Fourier expansion.
 
-    With F = V diag(exp(-i tw/2 theta)) V^T (one complex GEMM on the cached
-    J_x eigenvectors), entry (i', i) is Re(exp(i pi/4 (t_i - t_i')) F[i', i])
+    With F = V diag(exp(-i tw/2 theta)) V^T (one complex GEMM on the J_x
+    eigenvectors), entry (i', i) is Re(exp(i pi/4 (t_i - t_i')) F[i', i])
     for the twice-weights t: what `_fourier_entries` sums entry by entry.
     """
-    tw, v = _jx_eigensystem(rep.n)
+    tw, v = _jx_vectors(rep.n)
     f = (v * np.exp(-1j * (tw / 2.0) * theta)) @ v.T
     t = rep.twice
     phase = np.exp(1j * (math.pi / 4) * (t[None, :] - t[:, None]))
@@ -514,7 +588,7 @@ def verify_hilbert_formula(rep: SpinRep) -> float:
     if n > 31:
         raise ContractError("verify_hilbert_formula: supported for n <= 31")
     p = projection_x(rep, 0.0)
-    tw, v = _jx_eigensystem(n)
+    tw, v = _jx_vectors(n)
     hilbert = (v * np.sign(tw)) @ v.T
     zero = v[:, tw == 0].sum(axis=1)  # the mu = 0 column, or zeros
     even = np.eye(n) - np.outer(zero, zero)

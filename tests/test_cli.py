@@ -176,9 +176,9 @@ def test_norms_row_ordering(tmp_path):
 
 
 def test_su2_sweep_memory_is_bounded(tmp_path):
-    # each cached J_x eigensystem is n x n (8.4 MB at n = 1025): a cache that
-    # keeps every size of a sweep peaks at 145 MB here, over 2 GB for 64
-    # sizes near n = 2048
+    # each cached J_x eigensystem is about n^2/4 doubles (2.1 MB at n = 1025,
+    # n x n before): a cache that kept every size of a sweep at n x n peaked
+    # at 145 MB here, over 2 GB for 64 sizes near n = 2048
     _jx_eigensystem.cache_clear()
     tracemalloc.start()
     try:

@@ -192,6 +192,27 @@ def test_power_essential_radius():
         assert power_essential_radius(ArcSymbol(a)) == 0.5
 
 
+def _probed_essential_radius(sym):
+    """The essential radius from the indicator's jumps, each found by
+    evaluating the indicator 1e-8 either side of the endpoints and of z = +-1
+    (the numerical probe the closed form replaced)."""
+    def jump(theta):
+        inside = [1.0 if math.cos(theta + s) > sym.a else 0.0 for s in (1e-8, -1e-8)]
+        return 0.5 * (inside[0] - inside[1])
+
+    radius = max(abs(jump(0.0)), abs(jump(math.pi)))
+    pair = -jump(sym.alpha) * jump(-sym.alpha)
+    return max(radius, math.sqrt(pair)) if pair > 0 else radius
+
+
+def test_power_essential_radius_matches_probed_jumps():
+    edges = [0.0, 5e-324, 2.0**-52, 0.3, 0.5, 1 / math.sqrt(2), 0.99, 1 - 2.0**-40, 1 - 2.0**-52]
+    grid = edges + list(np.random.default_rng(0).uniform(0.0, 1.0, size=22000))
+    for a in grid:
+        sym = ArcSymbol(float(a))
+        assert power_essential_radius(sym) == _probed_essential_radius(sym) == 0.5, a
+
+
 def test_certificate_sandwich():
     # lower certificate <= upper certificate, truncations below the upper one
     for a in (0.0, 0.35):

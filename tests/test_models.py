@@ -643,6 +643,19 @@ def test_su2_point_memory_reads_the_cached_eigenvectors(a, b):
     assert peak <= 2e6
 
 
+def test_su2_size_past_the_eigensystem_bound_allocates_nothing():
+    # Q at n = 2^14 is 537 MB; one size more is refused before any array
+    # that large is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContractError):
+            su2_commutator(2**14 + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def _su2_dense(family, n, a, b):
     """[P_x, D] formed densely from projection_x and the J_z membership."""
     rep = SpinRep(n)

@@ -28,8 +28,10 @@ from speclab import (
 )
 from speclab.models import _su2_norm
 from speclab.spinrep import (
+    MAX_JX_N,
     _fourier_entries,
     _jx_eigensystem,
+    _jx_vectors,
     jx_offdiagonal,
     jx_residual_bound,
     weight_at_most,
@@ -195,8 +197,9 @@ def _flip_block_eigh(off):
 
 def _check_jx_eigensystem_against_dense(n):
     rep = SpinRep(n)
-    tw, v = _jx_eigensystem(n)
-    assert not tw.flags.writeable and not v.flags.writeable
+    tw, q = _jx_eigensystem(n)
+    assert not tw.flags.writeable and not q.flags.writeable
+    tw, v = _jx_vectors(n)
     off = jx_offdiagonal(rep)
     assert np.array_equal(off, off[::-1])
     w, dense = _flip_block_eigh(off)
@@ -233,13 +236,61 @@ def test_jx_eigensystem_has_no_subnormals():
     # the recurrence's rescaled columns leave tiny entries behind; they are
     # flushed to 0 rather than left subnormal (slow in every later product)
     try:
-        _, v = _jx_eigensystem(4096)
+        _, v = _jx_vectors(4096)
         for lo in range(0, 4096, 256):
             rows = np.abs(v[lo : lo + 256])
             assert not np.any((rows > 0.0) & (rows < np.finfo(float).tiny)), lo
         assert np.count_nonzero(v == 0.0) > 0  # the flush did act at this size
     finally:
         _jx_eigensystem.cache_clear()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 30, 31, 400, 401, 1023, 1024])
+def test_jx_expansion_is_exact_under_both_symmetries(n):
+    # the cache holds Q, the top ceil(n/2) rows of the columns mu >= 0;
+    # column -mu is (-1)^i column mu, and row n-1-i is (-1)^(j-mu) row i
+    tw_q, q = _jx_eigensystem(n)
+    tw, v = _jx_vectors(n)
+    half = (n + 1) // 2
+    assert q.shape == (half, half) and np.array_equal(tw_q, tw[n // 2 :])
+    # with the eigenvalues ascending, Q is the top-right block, bit for bit
+    assert np.array_equal(v[:half, n // 2 :].view(np.int64), q.view(np.int64))
+    signs = np.where(np.arange(n) % 2, -1.0, 1.0)[:, None]
+    assert np.array_equal(v[:, ::-1] * signs, v)
+    parity = np.where((n - 1 - tw) % 4 == 0, 1.0, -1.0)
+    assert np.array_equal(v[::-1] * parity, v)
+
+
+def test_jx_eigensystem_memory_is_a_quarter():
+    # the whole n x n eigensystem peaked at 36.9 MB at n = 2048; Q is 8.4 MB
+    _jx_eigensystem.cache_clear()
+    tracemalloc.start()
+    try:
+        _jx_eigensystem(2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _jx_eigensystem.cache_clear()
+    assert peak <= 16e6
+
+
+def test_jx_eigensystem_size_is_bounded_before_allocating():
+    with pytest.raises(ContractError):
+        _jx_eigensystem(MAX_JX_N + 1)
+
+
+@pytest.mark.parametrize("n", [9, 12, 101, 102, 401, 402])
+@pytest.mark.parametrize("a", [0.0, 0.3, 0.75])
+def test_projection_x_entries_match_dense_at_every_row(n, a):
+    # bottom-half rows are mirrored from Q; pairs in both halves and across
+    rep = SpinRep(n)
+    p = projection_x(rep, a)
+    rng = np.random.default_rng(n)
+    rows = np.arange(n)
+    idx = np.stack([np.tile(rows, 2), np.concatenate([n - 1 - rows, rng.permutation(n)])], axis=1)
+    pairs = [(rep.weights[i], rep.weights[k]) for i, k in idx]
+    vals = projection_x_entries(rep, a, pairs)
+    assert np.max(np.abs(vals - p[idx[:, 0], idx[:, 1]])) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [2, 3, 31, 101, 880, 1895, 2048])
@@ -316,7 +367,7 @@ def _wigner_d_sum_per_entry(tj, tp, tm, theta):
 def _pi_half_calibrated_per_column(rep):
     """wigner_d_pi_half with one per-entry binomial sum per row tried, column
     by column (the loop the batched calibration replaced)."""
-    tw, v = _jx_eigensystem(rep.n)
+    tw, v = _jx_vectors(rep.n)
     d = v[:, ::-1].copy()
     for col in range(rep.n):
         for row in range(rep.n):
@@ -565,7 +616,7 @@ def _hilbert_residual_per_entry(rep):
     """verify_hilbert_formula one (m', m) entry at a time (the loop the
     whole-matrix check replaced)."""
     p = projection_x(rep, 0.0)
-    tw, v = _jx_eigensystem(rep.n)
+    tw, v = _jx_vectors(rep.n)
     sgn = np.sign(tw.astype(float))
     zero_cols = np.where(tw == 0)[0]
     worst = 0.0
