@@ -73,13 +73,15 @@ def _family_args(args) -> tuple:
 
 
 # Keeps desk-scale runtimes.  No point makes an O(n^3) solve: each is one
-# Lanczos run on a Gram operator of the commutator's block.  An SU(2)
-# matvec is four O(n^2) GEMVs on a view of the cached J_x eigensystem
-# (the top-half rows of the mu >= 0 columns, about n^2/4 doubles, built in
-# O(n^2) time; spinrep refuses n > 2^14 itself); a ring, Heisenberg or
-# SE(2) matvec is O(n log n) FFTs in O(n) memory, Heisenberg's closed-form
-# cross-check included.  The cap stays until it is lifted per family, once
-# a benchmark workload measures the large sizes.
+# Lanczos run on an operator of the commutator's block.  An SU(2) matvec is
+# four O(n^2) GEMVs on a view of the cached J_x eigensystem (the top-half
+# rows of the mu >= 0 columns, about n^2/4 doubles, built in O(n^2) time;
+# spinrep refuses n > 2^14 itself); a ring or Heisenberg matvec is
+# O(n log n) FFTs in O(n) memory, Heisenberg's closed-form cross-check
+# included; SE(2)'s block is a Hankel section, solved by the Hankel
+# odd-block kernel with FFT products of about half that length.  The cap
+# stays until it is lifted per family, once a benchmark workload measures
+# the large sizes.
 MAX_SWEEP_N = 2048
 
 
@@ -404,7 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     vec.add_argument("--n", type=int, required=True)
     vec.add_argument("--a", type=_float_list, default=None)
     vec.add_argument("--b", type=_float_list, default=None)
-    vec.add_argument("--which", choices=("max", "min"), default="max")
+    vec.add_argument("--which", choices=("max", "min"), default="max",
+                     help="top or bottom eigenvalue of i*C; C is real and skew, so the two "
+                     "vectors are complex conjugates: the same moduli for every family")
     vec.add_argument("--out", required=True)
     vec.add_argument("--svg", default=None)
     vec.set_defaults(func=cmd_vectors)

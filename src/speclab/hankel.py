@@ -12,7 +12,9 @@ For a = 0 fourier_coeff evaluates the coefficients by integer logic
 (sin(pi*p/2) is exactly 0, +1 or -1), so entries that vanish do so exactly.
 Then h_{k,l} = 0.0 unless k = l (mod 2), so the truncation is the direct
 sum of its odd-index and even-index blocks, both sign-conjugated Cauchy
-(generalized Hilbert) matrices, and the odd one carries the norm.
+(generalized Hilbert) matrices, and the odd one carries the norm.  One
+kernel, _odd_block_record, solves that block for the square truncations
+and for the K x (K + 1) sections that are the SE(2) commutator's block.
 Every coefficient grid in the package is _coeff_grid, fourier_coeff's
 formula on an array, so the Hankel truncations and the ring and SE(2)
 matrices built from it agree bit for bit.
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -99,19 +102,61 @@ def hankel_truncation(sym: ArcSymbol, n: int) -> np.ndarray:
     return _coeff_grid(sym, 1 - np.add.outer(k, k))
 
 
+def _hankel_apply(c: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> H x for the m x m Hankel matrix H[i, j] = c[i + j], len(c) =
+    2m - 1: c[i + j] is entry (i, m - 1 - j) of the Toeplitz matrix of c, so
+    H x is its product with x reversed (each row of a 2-D block)."""
+    toeplitz = toeplitz_matvec(c, (len(c) + 1) // 2)
+    return lambda x: toeplitz(x[..., ::-1])
+
+
+def _odd_block_record(rows: int, cols: int) -> NormRecord:
+    """Norm of the rows x cols section of the half-circle Hankel matrix,
+    cols = rows or rows + 1, with its Perron certificate.
+
+    Up to diagonal signs the section's odd-index block is the positive
+    Cauchy-like C[i, j] = |coeff(-(2(i+j) + 1))| = 1/(pi(2(i+j) + 1))
+    (0-based), m x m' with m = ceil(rows/2), m' = ceil(cols/2).  Entries
+    between indices of different parity are 0.0 and the even block is a
+    submatrix of C, so ||C|| is the norm.  Lanczos runs on A = C when
+    m' = m (its top eigenvalue is ||C|| by Perron-Frobenius), and on
+    A = C C^T when m' = m + 1: C = G[:m] for the m' x m' kernel G, so
+    A x = (G G [x; 0])[:m], and square roots are taken.  For
+    x > 0 the Collatz-Wielandt inequality min_i (Ax)_i/x_i <= lambda_max(A)
+    <= max_i (Ax)_i/x_i brackets it; x is the modulus of the Ritz vector,
+    and each ratio is widened by k eps max(Ax)/x_i for the FFT's rounding,
+    k = 2 for one product and 4 for two.  That is an allowance, not a proven
+    bound: against a long-double evaluation one product was off by at most
+    1.2 eps max|Hx| in any entry (N <= 16384, a = 0 and a != 0) and C C^T x
+    by 1.45 eps max(C C^T x) (K <= 32768).  method "perron"; matvecs counts
+    the products with A.
+    """
+    m, wide = (rows + 1) // 2, (cols + 1) // 2
+    matvec = _hankel_apply(np.abs(_coeff_grid(HALF_CIRCLE, -(2 * np.arange(2 * wide - 1) + 1))))
+    if wide > m:
+        square = matvec
+
+        def matvec(x):
+            y = np.zeros(x.shape[:-1] + (wide,))
+            y[..., :m] = x
+            return square(square(y))[..., :m]
+
+    ritz = lanczos_top(matvec, m)
+    x = np.abs(ritz.vector)
+    cx = matvec(x)
+    slack = (4.0 if wide > m else 2.0) * np.finfo(float).eps * cx.max()
+    value, lower, upper = abs(ritz.value), np.min((cx - slack) / x), np.max((cx + slack) / x)
+    if wide > m:
+        value, lower, upper = (math.sqrt(max(t, 0.0)) for t in (value, lower, upper))
+    return NormRecord(value, "perron", ritz.matvecs + 1, float(lower), float(upper))
+
+
 def truncated_norm_record(sym: ArcSymbol, n: int) -> NormRecord:
     """Operator norm of the N x N truncation, with its certificate.
 
-    At a = 0 only the ceil(N/2) x ceil(N/2) odd-index block is solved.  Up to
-    diagonal signs it is the positive Hankel matrix C[i, j] = |coeff(-(2(i+j)
-    + 1))| = 1/(pi(2(i+j) + 1)) (0-based i, j), which dominates the even
-    block entrywise, so by Perron-Frobenius its norm, its top eigenvalue, is
-    ||H_N||.  For any x > 0 the Collatz-Wielandt inequality min_i (Cx)_i/x_i
-    <= ||C|| <= max_i (Cx)_i/x_i brackets it; x is the modulus of the Lanczos
-    Ritz vector, and each ratio is widened by 2 eps max(Cx)/x_i for the FFT's
-    rounding.  That is an allowance, not a proven bound: against a
-    long-double evaluation the FFT product was off by at most 1.2 eps
-    max|Hx| in any entry (N <= 16384, a = 0 and a != 0).  method "perron".
+    At a = 0 the norm is that of the ceil(N/2) x ceil(N/2) odd-index block,
+    solved with its Perron bracket by the kernel that also solves the SE(2)
+    block, the K x (K + 1) section (_odd_block_record).  method "perron".
 
     At a != 0 the whole truncation is solved, and the norm is the modulus of
     the Ritz value theta of largest modulus.  With r = ||Hx - theta x|| some
@@ -121,24 +166,10 @@ def truncated_norm_record(sym: ArcSymbol, n: int) -> NormRecord:
     if n < 1:
         raise ContractError(f"truncation size must be >= 1, got {n}")
     if sym.a == 0.0:
-        m = (n + 1) // 2
-        c = np.abs(_coeff_grid(sym, -(2 * np.arange(2 * m - 1) + 1)))
-    else:
-        m = n
-        c = _coeff_grid(sym, -np.arange(1, 2 * m))
-    toeplitz = toeplitz_matvec(c, m)
-
-    def matvec(x):  # c[i + j] is entry (i, m - 1 - j) of the Toeplitz matrix
-        return toeplitz(x[..., ::-1])
-
-    ritz = lanczos_top(matvec, m)
+        return _odd_block_record(n, n)
+    matvec = _hankel_apply(_coeff_grid(sym, -np.arange(1, 2 * n)))
+    ritz = lanczos_top(matvec, n)
     value = abs(ritz.value)
-    if sym.a == 0.0:
-        x = np.abs(ritz.vector)
-        cx = matvec(x)
-        slack = 2.0 * np.finfo(float).eps * cx.max()
-        lower, upper = np.min((cx - slack) / x), np.max((cx + slack) / x)
-        return NormRecord(value, "perron", ritz.matvecs + 1, float(lower), float(upper))
     residual = float(np.linalg.norm(matvec(ritz.vector) - ritz.value * ritz.vector))
     return NormRecord(value, "lanczos", ritz.matvecs + 1, value - residual, nehari_bound(sym))
 

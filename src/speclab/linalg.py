@@ -25,9 +25,13 @@ from ._errors import ComputationError, ContractError
 class NormRecord(NamedTuple):
     """An operator norm and how it was obtained and certified.
 
-    ``method`` names the solver (``"perron"`` or ``"lanczos"`` for a Hankel
-    truncation, ``"lanczos"`` for every commutator family: one matrix-free
-    run on a Gram operator, so no point costs a dense O(n^3) solve),
+    ``method`` names the solver and its certificate: ``"perron"`` for the
+    half-circle Hankel odd block (a Hankel truncation at a = 0, and every
+    SE(2) commutator, whose block is a section of that Hankel matrix), with
+    a two-sided Collatz-Wielandt bracket; ``"lanczos"`` for a Hankel
+    truncation at a != 0 and for the ring, Heisenberg and SU(2) commutators,
+    with a residual lower end and the upper end 1/2.  Each is one
+    matrix-free Lanczos run, so no point costs a dense O(n^3) solve.
     ``matvecs`` counts the products with the operator it took, and
     ``lower <= value <= upper`` is the certificate that comes with it.
     """

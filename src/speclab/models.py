@@ -5,17 +5,20 @@ record, the matrix on demand, and model-specific diagnostics; FAMILIES maps
 each family name to its builder, the thresholds it reads and its basis
 labels.  Every family is a commutator [P, D] of a Hermitian P with a
 diagonal 0/1 projection D, reported by one helper whose norm is that of the
-block B = P[in, out], matrix-free: one Lanczos run, from a start with no
-reflection symmetry, on a Gram operator of B.  For SU(2) that is B B^T on
-the in side, P = V V^T for the kept J_x eigenvectors V, applied through
-V_in, a view of the cached eigenvectors; for ring, SE(2) and Heisenberg it
-is B^T B on the out side with P applied by FFT (a convolution with the
-table of Fourier coefficients, or the circulant of the DFT-conjugated arc
-projection).  No family forms an n x n or K x K array or makes a dense
-O(n^3) solve for a norm.  Circle-grid membership tests (which grid points
-lie on the open arc Re z > a) run on exact integers when a = 0, where
-cos(2*pi*k/n) = 0 exactly at the quarter points and the strict inequality
-must exclude them; at a != 0 one cosine decides each mirror pair k, -k.
+block B = P[in, out], matrix-free.  For SU(2), ring and Heisenberg it is one
+Lanczos run, from a start with no reflection symmetry, on a Gram operator
+of B.  For SU(2) that is B B^T on the in side, P = V V^T for the kept J_x
+eigenvectors V, applied through V_in, a view of the cached eigenvectors;
+for ring and Heisenberg it is B^T B on the out side with P applied by FFT
+(a convolution with the table of Fourier coefficients, or the circulant of
+the DFT-conjugated arc projection).  SE(2)'s block is a section of the
+half-circle Hankel matrix, so its norm and Perron certificate come from the
+Hankel odd-block kernel (hankel._odd_block_record).  No family forms an
+n x n or K x K array or makes a dense O(n^3) solve for a norm.  Circle-grid
+membership tests (which grid points lie on the open arc Re z > a) run on
+exact integers when a = 0, where cos(2*pi*k/n) = 0 exactly at the quarter
+points and the strict inequality must exclude them; at a != 0 one cosine
+decides each mirror pair k, -k.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from ._errors import ComputationError, ContractError
-from .hankel import HALF_CIRCLE, ArcSymbol, _coeff_grid
+from .hankel import HALF_CIRCLE, ArcSymbol, _coeff_grid, _odd_block_record
 from .linalg import NormRecord, lanczos_top, toeplitz_matvec
 from .spinrep import (
     SpinRep,
@@ -141,7 +144,7 @@ def _fourier_norm(apply: Callable, inside: np.ndarray) -> NormRecord:
         v[..., out] = x
         return apply(apply(v) * inside)[..., out]
 
-    return _lanczos_norm(gram, len(out) if inside.any() else 0)
+    return _lanczos_norm(gram, len(out))
 
 
 def _su2_norm(v: np.ndarray, inside: np.ndarray) -> NormRecord:
@@ -297,19 +300,6 @@ def _arc_membership(ks, n: int, a: float) -> np.ndarray:
 # ring
 # ---------------------------------------------------------------------------
 
-def _toeplitz(sym: ArcSymbol, window: int) -> tuple[Callable, Callable]:
-    """P[k, l] = coeff(k - l) on the modes k, l = -K..K from one table of
-    coeff over the lags -2K..2K, as a block function gathered from it and as
-    x -> P x, the table's linalg.toeplitz_matvec product (m = 2K + 1).
-    """
-    ks = np.arange(-window, window + 1, dtype=np.int64)
-    table = _coeff_grid(sym, np.arange(-2 * window, 2 * window + 1))
-    return (
-        lambda rows, cols: table[ks[rows, None] - ks[None, cols] + 2 * window],
-        toeplitz_matvec(table, 2 * window + 1),
-    )
-
-
 def ring_commutator(n: int, window: int, a: float = 0.0) -> CommutatorReport:
     """Ring commutator on the Fourier modes -K..K.
 
@@ -323,9 +313,16 @@ def ring_commutator(n: int, window: int, a: float = 0.0) -> CommutatorReport:
         raise ContractError(f"ring_commutator: window must be >= 1, got {window}")
     if not 0.0 <= a < 1.0:
         raise ContractError(f"ring_commutator: a must lie in [0, 1), got {a}")
-    inside = _arc_membership(range(-window, window + 1), n, a) != 0.0
-    block, apply = _toeplitz(ArcSymbol(a), window)
-    record = _fourier_norm(apply, inside)
+    ks = np.arange(-window, window + 1, dtype=np.int64)
+    inside = _arc_membership(ks, n, a) != 0.0
+    # one table of coeff over the lags -2K..2K, gathered for the matrix and
+    # applied as its Toeplitz product (m = 2K + 1) for the norm
+    table = _coeff_grid(ArcSymbol(a), np.arange(-2 * window, 2 * window + 1))
+
+    def block(rows, cols):  # P[k, l] = coeff(k - l)
+        return table[ks[rows, None] - ks[None, cols] + 2 * window]
+
+    record = _fourier_norm(toeplitz_matvec(table, 2 * window + 1), inside)
     return _report("ring", {"n": n, "K": window, "a": a}, inside, block, record)
 
 
@@ -486,18 +483,24 @@ def se2_commutator(window: int) -> CommutatorReport:
     Decomposes exactly into a Hankel block and minus its adjoint; the same
     operator realizes the line position/momentum commutator numerically.
     The report's submatrix holds the Hankel block with rows flipped to the
-    1-based Hankel indexing.
+    1-based Hankel indexing: the K x (K + 1) section of the half-circle
+    Hankel matrix, whose norm and Perron certificate come from the Hankel
+    odd-block kernel (hankel._odd_block_record).
     """
     if window < 1:
         raise ContractError(f"se2_commutator: window must be >= 1, got {window}")
-    pos = np.arange(-window, window + 1) >= 0
-    block, apply = _toeplitz(HALF_CIRCLE, window)
+    ks = np.arange(-window, window + 1, dtype=np.int64)
+    pos = ks >= 0
+
+    def block(rows, cols):  # P[k, l] = coeff(k - l)
+        return _coeff_grid(HALF_CIRCLE, ks[rows, None] - ks[None, cols])
+
     return _report(
         "se2",
         {"K": window},
         pos,
         block,
-        _fourier_norm(apply, pos),
+        _odd_block_record(window, window + 1),
         check=partial(_block_residual, rows=~pos),
         extract=lambda: block(~pos, pos)[::-1],  # d_l - d_k is exactly 1 on this block
     )

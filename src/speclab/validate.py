@@ -250,7 +250,10 @@ def _suite_se2_block_identity():
         r = models.se2_commutator(window)
         worst = max(worst, r.block_check)
         target = hankel.hankel_truncation(hankel.HALF_CIRCLE, window + 1)[:window, :]
-        if not np.array_equal(r.submatrix, target):
+        # the block is the Hankel section bit for bit, and the record's
+        # Perron bracket holds its dense norm
+        bracketed = r.record.lower <= operator_norm(r.submatrix) <= r.record.upper
+        if not np.array_equal(r.submatrix, target) or not bracketed:
             worst = max(worst, np.inf)
     return worst, 1e-12
 

@@ -27,6 +27,7 @@ from speclab import (
     su2_caps_commutator,
     su2_commutator,
     su2_submatrix,
+    truncated_norm_record,
 )
 from speclab import models
 from speclab.hankel import ArcSymbol, _coeff_grid
@@ -540,7 +541,7 @@ def _fourier_dense(family, n, a):
 def test_projection_pair_matches_dense_path(family, n, a, b):
     report = models.FAMILIES[family].build(n, a, b)
     p, d = _fourier_dense(family, n, a)
-    assert report.record.method == "lanczos"
+    assert report.record.method == ("perron" if family == "se2" else "lanczos")
     assert abs(report.norm - np.linalg.norm(report.matrix, 2)) <= 1e-12
     dense = commutator(p, np.diag(d))
     assert np.max(np.abs(report.matrix - dense)) <= 1e-15
@@ -599,13 +600,25 @@ def test_fourier_norms_match_dense_at_every_size(family, a):
         block = p[np.ix_(inside, ~inside)]
         dense = operator_norm(block) if block.size else 0.0
         assert abs(record.value - dense) <= 1e-12, (n, record, dense)
+        if family == "se2":
+            # the K x (K + 1) Hankel section, certified by the odd-block kernel
+            assert record.method == "perron"
+            assert record.lower <= dense <= record.upper < 0.5, (n, record, dense)
+            if n % 2:
+                assert record == truncated_norm_record(HALF_CIRCLE, n)
+            continue
         assert record.method == "lanczos"
         assert record.lower <= record.value <= record.upper == 0.5
 
 
-@pytest.mark.parametrize("a", [0.0, 0.3])
 @pytest.mark.parametrize(
-    "family, n", [("heisenberg", 2047), ("heisenberg", 2048), ("ring", 1023), ("ring", 1024)]
+    "family, n, a",
+    [
+        (f, n, a)
+        for f, n in (("heisenberg", 2047), ("heisenberg", 2048), ("ring", 1023), ("ring", 1024))
+        for a in (0.0, 0.3)
+    ]
+    + [("se2", 1023, 0.0), ("se2", 1024, 0.0)],  # se2 reads no threshold
 )
 def test_fourier_norms_match_dense_at_large_sizes(family, n, a):
     record = models.FAMILIES[family].build(n, a, 1.0).record
@@ -613,7 +626,11 @@ def test_fourier_norms_match_dense_at_large_sizes(family, n, a):
     inside = d != 0.0
     dense = operator_norm(p[np.ix_(inside, ~inside)])
     assert abs(record.value - dense) <= 1e-12, (n, record, dense)
-    assert record.lower <= record.value <= record.upper == 0.5
+    if family == "se2":
+        assert record.method == "perron"
+        assert record.lower <= dense <= record.upper < 0.5, (n, record, dense)
+    else:
+        assert record.lower <= record.value <= record.upper == 0.5
 
 
 def test_heisenberg_point_memory_is_linear_in_n():
