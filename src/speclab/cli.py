@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -130,6 +129,10 @@ def cmd_norms(args) -> int:
     workers = _worker_count(args.jobs, len(tasks), os.cpu_count() or 1)
     t0 = time.perf_counter()
     if workers > 1:
+        # imported here: concurrent.futures and multiprocessing cost a serial
+        # sweep about 10 ms of import time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_norm_point, tasks, chunksize=1))
     else:

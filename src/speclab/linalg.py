@@ -80,11 +80,13 @@ def _is_hermitian(a, tol: float = 1e-12) -> bool:
 
 
 def _exact_norm(a) -> float:
-    """LAPACK-grade largest singular value."""
+    """LAPACK-grade largest singular value.  Off the Hermitian branch it is
+    the first of gesdd's descending singular values: np.linalg.norm(a, 2)
+    makes the same call and takes their max."""
     if a.shape[0] == a.shape[1] and np.array_equal(a, a.conj().T):
         w = np.linalg.eigvalsh(a)
         return float(max(abs(w[0]), abs(w[-1])))
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def operator_norm(a) -> float:

@@ -63,10 +63,17 @@ def _series(p: int, x: float) -> float:
     return float(total)
 
 
+# the trapezoid's nodes t_k = k pi / TRAPEZOID_NODES, k = 0..TRAPEZOID_NODES,
+# and sin(t_k): built once, read-only
+_NODES = np.arange(TRAPEZOID_NODES + 1) * (math.pi / TRAPEZOID_NODES)
+_SIN_NODES = np.sin(_NODES)
+_NODES.setflags(write=False)
+_SIN_NODES.setflags(write=False)
+
+
 def _integral(p: int, x: float) -> float:
     n = TRAPEZOID_NODES
-    t = np.arange(n + 1) * (math.pi / n)
-    f = np.cos(p * t - x * np.sin(t))
+    f = np.cos(p * _NODES - x * _SIN_NODES)
     return float((np.sum(f) - 0.5 * (f[0] + f[-1])) * (math.pi / n) / math.pi)
 
 

@@ -17,9 +17,10 @@ Only a quarter of the eigensystem is computed and cached, the top-half
 rows of the columns mu >= 0; two exact symmetries give the rest.
 
 Each route works on the whole (m', m) grid at once: the binomial sum is one
-masked array kernel over broadcast twice-indices, the Fourier route at any
-theta is one complex GEMM on the J_x eigenvectors (`wigner_d_matrix`), and
-the Hilbert-formula check is one GEMM plus an outer product.
+array kernel over the live terms of every entry, laid out flat, the Fourier
+route at any theta is one complex GEMM on the J_x eigenvectors
+(`wigner_d_matrix`), and the Hilbert-formula check is one GEMM plus an outer
+product.
 `wigner_d_sum` and `wigner_d_theta` stay as the scalar entry points.
 """
 
@@ -367,62 +368,71 @@ def _log_factorials(top: int) -> np.ndarray:
     return lf
 
 
-SUM_BLOCK = 1 << 17  # entries of one block of binomial-sum terms (1 MB of floats)
+SUM_BLOCK = 1 << 17  # live terms of one block of the binomial sum (1 MB of floats)
 
 
 def _wigner_sum(tj: int, tp, tm, theta: float) -> np.ndarray:
     """d^j_{m',m}(theta) by the binomial sum over broadcast twice-indices.
 
     tj = 2j; tp and tm are integer arrays (or scalars) of twice m' and twice
-    m, already on the spin-j lattice.  The sum runs on a new leading axis over
-    the s that some entry needs (the union of the [s_min, s_max] ranges), in
-    blocks of as many s as keep a block's terms within SUM_BLOCK entries, so
-    memory stays a few times that of the output whatever j; each block's sum
-    starts from the previous blocks' total, so the order of the additions is
-    that of one sum over every s.  Each entry's terms outside its own range
-    are masked to 0 through their logarithm (their factorial indices are
-    clamped to 0 first so no lookup leaves the table).  A term too large for
-    a float raises ComputationError, and so does an entry whose cancellation
-    estimate 4 tj eps sum_s |term_s| (each term's relative rounding grows
-    with the powers' exponents, up to tj) exceeds 1e-8, `validate`'s
-    cross-path tolerance.
+    m, already on the spin-j lattice.  Only the live terms of each entry are
+    evaluated, s from max(0, m - m') to min(j - m', j + m), laid out flat:
+    entries in C order, s ascending within each entry.  They run in blocks of
+    whole entries with at most SUM_BLOCK terms (an entry has at most 2j + 1),
+    so memory stays a few times that of the output whatever j.  The powers of
+    cos(theta/2) and sin(theta/2) are gathered from tables of the tj + 1
+    exponents.  np.bincount sums each entry's terms in order, which is the
+    order of a sum over s; a lone entry (`wigner_d_sum`) is summed by np.sum,
+    pairwise from 8 terms.  A term too large for a float raises
+    ComputationError, and so does an entry whose cancellation estimate
+    4 tj eps sum_s |term_s| (each term's relative rounding grows with the
+    powers' exponents, up to tj) exceeds 1e-8, `validate`'s cross-path
+    tolerance.
     """
-    tp, tm = np.asarray(tp, dtype=np.int64), np.asarray(tm, dtype=np.int64)
+    tp, tm = np.broadcast_arrays(np.asarray(tp, dtype=np.int64), np.asarray(tm, dtype=np.int64))
+    shape = tp.shape
+    tp, tm = tp.ravel(), tm.ravel()
     lf = _log_factorials(tj)
     jp_plus, jp_minus = (tj + tp) // 2, (tj - tp) // 2  # j + m', j - m'
     jm_plus, jm_minus = (tj + tm) // 2, (tj - tm) // 2  # j + m, j - m
-    diff = (tp - tm) // 2  # m' - m; s_min = max(0, -diff)
-    s_max = np.minimum(jp_minus, jm_plus)
+    diff = (tp - tm) // 2  # m' - m
+    s_min = np.maximum(0, -diff)
+    count = np.minimum(jp_minus, jm_plus) - s_min + 1  # live terms of each entry
     pref = 0.5 * (lf[jm_plus] + lf[jm_minus] - lf[jp_plus] - lf[jp_minus])
-    shape = np.broadcast_shapes(tp.shape, tm.shape)
-    s_all = np.arange(max(0, -int(diff.max())), int(s_max.max()) + 1)
-    step = max(1, SUM_BLOCK // math.prod(shape))
-    total = magnitude = None
-    for lo in range(0, len(s_all), step):
-        s = s_all[lo : lo + step].reshape((-1,) + (1,) * len(shape))
-        live = (s >= -diff) & (s <= s_max)
-        lb1 = lf[jp_plus] - lf[np.where(live, jm_plus - s, 0)] - lf[np.where(live, diff + s, 0)]
-        lb2 = lf[jp_minus] - lf[s] - lf[np.where(live, jp_minus - s, 0)]
-        k_sin = np.where(live, diff + 2 * s, 0)
-        sign = 1.0 - 2.0 * ((diff + s) % 2)
+    k = np.arange(tj + 1)  # the sine's exponent, diff + 2 s
+    cos_pow, sin_pow = math.cos(theta / 2) ** (tj - k), math.sin(theta / 2) ** k
+    ends = np.cumsum(count)
+    total, magnitude = np.empty(len(count)), np.empty(len(count))
+    lo = 0
+    while lo < len(count):
+        first = ends[lo] - count[lo]  # live terms before entry lo
+        hi = max(lo + 1, int(np.searchsorted(ends, first + SUM_BLOCK, side="right")))
+        per = count[lo:hi]
+        e = np.repeat(np.arange(lo, hi), per)
+        s = np.arange(first, ends[hi - 1]) - np.repeat(ends[lo:hi] - per - s_min[lo:hi], per)
+        d, jpm = diff[e], jp_minus[e]
+        lb1 = lf[jp_plus[e]] - lf[jm_plus[e] - s] - lf[d + s]
+        lb2 = lf[jpm] - lf[s] - lf[jpm - s]
+        k_sin = d + 2 * s
+        sign = 1.0 - 2.0 * ((d + s) % 2)
         with np.errstate(over="raise"):
-            try:  # masked terms are exp(-inf) = 0
-                size = np.exp(np.where(live, pref + lb1 + lb2, -np.inf))
+            try:
+                size = np.exp(pref[e] + lb1 + lb2)
             except FloatingPointError:
                 raise ComputationError(f"binomial sum overflows at j = {HalfInt(tj)}") from None
-        cos_pow = math.cos(theta / 2) ** (tj - k_sin)
-        terms = sign * size * cos_pow * math.sin(theta / 2) ** k_sin
-        if total is None:
-            total, magnitude = terms.sum(axis=0), np.abs(terms).sum(axis=0)
+        terms = sign * size * cos_pow[k_sin] * sin_pow[k_sin]
+        if shape:
+            total[lo:hi] = np.bincount(e - lo, weights=terms, minlength=hi - lo)
+            magnitude[lo:hi] = np.bincount(e - lo, weights=np.abs(terms), minlength=hi - lo)
         else:
-            total = np.concatenate([total[None], terms]).sum(axis=0)
-            magnitude = np.concatenate([magnitude[None], np.abs(terms)]).sum(axis=0)
+            total[0], magnitude[0] = terms.sum(), np.abs(terms).sum()
+        lo = hi
     error = 4 * tj * np.finfo(float).eps * float(np.max(magnitude))
     if error > 1e-8:
         raise ComputationError(
             f"binomial sum lost to cancellation at j = {HalfInt(tj)}: error estimate {error:.3g}"
         )
-    return total
+    return total.reshape(shape)
 
 
 def wigner_d_sum(j, mprime, m, theta: float) -> float:

@@ -307,7 +307,7 @@ def test_out_of_range_thresholds_exit_1_before_any_point(
     tmp_path, capsys, monkeypatch, command, family, builder, flags
 ):
     monkeypatch.setattr(f"speclab.models.{builder}", _never_called)
-    monkeypatch.setattr("speclab.cli.ProcessPoolExecutor", _never_called)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _never_called)
     size = ["--n-start", "300", "--n-stop", "300"] if command == "norms" else ["--n", "300"]
     out = tmp_path / "x.csv"
     assert run([command, "--family", family, *size, *flags, "--out", str(out)]) == 1
@@ -552,11 +552,24 @@ def test_validate_sign_flip_injection(tmp_path):
     assert failed == {"spinrep.wigner_cross_path"}
 
 
-def test_cli_import_loads_no_scipy():
-    # the package runs on numpy alone; scipy is a test-only oracle
+def _modules_loaded_by_cli_import(*names):
+    """Import speclab.cli in a fresh interpreter and return which of the
+    named modules it loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    code = "import speclab.cli, sys; assert 'scipy' not in sys.modules, sorted(sys.modules)"
+    code = ("import json, speclab.cli, sys; "
+            f"print(json.dumps([m for m in {list(names)!r} if m in sys.modules]))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_loads_no_scipy():
+    # the package runs on numpy alone; scipy is a test-only oracle
+    assert _modules_loaded_by_cli_import("scipy") == []
+
+
+def test_cli_import_loads_no_process_pool():
+    # the pool is imported inside cmd_norms, and only when it runs workers
+    assert _modules_loaded_by_cli_import("concurrent.futures", "multiprocessing") == []

@@ -99,6 +99,27 @@ def test_exact_norm_hermitian_branch():
     assert abs(_exact_norm(a) - np.linalg.norm(a, 2)) <= 1e-12
 
 
+def _two_norm_inputs():
+    rng = np.random.default_rng(17)
+    for shape in ((1, 1), (2, 2), (9, 9), (40, 40), (7, 3), (3, 7), (1, 12), (33, 20)):
+        a = rng.standard_normal(shape)
+        yield a
+        yield a + 1j * rng.standard_normal(shape)
+        yield np.zeros(shape)
+        yield np.zeros(shape, dtype=complex)
+        d = np.zeros(shape)
+        np.fill_diagonal(d, rng.standard_normal(min(shape)))
+        yield d
+        yield d * np.exp(1j * rng.uniform(0.1, 3.0, shape))
+
+
+def test_exact_norm_is_lapacks_two_norm_bit_for_bit():
+    # gesdd's first singular value, whose max np.linalg.norm(a, 2) takes; the
+    # exactly Hermitian zero and real diagonal squares take the eigvalsh branch
+    for a in _two_norm_inputs():
+        assert _exact_norm(a) == np.linalg.norm(a, 2), a.shape
+
+
 def test_commutator_self_is_zero():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((4, 4))

@@ -5,7 +5,15 @@ import pytest
 from scipy.special import jv
 
 from speclab import ContractError, bessel_j, cap_integral, hilbert_bessel_at_zero, jacobi_p
-from speclab.specfun import bessel_j_integral, bessel_j_series, gauss_legendre_quad
+from speclab.specfun import (
+    TRAPEZOID_NODES,
+    _NODES,
+    _SIN_NODES,
+    _integral,
+    bessel_j_integral,
+    bessel_j_series,
+    gauss_legendre_quad,
+)
 
 
 def test_bessel_at_zero():
@@ -51,6 +59,28 @@ def test_bessel_order_contract():
         bessel_j(65, 1.0)
     with pytest.raises(ContractError):
         bessel_j(-70, 1.0)
+
+
+def test_trapezoid_nodes_are_read_only():
+    for table in (_NODES, _SIN_NODES):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+
+def _integral_per_call(p, x):
+    n = TRAPEZOID_NODES
+    t = np.arange(n + 1) * (math.pi / n)
+    f = np.cos(p * t - x * np.sin(t))
+    return float((np.sum(f) - 0.5 * (f[0] + f[-1])) * (math.pi / n) / math.pi)
+
+
+def test_integral_on_shared_nodes_is_the_per_call_rule_bit_for_bit():
+    # the (p, x) grids of validate's two Bessel suites
+    xs = [0.5, 1.0, 3.0, 5.0, 8.0, 12.0, 16.0, 20.0] + [float(x) for x in np.linspace(10.0, 50.0, 41)]
+    for p in range(6):
+        for x in xs:
+            assert _integral(p, x) == _integral_per_call(p, x), (p, x)
 
 
 def test_jacobi_degree_zero_and_one():

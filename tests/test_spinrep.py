@@ -29,9 +29,11 @@ from speclab import (
 from speclab.models import _su2_norm
 from speclab.spinrep import (
     MAX_JX_N,
+    SUM_BLOCK,
     _fourier_entries,
     _jx_eigensystem,
     _jx_vectors,
+    _log_factorials,
     jx_offdiagonal,
     jx_residual_bound,
     weight_at_most,
@@ -389,6 +391,64 @@ def test_wigner_pi_half_calibration_matches_per_column(n):
     # the resolution, so the calibration needs a second round
     rep = SpinRep(n)
     assert np.array_equal(wigner_d_pi_half(rep), _pi_half_calibrated_per_column(rep))
+
+
+def _wigner_sum_masked(tj, tp, tm, theta):
+    """The dense binomial-sum kernel the live-term kernel replaced: every
+    entry runs over the union of the entries' s ranges, with its dead terms
+    masked to 0 through their logarithm, in blocks of s, summed over s on a
+    leading axis.  Kept as the bitwise reference."""
+    tp, tm = np.asarray(tp, dtype=np.int64), np.asarray(tm, dtype=np.int64)
+    lf = _log_factorials(tj)
+    jp_plus, jp_minus = (tj + tp) // 2, (tj - tp) // 2
+    jm_plus, jm_minus = (tj + tm) // 2, (tj - tm) // 2
+    diff = (tp - tm) // 2
+    s_max = np.minimum(jp_minus, jm_plus)
+    pref = 0.5 * (lf[jm_plus] + lf[jm_minus] - lf[jp_plus] - lf[jp_minus])
+    shape = np.broadcast_shapes(tp.shape, tm.shape)
+    s_all = np.arange(max(0, -int(diff.max())), int(s_max.max()) + 1)
+    step = max(1, SUM_BLOCK // math.prod(shape))
+    total = None
+    for lo in range(0, len(s_all), step):
+        s = s_all[lo : lo + step].reshape((-1,) + (1,) * len(shape))
+        live = (s >= -diff) & (s <= s_max)
+        lb1 = lf[jp_plus] - lf[np.where(live, jm_plus - s, 0)] - lf[np.where(live, diff + s, 0)]
+        lb2 = lf[jp_minus] - lf[s] - lf[np.where(live, jp_minus - s, 0)]
+        k_sin = np.where(live, diff + 2 * s, 0)
+        sign = 1.0 - 2.0 * ((diff + s) % 2)
+        size = np.exp(np.where(live, pref + lb1 + lb2, -np.inf))
+        cos_pow = math.cos(theta / 2) ** (tj - k_sin)
+        terms = sign * size * cos_pow * math.sin(theta / 2) ** k_sin
+        if total is None:
+            total = terms.sum(axis=0)
+        else:
+            total = np.concatenate([total[None], terms]).sum(axis=0)
+    return total
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("theta", [math.pi / 2, 1.1, 0.0])
+def test_live_term_sum_matrix_is_the_masked_kernel_bit_for_bit(theta):
+    # int64 views, so a signed zero would count
+    for n in range(2, 44):
+        rep = SpinRep(n)
+        ref = _wigner_sum_masked(rep.j.twice, rep.twice[:, None], rep.twice[None, :], theta)
+        assert _same_bits(wigner_d_sum_matrix(rep, theta), ref), n
+
+
+@pytest.mark.parametrize("theta", [math.pi / 2, 1.1, 0.0])
+def test_live_term_sum_scalar_is_the_masked_kernel_bit_for_bit(theta):
+    # a lone entry is summed pairwise, past 8 terms not in the matrix's order
+    for n in range(2, 44):
+        rep = SpinRep(n)
+        for mp, m in ((0, 0), (0, n - 1), (n - 1, 0), (n // 2, n // 3), (n // 3, n // 2)):
+            tp, tm = int(rep.twice[mp]), int(rep.twice[m])
+            ref = _wigner_sum_masked(rep.j.twice, tp, tm, theta)
+            assert _same_bits(wigner_d_sum(rep.j, HalfInt(tp), HalfInt(tm), theta), ref), (n, mp, m)
 
 
 def test_binomial_sum_overflow_raises():
