@@ -299,6 +299,7 @@ def cmd_vectors(args) -> int:
             "n": args.n,
             "which": args.which,
             "norm": report.norm,
+            "norm_record": report.record._asdict(),
             "extremal_value": vec.value,
             "degenerate_gap": vec.degenerate,
         },

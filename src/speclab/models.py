@@ -1,20 +1,23 @@
 """The commutator families: SU(2) spin, ring, finite Heisenberg, SE(2)/line.
 
-Each builder returns a CommutatorReport bundling the commutator's norm
-record, the matrix on demand, and model-specific diagnostics; FAMILIES maps
-each family name to its builder, the thresholds it reads and its basis
-labels.  Every family is a commutator [P, D] of a Hermitian P with a
-diagonal 0/1 projection D, reported by one helper whose norm is that of the
-block B = P[in, out], matrix-free.  For SU(2), ring and Heisenberg it is one
-Lanczos run, from a start with no reflection symmetry, on a Gram operator
-of B.  For SU(2) that is B B^T on the in side, P = V V^T for the kept J_x
-eigenvectors V, applied through V_in, a view of the cached eigenvectors;
-for ring and Heisenberg it is B^T B on the out side with P applied by FFT
-(a convolution with the table of Fourier coefficients, or the circulant of
-the DFT-conjugated arc projection).  SE(2)'s block is a section of the
-half-circle Hankel matrix, so its norm and Perron certificate come from the
-Hankel odd-block kernel (hankel._odd_block_record).  No family forms an
-n x n or K x K array or makes a dense O(n^3) solve for a norm.  Circle-grid
+Every family is a commutator [P, D] of a Hermitian P with a diagonal 0/1
+projection D, so its matrix, entry (k, l) = P_kl * (d_l - d_k), is block
+off-diagonal and its norm is that of the block B = P[in, out].  Each builder
+returns a CommutatorReport holding just that: the norm record of B, found
+matrix-free, D's range as a bool mask, P as a callable and model-specific
+diagnostics; the matrix, the block and its block-structure residual are
+formed from them on first read, the same way for every family.  FAMILIES
+maps each family name to its builder, the thresholds it reads and its basis
+labels.  For SU(2), ring and Heisenberg the norm is one Lanczos run, from a
+start with no reflection symmetry, on a Gram operator of B.  For SU(2) that
+is B B^T on the in side, P = V V^T for the kept J_x eigenvectors V, applied
+through V_in, a view of the cached eigenvectors; for ring and Heisenberg it
+is B^T B on the out side with P applied by FFT (a convolution with the
+table of Fourier coefficients, or the circulant of the DFT-conjugated arc
+projection).  SE(2)'s block is a section of the half-circle Hankel matrix,
+so its norm and Perron certificate come from the Hankel odd-block kernel
+(hankel._odd_block_record).  No family forms an n x n or K x K array or
+makes a dense O(n^3) solve for a norm.  Circle-grid
 membership tests (which grid points lie on the open arc Re z > a) run on
 exact integers when a = 0, where cos(2*pi*k/n) = 0 exactly at the quarter
 points and the strict inequality must exclude them; at a != 0 one cosine
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -46,21 +49,18 @@ NORM_CAP = 0.5 + 1e-9  # projection commutators cannot exceed 1/2
 
 @dataclass
 class CommutatorReport:
-    """Result of building one commutator: norm record, matrix, diagnostics.
+    """One commutator [P, D]: its norm record, P, D's range and diagnostics.
 
-    ``build`` returns the commutator matrix; ``matrix`` calls it on first
-    read and keeps it, so no norm forms it.  ``check``, when given, maps the
-    matrix to the family's block-structure residual, read as
-    ``block_check``; ``extract``, when given, returns the family's
-    designated submatrix, read as ``submatrix`` (both None without one).
+    ``inside`` is D's range as a bool mask and ``projection`` returns the
+    dense P.  ``matrix``, ``block`` and ``block_check`` are formed from them
+    on first read, the same way for every family, so no norm forms them.
     """
 
     family: str
     params: dict
     record: NormRecord
-    build: Callable[[], np.ndarray] = field(repr=False, compare=False)
-    check: Callable[[np.ndarray], float] | None = field(default=None, repr=False, compare=False)
-    extract: Callable[[], np.ndarray] | None = field(default=None, repr=False, compare=False)
+    inside: np.ndarray = field(repr=False, compare=False)
+    projection: Callable[[], np.ndarray] = field(repr=False, compare=False)
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -75,15 +75,18 @@ class CommutatorReport:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return self.build()
+        return _masked(self.projection(), self.inside.astype(float))
 
     @cached_property
-    def block_check(self) -> float | None:
-        return None if self.check is None else self.check(self.matrix)
+    def block(self) -> np.ndarray:
+        """matrix[out, in]: d_l - d_k is exactly 1 there, so these are P's
+        own entries, and its norm is the one the record certifies."""
+        return self.matrix[~self.inside][:, self.inside]
 
     @cached_property
-    def submatrix(self) -> np.ndarray | None:
-        return None if self.extract is None else self.extract()
+    def block_check(self) -> float:
+        """Largest entry of the matrix off its block off-diagonal form."""
+        return _block_residual(self.matrix, self.inside)
 
 
 def _masked(p: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -119,16 +122,18 @@ def _lanczos_norm(gram: Callable, m: int) -> NormRecord:
     Record: method "lanczos"; matvecs counts every Gram product, the
     residual one included; lower = sqrt(theta - r) with
     r = ||G x - theta x|| (some eigenvalue lies within r of theta) and
-    upper = 1/2, the bound on a commutator of two projections, which
-    sqrt(theta) exceeds only by rounding (by one ulp at the n = 2 mod 4
-    Heisenberg points, whose norm is 1/2) and is clipped to.  Exactly 0.0
-    when m = 0, a block with no rows or no columns.
+    upper = 1/2, the bound on a commutator of two projections.  sqrt(theta)
+    exceeds it by rounding (by one ulp at the n = 2 mod 4 Heisenberg points,
+    whose norm is 1/2) and is clipped to it only within NORM_CAP; a larger
+    value is kept, so the report refuses it.  Exactly 0.0 when m = 0, a
+    block with no rows or no columns.
     """
     if m == 0:
         return NormRecord(0.0, "lanczos", 0, 0.0, 0.5)
     ritz = lanczos_top(gram, m, _asymmetric_start(m))
     residual = float(np.linalg.norm(gram(ritz.vector) - ritz.value * ritz.vector))
-    value, lower = (min(math.sqrt(max(t, 0.0)), 0.5) for t in (ritz.value, ritz.value - residual))
+    value, lower = (math.sqrt(max(t, 0.0)) for t in (ritz.value, ritz.value - residual))
+    value, lower = (0.5 if 0.5 < s <= NORM_CAP else s for s in (value, lower))
     return NormRecord(value, "lanczos", ritz.matvecs + 1, lower, 0.5)
 
 
@@ -172,22 +177,6 @@ def _su2_norm(v: np.ndarray, inside: np.ndarray) -> NormRecord:
     return _lanczos_norm(gram, len(rows))
 
 
-def _report(family: str, params: dict, inside: np.ndarray, block: Callable,
-            record: NormRecord, **fields) -> CommutatorReport:
-    """Report for [P, D], P Hermitian as ``block(rows, cols)`` = P[rows][:, cols]
-    (bool masks or slices), D's range the rows ``inside``, and the norm
-    ``record`` of the block P[in, out], which is the norm of [P, D]: entry
-    (k, l) is P_kl * (d_l - d_k), so [P, D] is block off-diagonal.  The
-    matrix is formed only when read."""
-    return CommutatorReport(
-        family=family,
-        params=params,
-        record=record,
-        build=lambda: _masked(block(slice(None), slice(None)), inside.astype(float)),
-        **fields,
-    )
-
-
 def _block_residual(c: np.ndarray, rows: np.ndarray) -> float:
     """Largest entry of c off the block form [[0, B], [-B^T, 0]], where B is
     c[rows, ~rows] and ``rows`` is a bool mask."""
@@ -201,27 +190,20 @@ def _block_residual(c: np.ndarray, rows: np.ndarray) -> float:
 
 def su2_commutator(n: int, a: float = 0.0, b: float = 1.0) -> CommutatorReport:
     """Commutator of the J_x projection above a*(j+1/2) with the J_z
-    projection onto (0, b*(j+1/2)].
-
-    For the plain case (a, b) = (0, 1) the matrix is block anti-diagonal in
-    the z-basis, and ``block_check`` verifies the block structure entry by
-    entry.
-    """
+    projection onto (0, b*(j+1/2)]."""
     rep = SpinRep(n)
     if not 0.0 <= a < 1.0:
         raise ContractError(f"su2_commutator: a must lie in [0, 1), got {a}")
     if not 0.0 < b <= 1.0:
         raise ContractError(f"su2_commutator: b must lie in (0, 1], got {b}")
-    plain = a == 0.0 and b == 1.0
-    family = "su2" if plain else "su2_interval"
+    family = "su2" if a == 0.0 and b == 1.0 else "su2_interval"
     inside = z_interval_mask(rep, b)
-    return _report(
+    return CommutatorReport(
         family,
         {"n": n, "a": a, "b": b},
-        inside,
-        lambda rows, cols: projection_x(rep, a)[rows][:, cols],
         _su2_norm(_kept_vectors(rep, a, family), inside),
-        check=partial(_block_residual, rows=rep.twice > 0) if plain else None,
+        inside,
+        lambda: projection_x(rep, a),
     )
 
 
@@ -235,12 +217,12 @@ def su2_caps_commutator(n: int, a: float) -> CommutatorReport:
     if not 0.0 <= a < 1.0:
         raise ContractError(f"su2_caps_commutator: a must lie in [0, 1), got {a}")
     inside = weights_exceeding(rep.twice, a, n)
-    return _report(
+    return CommutatorReport(
         "su2_caps",
         {"n": n, "a": a, "b": a},  # both projections thresholded at a
-        inside,
-        lambda rows, cols: projection_x(rep, a)[rows][:, cols],
         _su2_norm(_kept_vectors(rep, a, "su2_caps"), inside),
+        inside,
+        lambda: projection_x(rep, a),
     )
 
 
@@ -318,12 +300,13 @@ def ring_commutator(n: int, window: int, a: float = 0.0) -> CommutatorReport:
     # one table of coeff over the lags -2K..2K, gathered for the matrix and
     # applied as its Toeplitz product (m = 2K + 1) for the norm
     table = _coeff_grid(ArcSymbol(a), np.arange(-2 * window, 2 * window + 1))
-
-    def block(rows, cols):  # P[k, l] = coeff(k - l)
-        return table[ks[rows, None] - ks[None, cols] + 2 * window]
-
-    record = _fourier_norm(toeplitz_matvec(table, 2 * window + 1), inside)
-    return _report("ring", {"n": n, "K": window, "a": a}, inside, block, record)
+    return CommutatorReport(
+        "ring",
+        {"n": n, "K": window, "a": a},
+        _fourier_norm(toeplitz_matvec(table, 2 * window + 1), inside),
+        inside,
+        lambda: table[np.subtract.outer(ks, ks) + 2 * window],  # P[k, l] = coeff(k - l)
+    )
 
 
 def _designated(name: str, n: int, size: int):
@@ -433,15 +416,14 @@ def heisenberg_commutator(n: int, a: float = 0.0) -> CommutatorReport:
             f"heisenberg closed form disagrees with the operator construction: {residual}"
         )
     inside = memb != 0.0
-    report = _report(
+    return CommutatorReport(
         "heisenberg",
         {"n": n, "a": a},
-        inside,
-        lambda rows, cols: row[(grid[None, cols] - grid[rows, None]) % n],
         _fourier_norm(apply, inside),
+        inside,
+        lambda: row[(grid[None, :] - grid[:, None]) % n],
+        {"closed_form_residual": residual},
     )
-    report.diagnostics["closed_form_residual"] = residual
-    return report
 
 
 def heisenberg_closed_form_residual(report: CommutatorReport) -> float:
@@ -482,27 +464,20 @@ def se2_commutator(window: int) -> CommutatorReport:
 
     Decomposes exactly into a Hankel block and minus its adjoint; the same
     operator realizes the line position/momentum commutator numerically.
-    The report's submatrix holds the Hankel block with rows flipped to the
-    1-based Hankel indexing: the K x (K + 1) section of the half-circle
-    Hankel matrix, whose norm and Perron certificate come from the Hankel
+    The report's block with rows flipped to the 1-based Hankel indexing,
+    block[::-1], is the K x (K + 1) section of the half-circle Hankel
+    matrix, whose norm and Perron certificate come from the Hankel
     odd-block kernel (hankel._odd_block_record).
     """
     if window < 1:
         raise ContractError(f"se2_commutator: window must be >= 1, got {window}")
     ks = np.arange(-window, window + 1, dtype=np.int64)
-    pos = ks >= 0
-
-    def block(rows, cols):  # P[k, l] = coeff(k - l)
-        return _coeff_grid(HALF_CIRCLE, ks[rows, None] - ks[None, cols])
-
-    return _report(
+    return CommutatorReport(
         "se2",
         {"K": window},
-        pos,
-        block,
         _odd_block_record(window, window + 1),
-        check=partial(_block_residual, rows=~pos),
-        extract=lambda: block(~pos, pos)[::-1],  # d_l - d_k is exactly 1 on this block
+        ks >= 0,
+        lambda: _coeff_grid(HALF_CIRCLE, np.subtract.outer(ks, ks)),  # P[k, l] = coeff(k - l)
     )
 
 

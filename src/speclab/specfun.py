@@ -34,19 +34,22 @@ def bessel_j(p: int, x: float) -> float:
     Negative orders and arguments reduce through J_{-p}(x) = (-1)^p J_p(x)
     = J_p(-x).
     """
-    if abs(p) > MAX_ORDER:
-        raise ContractError(f"order {p} outside supported range |p| <= {MAX_ORDER}")
+    sign, p, x = _reduced(p, x)
     if not math.isfinite(x):
         raise ContractError("bessel_j: non-finite argument")
-    if p < 0:
-        return (-1) ** p * bessel_j(-p, x)
-    if x < 0:
-        return (-1) ** p * bessel_j(p, -x)
     if x == 0.0:
-        return 1.0 if p == 0 else 0.0
+        return sign * (1.0 if p == 0 else 0.0)
     if x <= SERIES_CROSSOVER or p > x + 4.0 * x ** (1.0 / 3.0):
-        return _series(p, x)
-    return _integral(p, x)
+        return sign * _series(p, x)
+    return sign * _integral(p, x)
+
+
+def _reduced(p: int, x: float) -> tuple[int, int, float]:
+    """(sign, |p|, |x|) with J_p(x) = sign * J_|p|(|x|), through
+    J_{-p}(x) = (-1)^p J_p(x) = J_p(-x); refuses |p| > MAX_ORDER."""
+    if abs(p) > MAX_ORDER:
+        raise ContractError(f"order {p} outside supported range |p| <= {MAX_ORDER}")
+    return (-1 if p % 2 and (p < 0) != (x < 0) else 1), abs(p), (-x if x < 0 else x)
 
 
 def _series(p: int, x: float) -> float:
@@ -79,26 +82,16 @@ def _integral(p: int, x: float) -> float:
 
 def bessel_j_integral(p: int, x: float) -> float:
     """Integral-representation evaluation, exposed for cross-checks."""
-    if abs(p) > MAX_ORDER:
-        raise ContractError(f"order {p} outside supported range |p| <= {MAX_ORDER}")
-    if p < 0:
-        return (-1) ** p * bessel_j_integral(-p, x)
-    if x < 0:
-        return (-1) ** p * bessel_j_integral(p, -x)
-    return _integral(p, x)
+    sign, p, x = _reduced(p, x)
+    return sign * _integral(p, x)
 
 
 def bessel_j_series(p: int, x: float) -> float:
     """Series-representation evaluation, exposed for cross-checks."""
-    if abs(p) > MAX_ORDER:
-        raise ContractError(f"order {p} outside supported range |p| <= {MAX_ORDER}")
-    if p < 0:
-        return (-1) ** p * bessel_j_series(-p, x)
-    if x < 0:
-        return (-1) ** p * bessel_j_series(p, -x)
+    sign, p, x = _reduced(p, x)
     if x == 0.0:
-        return 1.0 if p == 0 else 0.0
-    return _series(p, x)
+        return sign * (1.0 if p == 0 else 0.0)
+    return sign * _series(p, x)
 
 
 def jacobi_p(k: int, alpha: float, beta: float, x: float) -> float:

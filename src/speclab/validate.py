@@ -21,12 +21,9 @@ from .linalg import commutator, operator_norm
 SCHEMA_VERSION = 1
 
 
-wigner_sum_matrix = spinrep.wigner_d_sum_matrix  # the full d-matrix from the binomial sum
-
-
 def projection_from_sum(rep: spinrep.SpinRep, a: float) -> np.ndarray:
     """Assemble projection_x from the binomial-sum d-matrix (oracle route)."""
-    return _sum_projection(wigner_sum_matrix(rep), rep, a)
+    return _sum_projection(spinrep.wigner_d_sum_matrix(rep), rep, a)
 
 
 def _sum_projection(d: np.ndarray, rep: spinrep.SpinRep, a: float) -> np.ndarray:
@@ -252,8 +249,9 @@ def _suite_se2_block_identity():
         target = hankel.hankel_truncation(hankel.HALF_CIRCLE, window + 1)[:window, :]
         # the block is the Hankel section bit for bit, and the record's
         # Perron bracket holds its dense norm
-        bracketed = r.record.lower <= operator_norm(r.submatrix) <= r.record.upper
-        if not np.array_equal(r.submatrix, target) or not bracketed:
+        section = r.block[::-1]
+        bracketed = r.record.lower <= operator_norm(section) <= r.record.upper
+        if not np.array_equal(section, target) or not bracketed:
             worst = max(worst, np.inf)
     return worst, 1e-12
 
@@ -268,7 +266,7 @@ def run_validation(inject_sign_flip: bool = False) -> tuple[dict, list[int]]:
     suite that reads them.
     """
     sums = functools.cache(
-        lambda: {n: wigner_sum_matrix(spinrep.SpinRep(n)) for n in range(2, 32)}
+        lambda: {n: spinrep.wigner_d_sum_matrix(spinrep.SpinRep(n)) for n in range(2, 32)}
     )
     suites = [
         ("linalg.operator_norm_symmetries", _suite_operator_norm_symmetries),

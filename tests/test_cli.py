@@ -125,6 +125,9 @@ def test_vectors_read_the_matrix_of_a_fourier_family(tmp_path, family):
     assert len(out.read_text().splitlines()) == 1 + len(FAMILIES[family].labels(12))
     meta = json.loads((tmp_path / "v.csv.meta.json").read_text())
     assert abs(meta["extremal_value"] - meta["norm"]) <= 1e-12
+    record = meta["norm_record"]  # the norm's certificate, as in the norms sidecar
+    assert record["method"] == ("perron" if family == "se2" else "lanczos")
+    assert record["lower"] <= record["value"] == meta["norm"] <= record["upper"]
 
 
 def test_norms_sidecar_norm_records(tmp_path):

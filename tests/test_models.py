@@ -75,7 +75,7 @@ def test_su2_interval_family_tag_and_norm():
     r = su2_commutator(24, 0.2, 0.7)
     assert r.family == "su2_interval"
     assert 0.0 <= r.norm <= 0.5 + 1e-10
-    assert r.block_check is None
+    assert r.block_check == 0.0
     # the commutator equals the direct product difference
     p = projection_x(SpinRep(24), 0.2)
     assert abs(r.norm - operator_norm(r.matrix)) <= 1e-12
@@ -415,7 +415,7 @@ def test_se2_block_identity(window):
     r = se2_commutator(window)
     assert r.block_check <= 1e-12
     target = hankel_truncation(HALF_CIRCLE, window + 1)[:window, :]
-    assert np.array_equal(r.submatrix, target)
+    assert np.array_equal(r.block[::-1], target)
 
 
 def test_se2_norm_monotone_toward_half():
@@ -498,6 +498,42 @@ def test_every_family_respects_the_half_bound():
     ]
     for r in reports:
         assert 0.0 <= r.norm <= 0.5 + 1e-10, r.family
+
+
+@pytest.mark.parametrize("m", [10, 30])  # the one-shot solve and a Lanczos run
+def test_lanczos_norm_keeps_a_value_past_the_half_bound(m):
+    # clipping 0.7 to 1/2 would certify a false norm; the report refuses it
+    record = models._lanczos_norm(lambda x: 0.49 * x, m)
+    assert abs(record.value - 0.7) <= 1e-15 and abs(record.lower - 0.7) <= 1e-12
+    with pytest.raises(ComputationError):
+        models.CommutatorReport("ring", {}, record, np.ones(m, dtype=bool), lambda: np.eye(m))
+
+
+@pytest.mark.parametrize("m", [10, 30])
+def test_lanczos_norm_clips_a_rounding_overshoot_to_half(m):
+    record = models._lanczos_norm(lambda x: (0.25 + 1e-16) * x, m)
+    assert record.value == record.lower == record.upper == 0.5
+
+
+# sizes and thresholds of the structural gate; a family builds each point
+# with the thresholds it reads
+STRUCTURE_POINTS = [
+    (2, 0.0, 1.0), (3, 0.3, 0.6), (8, 1 / math.sqrt(2), 1.0),
+    (17, 0.0, 0.5), (33, 0.3, 1.0), (64, 0.9, 0.2),
+]
+
+
+@pytest.mark.parametrize("name", sorted(models.FAMILIES))
+def test_every_family_block_is_its_projections_own_block(name):
+    for n, a, b in STRUCTURE_POINTS:
+        r = models.FAMILIES[name].build(n, a, b)
+        if name == "heisenberg":  # its closed-form row is symmetric only to rounding
+            assert r.block_check <= 1e-15, (n, a, b)
+        else:
+            assert r.block_check == 0.0, (n, a, b)
+        dense = operator_norm(r.block) if r.block.size else 0.0
+        assert abs(dense - r.norm) <= 1e-12, (n, a, b)
+        assert np.array_equal(r.block, r.projection()[~r.inside][:, r.inside]), (n, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -752,4 +788,4 @@ def test_se2_block_identity_is_bitwise_at_random_sizes(window):
     r = se2_commutator(window)
     assert r.block_check == 0.0
     target = hankel_truncation(HALF_CIRCLE, window + 1)[:window]
-    assert np.array_equal(r.submatrix.view(np.int64), target.view(np.int64))
+    assert np.array_equal(r.block[::-1].view(np.int64), target.view(np.int64))

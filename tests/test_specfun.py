@@ -61,6 +61,22 @@ def test_bessel_order_contract():
         bessel_j(-70, 1.0)
 
 
+def _bits(v):
+    return np.float64(v).view(np.int64)
+
+
+@pytest.mark.parametrize("f", [bessel_j, bessel_j_series, bessel_j_integral])
+def test_negative_order_and_argument_reduce_bit_for_bit(f):
+    # J_{-p}(x) = (-1)^p J_p(x) = J_p(-x), signed zeros included
+    for p in range(9):
+        sign = (-1) ** p
+        assert _bits(f(-p, 0.0)) == _bits(sign * f(p, 0.0)), p
+        for x in (0.7, 5.0, 12.5, 13.0, 30.0):
+            base = f(p, x)
+            for q, y, s in ((-p, x, sign), (p, -x, sign), (-p, -x, 1)):
+                assert _bits(f(q, y)) == _bits(s * base), (q, y)
+
+
 def test_trapezoid_nodes_are_read_only():
     for table in (_NODES, _SIN_NODES):
         assert not table.flags.writeable

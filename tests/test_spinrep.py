@@ -43,7 +43,7 @@ from speclab.spinrep import (
     wigner_d_sum_matrix,
     z_interval_mask,
 )
-from speclab.validate import projection_from_sum, wigner_sum_matrix
+from speclab.validate import projection_from_sum
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +341,7 @@ def test_wigner_pi_half_two_dim():
 @pytest.mark.parametrize("n", list(range(2, 32)))
 def test_wigner_pi_half_matches_sum(n):
     rep = SpinRep(n)
-    assert np.max(np.abs(wigner_d_pi_half(rep) - wigner_sum_matrix(rep))) <= 1e-8
+    assert np.max(np.abs(wigner_d_pi_half(rep) - wigner_d_sum_matrix(rep))) <= 1e-8
 
 
 def _wigner_d_sum_per_entry(tj, tp, tm, theta):
@@ -530,7 +530,7 @@ def test_wigner_sum_matrix_matches_per_entry(n, theta):
         ]
     )
     tol = 1e-13 if n <= 16 else 1e-10
-    assert np.max(np.abs(wigner_sum_matrix(rep, theta) - per_entry)) <= tol
+    assert np.max(np.abs(wigner_d_sum_matrix(rep, theta) - per_entry)) <= tol
     mp, m = rep.weights[n // 3], rep.weights[-1]
     assert abs(wigner_d_sum(rep.j, mp, m, theta) - per_entry[n // 3, -1]) <= tol
 
