@@ -482,9 +482,16 @@ def _plus_zero(args) -> None:
             setattr(args, attr, [x + 0.0 for x in getattr(args, attr)])
 
 
+# built on the first main call, so its defaults bind the cmd_* the module then
+# holds; every parse shares them (the _fallbacks dict too), so nothing mutates them
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         _apply_config(args)
         _plus_zero(args)

@@ -20,8 +20,8 @@ formula on an array, so the Hankel truncations and the ring and SE(2)
 matrices built from it agree bit for bit.
 
 Norms are matrix-free: H[i, j] = c[i + j] is applied as a Toeplitz product
-on the reversed vector, its eigenvalue of largest modulus comes from
-Lanczos, and each norm comes with a certificate (truncated_norm_record).
+on the reversed vector, and linalg.certified_norm gives each norm its
+certificate (truncated_norm_record).
 hankel_truncation builds the dense matrix, which the tests and validate
 solve as the reference.
 """
@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from ._errors import ContractError
-from .linalg import NormRecord, lanczos_top, toeplitz_matvec
+from .linalg import NormRecord, certified_norm, toeplitz_matvec
 
 
 @dataclass(frozen=True)
@@ -112,24 +112,15 @@ def _hankel_apply(c: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
 def _odd_block_record(rows: int, cols: int) -> NormRecord:
     """Norm of the rows x cols section of the half-circle Hankel matrix,
-    cols = rows or rows + 1, with its Perron certificate.
+    cols = rows or rows + 1, with its Perron certificate (certified_norm).
 
     Up to diagonal signs the section's odd-index block is the positive
     Cauchy-like C[i, j] = |coeff(-(2(i+j) + 1))| = 1/(pi(2(i+j) + 1))
     (0-based), m x m' with m = ceil(rows/2), m' = ceil(cols/2).  Entries
     between indices of different parity are 0.0 and the even block is a
-    submatrix of C, so ||C|| is the norm.  Lanczos runs on A = C when
-    m' = m (its top eigenvalue is ||C|| by Perron-Frobenius), and on
-    A = C C^T when m' = m + 1: C = G[:m] for the m' x m' kernel G, so
-    A x = (G G [x; 0])[:m], and square roots are taken.  For
-    x > 0 the Collatz-Wielandt inequality min_i (Ax)_i/x_i <= lambda_max(A)
-    <= max_i (Ax)_i/x_i brackets it; x is the modulus of the Ritz vector,
-    and each ratio is widened by k eps max(Ax)/x_i for the FFT's rounding,
-    k = 2 for one product and 4 for two.  That is an allowance, not a proven
-    bound: against a long-double evaluation one product was off by at most
-    1.2 eps max|Hx| in any entry (N <= 16384, a = 0 and a != 0) and C C^T x
-    by 1.45 eps max(C C^T x) (K <= 32768).  method "perron"; matvecs counts
-    the products with A.
+    submatrix of C, so ||C|| is the norm.  The kernel runs on C when m' = m,
+    and on the Gram operator C C^T when m' = m + 1: C = G[:m] for the
+    m' x m' kernel G, so C C^T x = (G G [x; 0])[:m].
     """
     m, wide = (rows + 1) // 2, (cols + 1) // 2
     matvec = _hankel_apply(np.abs(_coeff_grid(HALF_CIRCLE, -(2 * np.arange(2 * wide - 1) + 1))))
@@ -141,14 +132,7 @@ def _odd_block_record(rows: int, cols: int) -> NormRecord:
             y[..., :m] = x
             return square(square(y))[..., :m]
 
-    ritz = lanczos_top(matvec, m)
-    x = np.abs(ritz.vector)
-    cx = matvec(x)
-    slack = (4.0 if wide > m else 2.0) * np.finfo(float).eps * cx.max()
-    value, lower, upper = abs(ritz.value), np.min((cx - slack) / x), np.max((cx + slack) / x)
-    if wide > m:
-        value, lower, upper = (math.sqrt(max(t, 0.0)) for t in (value, lower, upper))
-    return NormRecord(value, "perron", ritz.matvecs + 1, float(lower), float(upper))
+    return certified_norm(matvec, m, gram=wide > m, perron=True)
 
 
 def truncated_norm_record(sym: ArcSymbol, n: int) -> NormRecord:
@@ -157,21 +141,15 @@ def truncated_norm_record(sym: ArcSymbol, n: int) -> NormRecord:
     At a = 0 the norm is that of the ceil(N/2) x ceil(N/2) odd-index block,
     solved with its Perron bracket by the kernel that also solves the SE(2)
     block, the K x (K + 1) section (_odd_block_record).  method "perron".
-
-    At a != 0 the whole truncation is solved, and the norm is the modulus of
-    the Ritz value theta of largest modulus.  With r = ||Hx - theta x|| some
-    eigenvalue lies within r of theta, so |theta| - r <= ||H_N|| <= 1/2, the
-    upper end being the Nehari certificate.  method "lanczos".
+    At a != 0 certified_norm solves the whole truncation: the lower end is
+    |theta| - ||Hx - theta x|| and the upper end Nehari's 1/2.  method
+    "lanczos".
     """
     if n < 1:
         raise ContractError(f"truncation size must be >= 1, got {n}")
     if sym.a == 0.0:
         return _odd_block_record(n, n)
-    matvec = _hankel_apply(_coeff_grid(sym, -np.arange(1, 2 * n)))
-    ritz = lanczos_top(matvec, n)
-    value = abs(ritz.value)
-    residual = float(np.linalg.norm(matvec(ritz.vector) - ritz.value * ritz.vector))
-    return NormRecord(value, "lanczos", ritz.matvecs + 1, value - residual, nehari_bound(sym))
+    return certified_norm(_hankel_apply(_coeff_grid(sym, -np.arange(1, 2 * n))), n)
 
 
 def truncated_norm(sym: ArcSymbol, n: int) -> float:

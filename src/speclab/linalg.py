@@ -1,5 +1,5 @@
 """Linear-algebra kernel: operator norms, commutators, the Toeplitz FFT
-product, and a matrix-free Lanczos eigensolver.
+product, and matrix-free Lanczos norms with their certificates.
 
 Everything here is a pure function of its inputs and runs on numpy alone.
 Matrices are plain numpy arrays (row-major), real or complex.  A dense norm
@@ -7,8 +7,8 @@ is one LAPACK solve with no fast paths; the Lanczos solver starts from a
 fixed vector or from one its caller passes and takes each Ritz pair from
 numpy's symmetric eigensolver on its small tridiagonal (on the whole
 operator, applied once to the identity, when that is no larger than one
-Krylov cycle).  Nothing draws
-random numbers, so repeated runs are bit-identical.
+Krylov cycle); certified_norm, its one caller, certifies every norm the
+package reports.  Nothing draws random numbers: reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -23,17 +23,12 @@ from ._errors import ComputationError, ContractError
 
 
 class NormRecord(NamedTuple):
-    """An operator norm and how it was obtained and certified.
-
-    ``method`` names the solver and its certificate: ``"perron"`` for the
-    half-circle Hankel odd block (a Hankel truncation at a = 0, and every
-    SE(2) commutator, whose block is a section of that Hankel matrix), with
-    a two-sided Collatz-Wielandt bracket; ``"lanczos"`` for a Hankel
-    truncation at a != 0 and for the ring, Heisenberg and SU(2) commutators,
-    with a residual lower end and the upper end 1/2.  Each is one
-    matrix-free Lanczos run, so no point costs a dense O(n^3) solve.
-    ``matvecs`` counts the products with the operator it took, and
-    ``lower <= value <= upper`` is the certificate that comes with it.
+    """An operator norm and its certificate lower <= value <= upper, from
+    certified_norm's one matrix-free Lanczos run of ``matvecs`` products.
+    ``method`` is "perron" for a Collatz-Wielandt bracket (the Hankel odd
+    block: a Hankel truncation at a = 0, every SE(2) commutator) and
+    "lanczos" for a residual lower end and the upper end 1/2 (a Hankel
+    truncation at a != 0, the ring, Heisenberg and SU(2) commutators).
     """
 
     value: float
@@ -185,3 +180,48 @@ def lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], m: int,
         f"Lanczos did not converge in {LANCZOS_CYCLES} cycles of {LANCZOS_STEPS} steps "
         f"(m = {m})"
     )
+
+
+NORM_CAP = 0.5 + 1e-9  # no projection commutator or Hankel section exceeds 1/2
+
+
+def certified_norm(op: Callable[[np.ndarray], np.ndarray] | None, m: int,
+                   start: np.ndarray | None = None, gram: bool = False,
+                   perron: bool = False) -> NormRecord:
+    """Norm of a real symmetric m x m operator ``op`` (bounded by 1/2:
+    Nehari's bound for a Hankel section, the bound on a commutator of two
+    projections otherwise) with its certificate: one lanczos_top run from
+    ``start``, then one more product, counted in matvecs.
+
+    ``perron``: op is entrywise >= 0, and for x = |Ritz vector| the
+    Collatz-Wielandt ratios (Ax)_i/x_i bracket its top eigenvalue, each
+    widened by k eps max(Ax)/x_i for the FFT's rounding, k = 2 for one
+    product and 4 for a Gram operator of two (an allowance, not a proven
+    bound: against long double one Hankel product was off by at most
+    1.2 eps max|Hx| in any entry, N <= 16384, and C C^T x by
+    1.45 eps max(C C^T x), K <= 32768).  Otherwise "lanczos": some
+    eigenvalue lies within r = ||Ax - theta x|| of the Ritz value theta, so
+    the ends are |theta| - r and 1/2.  ``gram``: op is B^T B or B B^T and
+    the record is ||B||, square roots of the value and computed ends (a
+    "lanczos" upper end stays 1/2).  A value or end in (1/2, NORM_CAP] is
+    rounding (one ulp at Heisenberg's norm-1/2 points) and is clipped to
+    1/2; a larger one is kept for the caller to refuse.  m = 0, a block
+    with no rows or columns, gives NormRecord(0.0, "lanczos", 0, 0.0, 0.5).
+    """
+    if m == 0:
+        return NormRecord(0.0, "lanczos", 0, 0.0, 0.5)
+    ritz = lanczos_top(op, m, start)
+    if perron:
+        x = np.abs(ritz.vector)
+        ax = op(x)
+        slack = (4.0 if gram else 2.0) * np.finfo(float).eps * ax.max()
+        ends = [abs(ritz.value), np.min((ax - slack) / x), np.max((ax + slack) / x)]
+    else:
+        residual = float(np.linalg.norm(op(ritz.vector) - ritz.value * ritz.vector))
+        value = ritz.value if gram else abs(ritz.value)
+        ends = [value, value - residual]
+    if gram:
+        ends = [math.sqrt(max(t, 0.0)) for t in ends]
+    ends = ends if perron else ends + [0.5]
+    value, lower, upper = (0.5 if 0.5 < t <= NORM_CAP else float(t) for t in ends)
+    return NormRecord(value, "perron" if perron else "lanczos", ritz.matvecs + 1, lower, upper)

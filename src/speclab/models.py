@@ -8,20 +8,20 @@ matrix-free, D's range as a bool mask, P as a callable and model-specific
 diagnostics; the matrix, the block and its block-structure residual are
 formed from them on first read, the same way for every family.  FAMILIES
 maps each family name to its builder, the thresholds it reads and its basis
-labels.  For SU(2), ring and Heisenberg the norm is one Lanczos run, from a
-start with no reflection symmetry, on a Gram operator of B.  For SU(2) that
-is B B^T on the in side, P = V V^T for the kept J_x eigenvectors V, applied
-through V_in, a view of the cached eigenvectors; for ring and Heisenberg it
-is B^T B on the out side with P applied by FFT (a convolution with the
-table of Fourier coefficients, or the circulant of the DFT-conjugated arc
-projection).  SE(2)'s block is a section of the half-circle Hankel matrix,
+labels.  Every norm is linalg.certified_norm's: for SU(2), ring and
+Heisenberg on a Gram operator of B, from a start with no reflection
+symmetry.  For SU(2) that is B B^T on the in side, P = V V^T for the kept
+J_x eigenvectors V, applied through V_in, a view of the cached
+eigenvectors; for ring and Heisenberg it is B^T B on the out side with P
+applied by FFT (a convolution with the table of Fourier coefficients, or
+the circulant of the DFT-conjugated arc projection).  SE(2)'s block is a section of the half-circle Hankel matrix,
 so its norm and Perron certificate come from the Hankel odd-block kernel
 (hankel._odd_block_record).  No family forms an n x n or K x K array or
-makes a dense O(n^3) solve for a norm.  Circle-grid
-membership tests (which grid points lie on the open arc Re z > a) run on
-exact integers when a = 0, where cos(2*pi*k/n) = 0 exactly at the quarter
-points and the strict inequality must exclude them; at a != 0 one cosine
-decides each mirror pair k, -k.
+makes a dense O(n^3) solve for a norm.  Circle-grid membership tests
+(which grid points lie on the open arc Re z > a) run on exact integers when
+a = 0, where cos(2*pi*k/n) = 0 exactly at the quarter points and the strict
+inequality must exclude them; at a != 0 one cosine decides each mirror pair
+k, -k.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from ._errors import ComputationError, ContractError
 from .hankel import HALF_CIRCLE, ArcSymbol, _coeff_grid, _odd_block_record
-from .linalg import NormRecord, lanczos_top, toeplitz_matvec
+from .linalg import NORM_CAP, NormRecord, certified_norm, toeplitz_matvec
 from .spinrep import (
     SpinRep,
     _kept_vectors,
@@ -43,8 +43,6 @@ from .spinrep import (
     weights_exceeding,
     z_interval_mask,
 )
-
-NORM_CAP = 0.5 + 1e-9  # projection commutators cannot exceed 1/2
 
 
 @dataclass
@@ -96,52 +94,23 @@ def _masked(p: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _asymmetric_start(m: int) -> np.ndarray:
-    """A fixed start vector of length m with no reflection symmetry: for
+    """The start of every Gram norm here, cached per m and read-only: for
     m >= 2 both its even and its odd part under x -> x[::-1] are nonzero.
-    Cached per m, read-only."""
+    P and D often share a reflection (k -> -k on the ring's modes, m -> -m
+    mod n on Heisenberg's sites), and then B^T B commutes with the reversal
+    on the out side: from an even start Lanczos never sees an odd
+    eigenvector, and can converge, with a tiny residual, to the top even
+    eigenvalue below an odd top."""
     x = 1.0 + 0.5 * np.linspace(-1.0, 1.0, m) + 0.1 * np.cos(1.234 * np.arange(m))
     x.setflags(write=False)
     return x
 
 
-def _lanczos_norm(gram: Callable, m: int) -> NormRecord:
-    """||B|| of a real block B matrix-free, with its certificate, from its
-    Gram operator ``gram`` (x -> B^T B x or B B^T x) of dimension m, which
-    also maps each row of a 2-D block (lanczos_top solves m <= LANCZOS_STEPS
-    outright).  The norm is sqrt(theta) for the top eigenvalue theta of the
-    Gram operator, found by one lanczos_top run.
-
-    The start must not be reflection-symmetric.  P and D often share a
-    reflection (k -> -k on the ring's modes, m -> -m mod n on Heisenberg's
-    sites), and then B^T B commutes with its restriction to the out side,
-    the reversal x -> x[::-1]: Lanczos from an even start never sees an odd
-    eigenvector, and can converge, with a tiny residual, to the top even
-    eigenvalue below an odd top.  _asymmetric_start has a part in both
-    sectors.
-
-    Record: method "lanczos"; matvecs counts every Gram product, the
-    residual one included; lower = sqrt(theta - r) with
-    r = ||G x - theta x|| (some eigenvalue lies within r of theta) and
-    upper = 1/2, the bound on a commutator of two projections.  sqrt(theta)
-    exceeds it by rounding (by one ulp at the n = 2 mod 4 Heisenberg points,
-    whose norm is 1/2) and is clipped to it only within NORM_CAP; a larger
-    value is kept, so the report refuses it.  Exactly 0.0 when m = 0, a
-    block with no rows or no columns.
-    """
-    if m == 0:
-        return NormRecord(0.0, "lanczos", 0, 0.0, 0.5)
-    ritz = lanczos_top(gram, m, _asymmetric_start(m))
-    residual = float(np.linalg.norm(gram(ritz.vector) - ritz.value * ritz.vector))
-    value, lower = (math.sqrt(max(t, 0.0)) for t in (ritz.value, ritz.value - residual))
-    value, lower = (0.5 if 0.5 < s <= NORM_CAP else s for s in (value, lower))
-    return NormRecord(value, "lanczos", ritz.matvecs + 1, lower, 0.5)
-
-
 def _fourier_norm(apply: Callable, inside: np.ndarray) -> NormRecord:
     """||P[in, out]|| for P real symmetric, applied to a whole real vector
     (or to each row of a block) by ``apply``, and ``inside`` the bool mask
-    of D's range: _lanczos_norm on the out side, where with B = P[in, out]
-    B^T B x is apply(inside * apply(x on out))[out]."""
+    of D's range: certified_norm of the Gram operator on the out side, where
+    with B = P[in, out] B^T B x is apply(inside * apply(x on out))[out]."""
     out = np.flatnonzero(~inside)
 
     def gram(x):
@@ -149,13 +118,13 @@ def _fourier_norm(apply: Callable, inside: np.ndarray) -> NormRecord:
         v[..., out] = x
         return apply(apply(v) * inside)[..., out]
 
-    return _lanczos_norm(gram, len(out))
+    return certified_norm(gram, len(out), _asymmetric_start(len(out)), gram=True)
 
 
 def _su2_norm(v: np.ndarray, inside: np.ndarray) -> NormRecord:
     """||[V V^T, D]|| for orthonormal columns V (n x k) and the 0/1 diagonal
     D whose range is the rows ``inside``, one run of rows, without forming
-    V V^T: _lanczos_norm on the in side.
+    V V^T: certified_norm of the Gram operator on the in side.
 
     The norm is that of B = V_in V_out^T.  With C = V_in^T V_in,
     V_out^T V_out is I - C, so B B^T = V_in (I - C) V_in^T: x -> V_in(y - C y)
@@ -165,7 +134,7 @@ def _su2_norm(v: np.ndarray, inside: np.ndarray) -> NormRecord:
     """
     rows = np.flatnonzero(inside)
     if not v.shape[1] or len(rows) in (0, len(inside)):
-        return _lanczos_norm(None, 0)
+        return certified_norm(None, 0)
     v_in = v[rows[0] : rows[-1] + 1]
     if len(v_in) != len(rows):
         raise ComputationError("su2: the range of D is not one run of rows")
@@ -174,7 +143,7 @@ def _su2_norm(v: np.ndarray, inside: np.ndarray) -> NormRecord:
         y = x @ v_in
         return (y - (y @ v_in.T) @ v_in) @ v_in.T
 
-    return _lanczos_norm(gram, len(rows))
+    return certified_norm(gram, len(rows), _asymmetric_start(len(rows)), gram=True)
 
 
 def _block_residual(c: np.ndarray, rows: np.ndarray) -> float:
@@ -343,12 +312,13 @@ def _heis_pairing_table(memb: np.ndarray, ps=None) -> np.ndarray:
     p = -(n-1)..(n-1) (entry p + n - 1).
 
     The arc's grid points are the run m = -h..h (mod n) of L = 2h + 1
-    points centred on 0, so the sum is the real Dirichlet kernel: with
-    q = p mod n it is sin(pi*q*L/n) / (n * sin(pi*q/n)), and L/n at q = 0.
-    The integer product q*L is reduced mod 2n before scaling, and the
-    denominator takes min(q, n - q), whose sine is the same but evaluated
-    away from pi.  O(n + len(ps)) time and memory; raises ComputationError
-    if the membership is not the run {min(m, n - m) <= h}.
+    points centred on 0, so the sum is the real Dirichlet kernel
+    sin(pi*q*L/n) / (n * sin(pi*q/n)), and L/n at q = 0.  It is even in p
+    and, L being odd, unchanged by q -> n - q, so q = min(p mod n, -p mod n)
+    <= n/2 serves both signs of p and the row is mirror-symmetric bit for
+    bit.  The integer product q*L is reduced mod 2n before scaling.
+    O(n + len(ps)) time and memory; raises ComputationError if the
+    membership is not the run {min(m, n - m) <= h}.
     """
     memb = np.asarray(memb) != 0
     n = len(memb)
@@ -357,10 +327,10 @@ def _heis_pairing_table(memb: np.ndarray, ps=None) -> np.ndarray:
     grid = np.arange(n)
     if not np.array_equal(memb, np.minimum(grid, n - grid) <= (length - 1) // 2):
         raise ComputationError(f"heisenberg: the arc at n = {n} is not one run centred on 0")
-    q = ps % n
+    q = np.minimum(ps % n, -ps % n)
     top = (q * length) % (2 * n)
     num = np.where(top % n == 0, 0.0, np.sin(math.pi * top / n))
-    den = n * np.sin(math.pi * np.minimum(q, n - q) / n)
+    den = n * np.sin(math.pi * q / n)
     return np.where(q == 0, length / n, num / np.where(q == 0, 1.0, den))
 
 

@@ -441,7 +441,8 @@ def wigner_d_sum(j, mprime, m, theta: float) -> float:
     Exact convention of the rotation e^{-i theta J_y}; trustworthy to full
     precision for j <= 15 (alternating-sum cancellation grows with j).  A
     term beyond the float range, or a cancellation estimate above 1e-8,
-    raises ComputationError.
+    raises ComputationError.  Summed pairwise (np.sum), so it agrees with
+    `wigner_d_sum_matrix` only to rounding (see there).
     """
     j = HalfInt.coerce(j)
     mp = HalfInt.coerce(mprime)
@@ -454,7 +455,10 @@ def wigner_d_sum(j, mprime, m, theta: float) -> float:
 
 def wigner_d_sum_matrix(rep: SpinRep, theta: float = math.pi / 2) -> np.ndarray:
     """The whole d^j(theta) matrix by the binomial sum, in descending weight
-    order; the same j <= 15 caveat and errors as `wigner_d_sum`."""
+    order; the same j <= 15 caveat and errors as `wigner_d_sum`.  Entries
+    are summed in s order, not pairwise as `wigner_d_sum` sums, so one of 8
+    or more terms can differ from it by rounding (1.06e-11 at most at
+    n <= 43, theta = pi/2)."""
     return _wigner_sum(rep.j.twice, rep.twice[:, None], rep.twice[None, :], theta)
 
 

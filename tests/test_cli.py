@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from speclab import ContractError, hankel, linalg, models
+from speclab import ContractError, cli, hankel, linalg, models
 from speclab.cli import _worker_count, main, regress_rows
 from speclab.models import FAMILIES
 from speclab.spinrep import _jx_eigensystem
@@ -208,6 +208,26 @@ def test_config_file(tmp_path):
     assert run(["norms", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
     bad.write_text("[1]")
     assert run(["norms", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
+
+
+def test_main_builds_one_parser_per_process(tmp_path, monkeypatch):
+    build, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_PARSER", None)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "family": "ring", "n_stop": 4}))
+    outs = [tmp_path / f"{i}.csv" for i in range(4)]
+    assert main(["norms", "--n-stop", "6", "--out", str(outs[0])]) == 0
+    assert main(["norms", "--config", str(cfg), "--out", str(outs[1])]) == 0
+    assert main(["norms", "--n-stop", "6", "--out", str(outs[2])]) == 0
+    assert len(built) == 1
+    # the config's values did not stay in the shared defaults, and a fresh
+    # parser writes the same bytes
+    assert outs[1].read_text().splitlines()[1].startswith("ring,")
+    monkeypatch.setattr(cli, "_PARSER", None)
+    assert main(["norms", "--n-stop", "6", "--out", str(outs[3])]) == 0
+    assert len(built) == 2
+    assert outs[0].read_bytes() == outs[2].read_bytes() == outs[3].read_bytes()
 
 
 def test_exit_codes(tmp_path):

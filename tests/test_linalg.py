@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,13 @@ from speclab import (
     lanczos_top,
     operator_norm,
 )
-from speclab.linalg import LANCZOS_STEPS, _exact_norm, toeplitz_matvec
+from speclab.linalg import (
+    LANCZOS_STEPS,
+    NormRecord,
+    _exact_norm,
+    certified_norm,
+    toeplitz_matvec,
+)
 
 
 def test_operator_norm_identity():
@@ -281,3 +289,55 @@ def test_lanczos_top_start_contract():
     for bad in (np.zeros(4), np.ones(3), np.full(4, np.nan)):
         with pytest.raises(ContractError):
             lanczos_top(_diagonal(d), 4, bad)
+
+
+def _kernel_cases(m):
+    """(matrix, gram, perron) for each branch of certified_norm, every norm
+    scaled to 0.4, below the 1/2 a lanczos record's upper end assumes."""
+    rng = np.random.default_rng(m)
+    sym = rng.standard_normal((m, m))
+    sym = sym + sym.T
+    rect = rng.standard_normal((m + 3, m))
+    pos = rng.random((m, m)) + 0.01
+    pos = pos + pos.T
+    sym, rect, pos = (0.4 / operator_norm(t) * t for t in (sym, rect, pos))
+    return [(sym, False, False), (rect.T @ rect, True, False), (pos, False, True),
+            (pos @ pos, True, True)]
+
+
+@pytest.mark.parametrize("m", [1, 24, 25, 300])
+def test_certified_norm_matches_dense_on_every_branch(m):
+    for a, gram, perron in _kernel_cases(m):
+        # the dense norm of the operator the kernel is given, square-rooted
+        # for a Gram operator (its ends certify that matrix, rounding and all)
+        dense = math.sqrt(operator_norm(a)) if gram else operator_norm(a)
+        record = certified_norm(lambda x: x @ a, m, gram=gram, perron=perron)
+        # the dense solve rounds too: eigh and eigvalsh differ by up to
+        # 1.2e-15 on these matrices, so the ends are held to its error
+        slack = 16 * np.finfo(float).eps * dense
+        assert record.lower - slack <= dense <= record.upper + slack, (gram, perron)
+        assert abs(record.value - dense) <= 1e-13, (gram, perron)
+        assert record.method == ("perron" if perron else "lanczos")
+        assert record.matvecs == lanczos_top(lambda x: x @ a, m).matvecs + 1
+        if not perron:
+            assert record.upper == 0.5
+    for gram in (False, True):
+        for perron in (False, True):
+            zero = certified_norm(None, 0, gram=gram, perron=perron)
+            assert zero == NormRecord(0.0, "lanczos", 0, 0.0, 0.5)
+            assert all(type(t) is float for t in (zero.value, zero.lower, zero.upper))
+
+
+def _calls_to(tree, name):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
+
+
+def test_lanczos_top_is_called_only_from_certified_norm():
+    src = Path(__file__).parents[1] / "src" / "speclab"
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    calls = {name: len(_calls_to(tree, "lanczos_top")) for name, tree in trees.items()}
+    assert {name: k for name, k in calls.items() if k} == {"linalg.py": 1}
+    kernel = next(node for node in ast.walk(trees["linalg.py"])
+                  if isinstance(node, ast.FunctionDef) and node.name == "certified_norm")
+    assert len(_calls_to(kernel, "lanczos_top")) == 1

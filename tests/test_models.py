@@ -31,6 +31,7 @@ from speclab import (
 )
 from speclab import models
 from speclab.hankel import ArcSymbol, _coeff_grid
+from speclab.linalg import certified_norm
 from speclab.models import _heis_pairing_table
 from speclab.spinrep import _jx_eigensystem, weight_at_most, weight_exceeds
 
@@ -336,6 +337,13 @@ def test_heisenberg_pairing_sums_match_direct_sum(a):
     assert np.max(np.abs(_pairings(n, a, ps) - _direct_pairings(n, a, ps))) <= 1e-14
 
 
+@pytest.mark.parametrize("a", [0.0, 0.3, 1 / math.sqrt(2), 0.9])
+def test_heisenberg_row_is_mirror_symmetric_bit_for_bit(a):
+    for n in range(2, 400):
+        row = _pairings(n, a, np.arange(n))
+        assert np.array_equal(row, row[-np.arange(n) % n]), n
+
+
 def test_heisenberg_pairing_needs_one_run():
     # two runs, and one run that is not centred on site 0
     for memb in ([1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0, 0.0]):
@@ -503,7 +511,7 @@ def test_every_family_respects_the_half_bound():
 @pytest.mark.parametrize("m", [10, 30])  # the one-shot solve and a Lanczos run
 def test_lanczos_norm_keeps_a_value_past_the_half_bound(m):
     # clipping 0.7 to 1/2 would certify a false norm; the report refuses it
-    record = models._lanczos_norm(lambda x: 0.49 * x, m)
+    record = certified_norm(lambda x: 0.49 * x, m, models._asymmetric_start(m), gram=True)
     assert abs(record.value - 0.7) <= 1e-15 and abs(record.lower - 0.7) <= 1e-12
     with pytest.raises(ComputationError):
         models.CommutatorReport("ring", {}, record, np.ones(m, dtype=bool), lambda: np.eye(m))
@@ -511,7 +519,9 @@ def test_lanczos_norm_keeps_a_value_past_the_half_bound(m):
 
 @pytest.mark.parametrize("m", [10, 30])
 def test_lanczos_norm_clips_a_rounding_overshoot_to_half(m):
-    record = models._lanczos_norm(lambda x: (0.25 + 1e-16) * x, m)
+    # from the default start the m = 30 run leaves lower just below 1/2
+    start = models._asymmetric_start(m)
+    record = certified_norm(lambda x: (0.25 + 1e-16) * x, m, start, gram=True)
     assert record.value == record.lower == record.upper == 0.5
 
 
@@ -527,10 +537,7 @@ STRUCTURE_POINTS = [
 def test_every_family_block_is_its_projections_own_block(name):
     for n, a, b in STRUCTURE_POINTS:
         r = models.FAMILIES[name].build(n, a, b)
-        if name == "heisenberg":  # its closed-form row is symmetric only to rounding
-            assert r.block_check <= 1e-15, (n, a, b)
-        else:
-            assert r.block_check == 0.0, (n, a, b)
+        assert r.block_check == 0.0, (n, a, b)
         dense = operator_norm(r.block) if r.block.size else 0.0
         assert abs(dense - r.norm) <= 1e-12, (n, a, b)
         assert np.array_equal(r.block, r.projection()[~r.inside][:, r.inside]), (n, a, b)
