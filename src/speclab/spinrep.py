@@ -216,6 +216,19 @@ def _jx_recurrence(n: int):
     leaves no subnormal.  Every column starts positive, so the columns carry
     the sign of d(pi/2)'s top row up to (-1)^(j-mu).
 
+    A row is scanned for that test only when it might pass it.  A scalar
+    bound M_i on max|v_i| is carried in Python floats, M_{i+1} =
+    (mu_max M_i + b_{i-1} M_{i-1}) / b_i (mu >= 0, b > 0), and row i+1 is
+    scanned only when M_{i+1} passes RECURRENCE_RESCALE / 2.  A scan sets
+    M_{i+1} to the row's exact maximum, and a rescale sets M_i and M_{i+1}
+    to those of the rescaled rows.  Each row's rounding, in the row and in
+    the bound, costs at most a factor
+    (1 + u)^3 / (1 - u)^3 ~ 1 + 6u, so over <= MAX_JX_N / 2 rows a row's
+    maximum exceeds its bound by at most a factor 1 + 5.5e-12.  The factor-2
+    slack covers that: a row left unscanned could not have passed the
+    threshold.  So every rescale falls on the same row and columns as under a
+    scan of every row, and the output is that scan's bit for bit.
+
     Q holds all of the eigensystem, by two exact symmetries that
     `_expand_rows` applies (sign flips and copies only).  J_x commutes with
     the flip i -> n-1-i, under which the eigenvector of mu has parity
@@ -236,17 +249,29 @@ def _jx_recurrence(n: int):
     v[0] = 1.0
     v[1] = mu / b[0]
     work = np.empty(half)
+    # the loop is bound by call overhead: row views, Python floats and local
+    # ufunc names are made once, and each ufunc writes to its positional out
+    rows, bf = list(v), b.tolist()
+    mul, sub, div = np.multiply, np.subtract, np.divide
+    mu_max, scan_above = float(mu[-1]), RECURRENCE_RESCALE / 2
+    m_prev, m_cur = 1.0, float(v[1, -1])  # max|v_0|, max|v_1|
     for i in range(1, half - 1):
-        row = v[i + 1]  # (mu v_i - b_{i-1} v_{i-1}) / b_i, written in place
-        np.multiply(mu, v[i], out=row)
-        row -= np.multiply(v[i - 1], b[i - 1], out=work)
-        row /= b[i]
-        if np.abs(row, out=work).max() > RECURRENCE_RESCALE:
+        row = rows[i + 1]  # (mu v_i - b_{i-1} v_{i-1}) / b_i, written in place
+        mul(mu, rows[i], row)
+        sub(row, mul(rows[i - 1], bf[i - 1], work), row)
+        div(row, bf[i], row)
+        m_prev, m_cur = m_cur, (mu_max * m_cur + bf[i - 1] * m_prev) / bf[i]
+        if m_cur <= scan_above:
+            continue
+        m_cur = float(np.abs(row, out=work).max())
+        if m_cur > RECURRENCE_RESCALE:
             big = np.flatnonzero(work > RECURRENCE_RESCALE)
             block = v[: i + 2, big]
             block /= np.maximum(np.abs(block[i]), np.abs(block[i + 1]))
             block[np.abs(block) < 1.0 / RECURRENCE_RESCALE] = 0.0
             v[: i + 2, big] = block
+            m_prev = float(np.abs(rows[i], out=work).max())
+            m_cur = float(np.abs(row, out=work).max())
     parity = _flip_parity(n, tw)
     if n % 2:
         v[half - 1, parity < 0] = 0.0

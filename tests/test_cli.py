@@ -167,6 +167,22 @@ def test_norms_parallel_equals_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_norms_parallel_equals_serial_where_jx_rescales(tmp_path):
+    # the J_x recurrence rescales 2-3 times at each of these sizes; the cache
+    # is cleared first, so the forked workers and the serial run each build
+    # their eigensystems cold
+    serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
+    base = ["norms", "--family", "su2", "--n-start", "1020", "--n-stop", "1023"]
+    try:
+        _jx_eigensystem.cache_clear()
+        run(base + ["--jobs", "2", "--out", str(parallel)])
+        _jx_eigensystem.cache_clear()
+        run(base + ["--out", str(serial)])
+    finally:
+        _jx_eigensystem.cache_clear()
+    assert serial.read_bytes() == parallel.read_bytes()
+
+
 def test_norms_row_ordering(tmp_path):
     out = tmp_path / "o.csv"
     run([

@@ -29,9 +29,12 @@ from speclab import (
 from speclab.models import _su2_norm
 from speclab.spinrep import (
     MAX_JX_N,
+    RECURRENCE_RESCALE,
     SUM_BLOCK,
+    _flip_parity,
     _fourier_entries,
     _jx_eigensystem,
+    _jx_recurrence,
     _jx_vectors,
     _log_factorials,
     jx_offdiagonal,
@@ -261,6 +264,57 @@ def test_jx_expansion_is_exact_under_both_symmetries(n):
     assert np.array_equal(v[:, ::-1] * signs, v)
     parity = np.where((n - 1 - tw) % 4 == 0, 1.0, -1.0)
     assert np.array_equal(v[::-1] * parity, v)
+
+
+def _jx_recurrence_reference(n):
+    """The recurrence with the overflow test on every row (a scan of each
+    row's max|v|), which the scalar growth bound replaced: (tw, Q, number of
+    rescales).  Kept as the bitwise reference."""
+    b = jx_offdiagonal(SpinRep(n))
+    tw = np.arange((n - 1) % 2, n, 2, dtype=np.int64)
+    mu = tw / 2.0
+    half = (n + 1) // 2
+    v = np.empty((half + 1, half))
+    v[0] = 1.0
+    v[1] = mu / b[0]
+    work = np.empty(half)
+    rescales = 0
+    for i in range(1, half - 1):
+        row = v[i + 1]
+        np.multiply(mu, v[i], out=row)
+        row -= np.multiply(v[i - 1], b[i - 1], out=work)
+        row /= b[i]
+        if np.abs(row, out=work).max() > RECURRENCE_RESCALE:
+            rescales += 1
+            big = np.flatnonzero(work > RECURRENCE_RESCALE)
+            block = v[: i + 2, big]
+            block /= np.maximum(np.abs(block[i]), np.abs(block[i + 1]))
+            block[np.abs(block) < 1.0 / RECURRENCE_RESCALE] = 0.0
+            v[: i + 2, big] = block
+    parity = _flip_parity(n, tw)
+    if n % 2:
+        v[half - 1, parity < 0] = 0.0
+    top = v[:half]
+    sq = 2.0 * np.einsum("ij,ij->j", top, top)
+    if n % 2:
+        sq -= top[-1] ** 2
+    top *= 1.0 / np.sqrt(sq)
+    return tw, top, rescales
+
+
+@pytest.mark.parametrize(
+    "sizes, rescales",
+    [(range(2, 301), (0, 0)), ((1020, 1021, 1022, 1023), (2, 3)),
+     ((2047, 2048, 2049), (126, 127)), ((4096,), (545, 545))],
+)
+def test_jx_recurrence_is_the_per_row_scan_bit_for_bit(sizes, rescales):
+    # int64 views, so a signed zero would count; the large sizes rescale
+    for n in sizes:
+        tw_ref, q_ref, count = _jx_recurrence_reference(n)
+        tw, q = _jx_recurrence(n)
+        assert np.array_equal(tw, tw_ref), n
+        assert np.array_equal(q.view(np.int64), q_ref.view(np.int64)), n
+        assert rescales[0] <= count <= rescales[1], (n, count)
 
 
 def test_jx_eigensystem_memory_is_a_quarter():
