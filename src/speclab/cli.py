@@ -373,6 +373,12 @@ def _int_list(text: str):
     return [int(tok) for tok in text.split(",") if tok != ""]
 
 
+def _config_keys(parser: argparse.ArgumentParser) -> frozenset:
+    """The dests a config file may set: the subcommand's own options but
+    --help and --config (argparse keeps no public list of them)."""
+    return frozenset(action.dest for action in parser._actions) - {"help", "config"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="speclab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -390,6 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     norms.set_defaults(
         func=cmd_norms,
         _fallbacks={"family": "su2", "n_start": 2, "n_stop": 32, "n_step": 1, "jobs": 1},
+        _options=_config_keys(norms),
     )
 
     hank = sub.add_parser("hankel", help="truncated Hankel norms and certificates")
@@ -397,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     hank.add_argument("--a", type=_float_list, default=None)
     hank.add_argument("--out", required=True)
     hank.add_argument("--config", default=None)
-    hank.set_defaults(func=cmd_hankel)
+    hank.set_defaults(func=cmd_hankel, _options=_config_keys(hank))
 
     reg = sub.add_parser("regress", help="fit ln(1/2 - norm) against ln(n) on an n mod 4 class")
     reg.add_argument("--csv", required=True, help="CSV produced by the norms command")
@@ -466,7 +473,7 @@ def _apply_config(args) -> None:
             if key == "schema_version":
                 continue
             attr = key.replace("-", "_")
-            if not hasattr(args, attr):
+            if attr not in args._options:
                 raise ContractError(f"config key {key!r} is not a recognized option")
             if getattr(args, attr) is None:
                 setattr(args, attr, _config_value(attr, value))

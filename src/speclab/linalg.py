@@ -4,10 +4,11 @@ product, and matrix-free Lanczos norms with their certificates.
 Everything here is a pure function of its inputs and runs on numpy alone.
 Matrices are plain numpy arrays (row-major), real or complex.  A dense norm
 is one LAPACK solve with no fast paths; the Lanczos solver starts from a
-fixed vector or from one its caller passes and takes each Ritz pair from
-numpy's symmetric eigensolver on its small tridiagonal (on the whole
-operator, applied once to the identity, when that is no larger than one
-Krylov cycle); certified_norm, its one caller, certifies every norm the
+fixed vector or from one its caller passes and takes its Ritz pairs from
+numpy's symmetric eigensolver on its small tridiagonal, only on the steps
+where a bound from Paige's identity does not rule out convergence (on the
+whole operator, applied once to the identity, when that is no larger than
+one Krylov cycle); certified_norm, its one caller, certifies every norm the
 package reports.  Nothing draws random numbers: reruns are bit-identical.
 """
 
@@ -115,6 +116,13 @@ def toeplitz_matvec(table: np.ndarray, m: int) -> Callable[[np.ndarray], np.ndar
 LANCZOS_STEPS = 24   # Krylov dimension of one cycle
 LANCZOS_CYCLES = 20  # cycles before lanczos_top gives up
 LANCZOS_TOL = 4.0    # stop at residual bound <= LANCZOS_TOL * eps * |Ritz value|
+PAIGE_SAFETY = 1e3   # a step skips its eigensolve when its bound clears the test this much
+
+
+def _non_finite(m: int, step: int, cycle: int) -> ComputationError:
+    """The error for a Lanczos step whose alpha or beta is not finite."""
+    return ComputationError(f"lanczos_top: non-finite product at step {step} of cycle {cycle} "
+                            f"(m = {m})")
 
 
 def lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], m: int,
@@ -130,17 +138,38 @@ def lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], m: int,
     LANCZOS_STEPS steps from ``start`` normalised, by default the unit
     vector ones/sqrt(m) (then from the last cycle's Ritz vector),
     reorthogonalising each new vector against the whole cycle's basis, and
-    stops as soon as the residual bound |beta_j s_j| of the Ritz pair of
+    stops as soon as the residual bound |beta_{j+1} s_j| of the Ritz pair of
     largest modulus is at most LANCZOS_TOL * eps * |theta|.  The cycle's
-    tridiagonal is filled one entry per step, and each step's Ritz pairs
-    come from numpy's symmetric eigensolver on its leading (j + 1) x (j + 1)
-    block.  An invariant Krylov space (beta_j = 0) is converged by the same
-    test, so a start that is an eigenvector takes one matvec.
+    tridiagonal T is filled one entry per step.  Its leading
+    (j + 1) x (j + 1) block T_j goes to numpy's symmetric eigensolver on a
+    cycle's last step (its Ritz vector is the next start) and on every step
+    where that test might pass.
+    Paige's identity says when it cannot (Paige 1971; Parlett, The Symmetric
+    Eigenvalue Problem, ch. 7).  For the unreduced T_j, with eigenpairs
+    (theta_i, s_i), |s_0i s_ji| prod_{l != i} |theta_i - theta_l| =
+    beta_1 ... beta_j.  Let [lo, hi] be the Gershgorin hull of T's first
+    j + 1 rows; row j's disc is final once beta_{j+1} is known.  Every
+    theta_i lies in the hull, so |theta| <= max(|lo|, |hi|) and
+    |beta_{j+1} s_j| >= beta_1 ... beta_{j+1} / (hi - lo)^j.  The step skips
+    the eigensolve when that bound exceeds PAIGE_SAFETY times
+    LANCZOS_TOL * eps * max(|lo|, |hi|).  The margin covers LAPACK's
+    absolute error c eps ||T_j|| / gap in the computed s_j for any c below
+    about 8000: the identity with one |theta_i - theta_l| at the gap gives
+    |s_j| >= bound (hi - lo) / (beta_{j+1} gap), and hi - lo >= 2 beta_{j+1}.
+    (At j = 0 the bound is the test itself: T_0 = [alpha_0] and s_0 = 1.)
+    The hull is widened by 4 eps max(|lo|, |hi|) for the rounding of its
+    ends.  The bound costs O(1) Python floats per step, with the betas kept
+    as a running sum of logs so that nothing underflows.  Neither T nor the
+    basis depends on an eigensolve, so the result is bit for bit that of
+    solving on every step.
+    An invariant Krylov space (beta_j = 0) is converged by the same test,
+    so a start that is an eigenvector takes one matvec.
     Lanczos only sees the invariant subspace its start vector generates: an
     operator that commutes with a reflection keeps an even start even, so a
     caller whose top eigenvector may be odd passes a start with a part in
     every reflection sector.  A given start gives a bit-reproducible result.
-    Raises ComputationError if LANCZOS_CYCLES cycles do not converge.
+    Raises ComputationError on a product that is not finite, and if
+    LANCZOS_CYCLES cycles do not converge.
     """
     if m < 1:
         raise ContractError(f"lanczos_top needs m >= 1, got {m}")
@@ -149,30 +178,54 @@ def lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], m: int,
         if start.shape != (m,) or not np.linalg.norm(start) > 0.0:
             raise ContractError(f"lanczos_top needs a nonzero start of length {m}")
     if m <= LANCZOS_STEPS:
-        theta, s = np.linalg.eigh(matvec(np.eye(m)), UPLO="L")
+        product = matvec(np.eye(m))
+        if not np.isfinite(product).all():
+            raise ComputationError(
+                f"lanczos_top: non-finite product in the one-shot solve (m = {m})"
+            )
+        theta, s = np.linalg.eigh(product, UPLO="L")
         top = int(np.argmax(np.abs(theta)))
         return RitzPair(float(theta[top]), s[:, top], m)
     start = np.full(m, 1.0 / math.sqrt(m)) if start is None else start / np.linalg.norm(start)
-    eps = np.finfo(float).eps
+    eps = float(np.finfo(float).eps)
+    log_floor = math.log(PAIGE_SAFETY * LANCZOS_TOL * eps)
     basis = np.empty((LANCZOS_STEPS, m))
     tri = np.zeros((LANCZOS_STEPS, LANCZOS_STEPS))  # lower: alpha on the diagonal, beta below
     matvecs = 0
-    for _ in range(LANCZOS_CYCLES):
+    for cycle in range(LANCZOS_CYCLES):
         basis[0] = start
+        above = log_betas = 0.0  # beta_j, and the sum of log beta_l for l <= j
+        lo, hi = math.inf, -math.inf
         for j in range(LANCZOS_STEPS):
             w = matvec(basis[j])
             matvecs += 1
-            tri[j, j] = basis[j] @ w
+            alpha = float(basis[j] @ w)  # not finite if an entry of w is not
+            if not math.isfinite(alpha):
+                raise _non_finite(m, j, cycle)
             q = basis[: j + 1]
             w = w - q.T @ (q @ w)
-            w = w - q.T @ (q @ w)  # twice is enough (Kahan-Parlett)
-            beta = np.linalg.norm(w)
-            theta, s = np.linalg.eigh(tri[: j + 1, : j + 1], UPLO="L")
-            top = int(np.argmax(np.abs(theta)))
-            if abs(beta * s[j, top]) <= LANCZOS_TOL * eps * abs(theta[top]):
-                return RitzPair(float(theta[top]), s[:, top] @ q, matvecs)
+            w -= q.T @ (q @ w)  # twice is enough (Kahan-Parlett)
+            beta = math.sqrt(w @ w)  # np.linalg.norm's own sum, bit for bit
+            if not math.isfinite(beta):
+                raise _non_finite(m, j, cycle)
+            tri[j, j] = alpha
+            lo, hi = min(lo, alpha - above - beta), max(hi, alpha + above + beta)
+            above = beta
+            skip = False  # Paige's bound rules the stopping test out
+            if beta > 0.0:
+                log_betas += math.log(beta)
+                big = max(-lo, hi)  # max(|lo|, |hi|), as lo <= hi
+                width = hi - lo + 4.0 * eps * big
+                skip = j < LANCZOS_STEPS - 1 and (
+                    log_betas - j * math.log(width) > log_floor + math.log(big)
+                )
+            if not skip:
+                theta, s = np.linalg.eigh(tri[: j + 1, : j + 1], UPLO="L")
+                top = int(np.argmax(np.abs(theta)))
+                if abs(beta * s[j, top]) <= LANCZOS_TOL * eps * abs(theta[top]):
+                    return RitzPair(float(theta[top]), s[:, top] @ q, matvecs)
             if j + 1 < LANCZOS_STEPS:
-                basis[j + 1] = w / beta
+                np.divide(w, beta, out=basis[j + 1])
                 tri[j + 1, j] = beta
         start = s[:, top] @ basis
         start /= np.linalg.norm(start)

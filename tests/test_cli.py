@@ -298,6 +298,32 @@ def test_config_wrong_types_exit_1(tmp_path, command, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("norms", {"func": 3, "command": "x", "config": "y"}),
+        ("norms", {"func": 3}),
+        ("norms", {"command": "hankel"}),
+        ("norms", {"config": "other.json"}),
+        ("norms", {"_fallbacks": {}}),
+        ("norms", {"help": True}),
+        ("norms", {"N": [4]}),
+        ("hankel", {"n_stop": 4}),
+        ("hankel", {"family": "ring"}),
+        ("hankel", {"func": 3}),
+    ],
+)
+def test_config_keys_are_options_of_the_subcommand(tmp_path, capsys, command, cfg):
+    # parser internals (func, command, the fallbacks), --config itself and
+    # another subcommand's options are refused, not silently ignored
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema_version": 1, **cfg}))
+    out = tmp_path / "x.csv"
+    assert run([command, "--config", str(path), "--out", str(out)]) == 1
+    assert "is not a recognized option" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_not_json_exits_1(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"schema_version": 1,')

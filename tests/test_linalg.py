@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import math
 from pathlib import Path
 
@@ -11,12 +12,18 @@ from speclab import (
     ComputationError,
     ContractError,
     commutator,
+    hankel,
     lanczos_top,
+    linalg,
+    models,
     operator_norm,
 )
 from speclab.linalg import (
+    LANCZOS_CYCLES,
     LANCZOS_STEPS,
+    LANCZOS_TOL,
     NormRecord,
+    RitzPair,
     _exact_norm,
     certified_norm,
     toeplitz_matvec,
@@ -341,3 +348,238 @@ def test_lanczos_top_is_called_only_from_certified_norm():
     kernel = next(node for node in ast.walk(trees["linalg.py"])
                   if isinstance(node, ast.FunctionDef) and node.name == "certified_norm")
     assert len(_calls_to(kernel, "lanczos_top")) == 1
+
+
+def _lanczos_top_reference(matvec, m, start=None, trace=None):
+    """lanczos_top with numpy's symmetric eigensolver on every step's
+    tridiagonal, the loop the kernel ran before it skipped the steps Paige's
+    bound rules out.  ``trace`` collects (cycle, step, |beta s_j|,
+    LANCZOS_TOL eps |theta|) of each step."""
+    if m <= LANCZOS_STEPS:
+        theta, s = np.linalg.eigh(matvec(np.eye(m)), UPLO="L")
+        top = int(np.argmax(np.abs(theta)))
+        return RitzPair(float(theta[top]), s[:, top], m)
+    start = np.full(m, 1.0 / math.sqrt(m)) if start is None else start / np.linalg.norm(start)
+    eps = np.finfo(float).eps
+    basis = np.empty((LANCZOS_STEPS, m))
+    tri = np.zeros((LANCZOS_STEPS, LANCZOS_STEPS))
+    matvecs = 0
+    for cycle in range(LANCZOS_CYCLES):
+        basis[0] = start
+        for j in range(LANCZOS_STEPS):
+            w = matvec(basis[j])
+            matvecs += 1
+            tri[j, j] = basis[j] @ w
+            q = basis[: j + 1]
+            w = w - q.T @ (q @ w)
+            w = w - q.T @ (q @ w)
+            beta = np.linalg.norm(w)
+            theta, s = np.linalg.eigh(tri[: j + 1, : j + 1], UPLO="L")
+            top = int(np.argmax(np.abs(theta)))
+            residual, floor = abs(beta * s[j, top]), LANCZOS_TOL * eps * abs(theta[top])
+            if trace is not None:
+                trace.append((cycle, j, residual, floor))
+            if residual <= floor:
+                return RitzPair(float(theta[top]), s[:, top] @ q, matvecs)
+            if j + 1 < LANCZOS_STEPS:
+                basis[j + 1] = w / beta
+                tri[j + 1, j] = beta
+        start = s[:, top] @ basis
+        start /= np.linalg.norm(start)
+    raise ComputationError(f"no convergence after {matvecs} matvecs")
+
+
+@contextlib.contextmanager
+def _eigh_sizes():
+    """Records the size of every np.linalg.eigh call made inside the block."""
+    sizes, eigh = [], np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    np.linalg.eigh = spy
+    try:
+        yield sizes
+    finally:
+        np.linalg.eigh = eigh
+
+
+def _assert_same_ritz_pair(matvec, m, start=None):
+    """lanczos_top against the reference, bit for bit; returns its result,
+    its eigensolves and its Lanczos steps (0 and 0 on the one-shot solve)."""
+    want = _lanczos_top_reference(matvec, m, start)
+    with _eigh_sizes() as sizes:
+        got = lanczos_top(matvec, m, start)
+    assert got.value == want.value and got.matvecs == want.matvecs, m
+    assert np.array_equal(got.vector, want.vector), m
+    return (got, len(sizes), got.matvecs) if m > LANCZOS_STEPS else (got, 0, 0)
+
+
+def _restart_diagonal():
+    return _diagonal(np.linspace(-1.0, 0.5, 100)), 100, None
+
+
+def _odd_top(m):
+    a, _ = _reflection_odd_top(m, 5)
+    x = np.arange(m) - (m - 1) / 2.0 + np.cos(np.arange(m))
+    return (lambda v: v @ a), m, x - x[::-1]
+
+
+def test_lanczos_top_is_the_every_step_eigensolve_bit_for_bit():
+    cases = [_restart_diagonal(), _odd_top(LANCZOS_STEPS + 9), _odd_top(LANCZOS_STEPS + 1)]
+    for m in (25, 40, 300):
+        a = np.random.default_rng(m).standard_normal((m, m))
+        a = a + a.T
+        cases.append(((lambda x, a=a: x @ a), m, None))
+    solves = steps = 0
+    for matvec, m, start in cases:
+        _, k, n = _assert_same_ritz_pair(matvec, m, start)
+        solves, steps = solves + k, steps + n
+    assert solves < steps
+
+
+FAMILY_CALLS = {
+    "ring": lambda n: [models.ring_commutator(n, n, a) for a in (0.0, 0.3)],
+    "heisenberg": lambda n: [models.heisenberg_commutator(n, a) for a in (0.0, 0.3)],
+    "se2": models.se2_commutator,
+    "hankel a = 0": lambda n: hankel.truncated_norm_record(hankel.HALF_CIRCLE, n),
+    "hankel a = 0.3": lambda n: hankel.truncated_norm_record(hankel.ArcSymbol(0.3), n),
+    "su2": models.su2_commutator,
+}
+
+
+@pytest.mark.parametrize("sizes", [range(60, 64), range(1025, 1029)])
+@pytest.mark.parametrize("family", sorted(FAMILY_CALLS))
+def test_every_family_operator_is_solved_bit_for_bit(monkeypatch, family, sizes):
+    # certified_norm's one lanczos_top call, on each family's real operator at
+    # every n mod 4, checked against the every-step eigensolve
+    counts = []
+
+    def checked(matvec, m, start=None):
+        got, k, n = _assert_same_ritz_pair(matvec, m, start)
+        counts.append((k, n))
+        return got
+
+    monkeypatch.setattr(linalg, "lanczos_top", checked)
+    for n in sizes:
+        FAMILY_CALLS[family](n)
+    solves, steps = map(sum, zip(*counts))
+    assert steps and solves < steps, counts
+
+
+def test_near_degenerate_pair_still_runs_every_cycle():
+    d = np.linspace(0.0, 1.0, 200)
+    d[-2] = 1.0 - 1e-13
+    for solver in (lanczos_top, _lanczos_top_reference):
+        products = []
+
+        def matvec(x):
+            products.append(1)
+            return d * x
+
+        with pytest.raises(ComputationError):
+            solver(matvec, 200)
+        assert len(products) == LANCZOS_CYCLES * LANCZOS_STEPS
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("m", [5, 30])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_products_raise_computation_error(m, bad):
+    # not numpy's LinAlgError from the eigensolver, and never at the skip test
+    def poisoned(x):
+        return np.where(np.arange(m) == m // 2, bad, 0.5 * x)
+
+    for op in (poisoned, lambda x: x + bad):
+        with pytest.raises(ComputationError, match=f"m = {m}"):
+            lanczos_top(op, m)
+        for gram in (False, True):
+            for perron in (False, True):
+                with pytest.raises(ComputationError, match=f"m = {m}"):
+                    certified_norm(op, m, gram=gram, perron=perron)
+
+
+def test_non_finite_product_names_its_step():
+    calls = []
+
+    def late_nan(x):
+        calls.append(1)
+        return np.full_like(x, np.nan) if len(calls) == 30 else np.linspace(0.0, 1.0, 40) * x
+
+    with pytest.raises(ComputationError, match=r"step 5 of cycle 1 \(m = 40\)"):
+        lanczos_top(late_nan, 40)
+
+
+def _tridiagonal(alphas, decades):
+    betas = 10.0 ** np.asarray(decades[: len(alphas) - 1])
+    return np.diag(alphas) + np.diag(betas, -1) + np.diag(betas, 1), betas
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(alphas=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=LANCZOS_STEPS),
+       decades=st.lists(st.floats(-6.0, 0.0), min_size=LANCZOS_STEPS, max_size=LANCZOS_STEPS),
+       scale=st.floats(1e-3, 1e3))
+def test_paige_identity_on_unreduced_tridiagonals(alphas, decades, scale):
+    # |s_0i s_ki| prod_{l != i} |theta_i - theta_l| = prod beta_l, held to
+    # 1e-10, or to the first-order rounding of the computed eigenpairs where
+    # that is larger: a component near 1e-8 carries an absolute error of
+    # order eps ||T|| / gap, up to 8e-8 of it relative on these matrices
+    t, betas = _tridiagonal(alphas, decades)
+    t, betas = scale * t, scale * betas
+    theta, s = np.linalg.eigh(t)
+    eps, norm = np.finfo(float).eps, np.max(np.abs(theta))
+    for i in range(len(t)):
+        first, last = abs(s[0, i]), abs(s[-1, i])
+        if min(first, last) <= 1e-8:
+            continue
+        gaps = np.abs(theta[i] - np.delete(theta, i))
+        if not gaps.min() > 0.0:
+            continue
+        error = abs(np.expm1(math.log(first * last) + np.log(gaps).sum() - np.log(betas).sum()))
+        rounding = eps * norm * ((1 / first + 1 / last) / gaps.min() + np.sum(1 / gaps))
+        assert error <= max(1e-10, 16 * rounding), (i, error, rounding)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(alphas=st.lists(st.floats(-1.0, 1.0), min_size=LANCZOS_STEPS + 1, max_size=48),
+       decades=st.lists(st.floats(-3.0, 0.0), min_size=47, max_size=47),
+       from_first=st.booleans())
+def test_every_skipped_eigensolve_would_have_failed_the_test(alphas, decades, from_first):
+    # Lanczos from e_0 on a tridiagonal retraces it, so each cycle's T_k
+    # (k <= 24) is an unreduced tridiagonal of the draw; a step the kernel
+    # solves no eigenproblem on must fail the stopping test by the dense solve
+    t, _ = _tridiagonal(alphas, decades)
+    m = len(t)
+    start = np.eye(m)[0] if from_first else None
+    trace = []
+    try:
+        want = _lanczos_top_reference(lambda x: t @ x, m, start, trace)
+    except ComputationError:
+        want = None
+    with _eigh_sizes() as sizes:
+        try:
+            got = lanczos_top(lambda x: t @ x, m, start)
+        except ComputationError:
+            got = None
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert (got.value, got.matvecs) == (want.value, want.matvecs)
+        assert np.array_equal(got.vector, want.vector)
+    # sizes grow within a cycle, whose last step always solves
+    solved, cycle, last = set(), 0, 0
+    for k in sizes:
+        cycle, last = cycle + (k <= last), k
+        solved.add((cycle, k - 1))
+    assert len(solved) == len(sizes)
+    for cycle, j, residual, floor in trace:
+        if (cycle, j) not in solved:
+            assert residual > floor, (cycle, j, residual, floor)
+
+
+def test_hankel_solves_an_eigenproblem_on_at_most_half_the_steps():
+    # the skip must not switch off unnoticed: an eigensolve per step would give 13 of 13
+    with _eigh_sizes() as sizes:
+        record = hankel.truncated_norm_record(hankel.ArcSymbol(0.3), 1025)
+    steps = record.matvecs - 1  # certified_norm's one product after Lanczos
+    assert steps > 1 and 2 * len(sizes) <= steps, (len(sizes), steps)
