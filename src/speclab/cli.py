@@ -375,8 +375,11 @@ def _int_list(text: str):
 
 def _config_keys(parser: argparse.ArgumentParser) -> frozenset:
     """The dests a config file may set: the subcommand's own options but
-    --help and --config (argparse keeps no public list of them)."""
-    return frozenset(action.dest for action in parser._actions) - {"help", "config"}
+    --help, --config and the required ones (argparse keeps no public list of
+    them).  A required option such as --out is always on the command line,
+    which wins over the config, so a config value for it would never be read."""
+    keys = frozenset(action.dest for action in parser._actions if not action.required)
+    return keys - {"help", "config"}
 
 
 def build_parser() -> argparse.ArgumentParser:

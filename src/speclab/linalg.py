@@ -8,8 +8,11 @@ fixed vector or from one its caller passes and takes its Ritz pairs from
 numpy's symmetric eigensolver on its small tridiagonal, only on the steps
 where a bound from Paige's identity does not rule out convergence (on the
 whole operator, applied once to the identity, when that is no larger than
-one Krylov cycle); certified_norm, its one caller, certifies every norm the
-package reports.  Nothing draws random numbers: reruns are bit-identical.
+one Krylov cycle).  For an operator that commutes with the reversal
+x -> x[::-1] it runs one recurrence per reflection sector in lockstep, on
+one product per step.  certified_norm, its one caller, certifies every
+norm the package reports.  Nothing draws random numbers: reruns are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -117,6 +120,7 @@ LANCZOS_STEPS = 24   # Krylov dimension of one cycle
 LANCZOS_CYCLES = 20  # cycles before lanczos_top gives up
 LANCZOS_TOL = 4.0    # stop at residual bound <= LANCZOS_TOL * eps * |Ritz value|
 PAIGE_SAFETY = 1e3   # a step skips its eigensolve when its bound clears the test this much
+_SECTOR_SIGN = np.array([[1.0], [-1.0]])  # row 0 takes y + y[::-1] (even), row 1 y - y[::-1]
 
 
 def _non_finite(m: int, step: int, cycle: int) -> ComputationError:
@@ -126,14 +130,14 @@ def _non_finite(m: int, step: int, cycle: int) -> ComputationError:
 
 
 def lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], m: int,
-                start: np.ndarray | None = None) -> RitzPair:
+                start: np.ndarray | None = None, mirror: bool = False) -> RitzPair:
     """Eigenvalue of largest modulus of a real symmetric m x m operator.
 
     At m <= LANCZOS_STEPS one cycle would span the whole space, so the
     operator is solved outright: ``matvec`` is applied once to the rows of
     the m x m identity (it must map each row of a 2-D block), numpy's
     symmetric eigensolver takes the result, and matvecs = m.  The start
-    does not matter there.
+    and ``mirror`` do not matter there.
     Otherwise explicitly restarted Lanczos: each cycle runs up to
     LANCZOS_STEPS steps from ``start`` normalised, by default the unit
     vector ones/sqrt(m) (then from the last cycle's Ritz vector),
@@ -164,10 +168,38 @@ def lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], m: int,
     solving on every step.
     An invariant Krylov space (beta_j = 0) is converged by the same test,
     so a start that is an eigenvector takes one matvec.
-    Lanczos only sees the invariant subspace its start vector generates: an
-    operator that commutes with a reflection keeps an even start even, so a
-    caller whose top eigenvector may be odd passes a start with a part in
-    every reflection sector.  A given start gives a bit-reproducible result.
+
+    Lanczos only sees the invariant subspace its start generates, and an
+    operator that commutes with the reversal x -> x[::-1] keeps an even
+    start even.  ``mirror`` says the operator commutes with it.  Then two
+    recurrences ("rows") run in lockstep (_lanczos_sectors), one per
+    reflection sector, from the even and the odd part of the start, each
+    normalised (both must be nonzero).  Each step makes one call to
+    ``matvec``, on the sum of the two rows' current vectors, and splits the
+    product y exactly: the even row takes (y + y[::-1]) * 0.5 and the odd
+    row (y - y[::-1]) * 0.5.  IEEE addition commutes, so these parts are
+    exactly even and odd.  Each row
+    has its own alpha, beta, tridiagonal, Paige bound and restart; the two
+    new vectors are reorthogonalised together, as a 2-row block against
+    both rows' bases (one gemm per product where one row alone makes a
+    gemv; the other row's basis adds only rounding, being orthogonal by
+    symmetry).  A row that has stopped leaves the product, and the other
+    then steps alone, reorthogonalised against its own basis.  Rounding in
+    the reorthogonalisation leaves a row's vectors a small part in the
+    other sector; the split keeps it out of the row's part of each product,
+    and certified_norm certifies with the operator itself.
+    A row stops at |beta_{j+1} s_j| <= LANCZOS_TOL * eps * max_r |theta_r|,
+    the largest top over both rows, stopped or live.  The shared product
+    leaves every row a rounding floor near eps max_r |theta_r|, so a sector
+    whose top lies far below the other's could never pass the test at its
+    own scale.  The eigensolves of a step run stacked, on the steps where
+    some row's Paige bound, held to the same largest hull end, does not rule
+    the test out.  The result is the larger of the two sector tops (on a
+    tie, the row that stopped first).  Each row converges on the gap ratio
+    of its own sector, not on the gap between the two sector tops, so this
+    takes fewer products than one run from a start with a part in both
+    sectors (ring K = 200, a = 0: 11 against 17).  matvecs counts the calls
+    to ``matvec``.  A given start gives a bit-reproducible result.
     Raises ComputationError on a product that is not finite, and if
     LANCZOS_CYCLES cycles do not converge.
     """
@@ -187,6 +219,8 @@ def lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], m: int,
         top = int(np.argmax(np.abs(theta)))
         return RitzPair(float(theta[top]), s[:, top], m)
     start = np.full(m, 1.0 / math.sqrt(m)) if start is None else start / np.linalg.norm(start)
+    if mirror:
+        return _lanczos_sectors(matvec, m, start)
     eps = float(np.finfo(float).eps)
     log_floor = math.log(PAIGE_SAFETY * LANCZOS_TOL * eps)
     basis = np.empty((LANCZOS_STEPS, m))
@@ -235,16 +269,106 @@ def lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], m: int,
     )
 
 
+def _lanczos_sectors(matvec: Callable[[np.ndarray], np.ndarray], m: int,
+                     start: np.ndarray) -> RitzPair:
+    """lanczos_top's Lanczos loop with ``mirror``, for m > LANCZOS_STEPS and
+    a unit start: one row (recurrence) per reflection sector, in lockstep.
+    It is a loop of its own so that the one-row loop keeps its arithmetic
+    and its speed: run through this loop's per-row bookkeeping, one row
+    cost the hankel_table benchmark about 5%."""
+    starts = [start + start[::-1], start - start[::-1]]  # twice its even and odd parts
+    norms = [np.linalg.norm(x) for x in starts]
+    if not min(norms) > 0.0:
+        raise ContractError("lanczos_top needs a start with a part in each reflection sector")
+    starts = [x / norm for x, norm in zip(starts, norms)]
+    eps = float(np.finfo(float).eps)
+    log_floor = math.log(PAIGE_SAFETY * LANCZOS_TOL * eps)
+    basis = np.empty((LANCZOS_STEPS, 2, m))  # step-major: basis[: j + 1] spans both rows' spaces
+    tri = np.zeros((2, LANCZOS_STEPS, LANCZOS_STEPS))  # lower: alpha on the diagonal, beta below
+    best, found_top = None, 0.0  # (theta, Ritz vector) of the stopped row of largest |theta|
+    first, last = 0, 2  # the live rows: a row that stops is an end row
+    matvecs = 0
+    for cycle in range(LANCZOS_CYCLES):
+        # per row: beta_j, the sum of log beta_l for l <= j, and the hull [lo, hi]
+        state = [(0.0, 0.0, math.inf, -math.inf)] * 2
+        for r in range(first, last):
+            basis[0, r] = starts[r]
+        for j in range(LANCZOS_STEPS):
+            one = last - first == 1  # one live row steps a vector, two a 2-row block
+            v = basis[j, first] if one else basis[j]
+            y = matvec(v if one else v[0] + v[1])
+            matvecs += 1
+            if not np.isfinite(y).all():  # checked before the split subtracts inf
+                raise _non_finite(m, j, cycle)
+            y = (y + _SECTOR_SIGN[first:last] * y[::-1]) * 0.5  # each live row's part
+            y = y[0] if one else y
+            alphas = [float(v @ y)] if one else np.vecdot(v, y).tolist()  # v[i] @ y[i]
+            if not all(map(math.isfinite, alphas)):
+                raise _non_finite(m, j, cycle)
+            q = basis[: j + 1, first] if one else basis[: j + 1].reshape(-1, m)
+            y = y - (y @ q.T) @ q  # a gemv per product for one row, a gemm for two
+            y -= (y @ q.T) @ q  # twice is enough (Kahan-Parlett)
+            betas = [math.sqrt(y @ y)] if one else np.sqrt(np.vecdot(y, y)).tolist()
+            if not all(map(math.isfinite, betas)):
+                raise _non_finite(m, j, cycle)
+            solve = j == LANCZOS_STEPS - 1
+            ceiling, lowest = found_top, math.inf  # the largest hull end, the smallest bound
+            for r, alpha, beta, w in zip(range(first, last), alphas, betas, (y,) if one else y):
+                tri[r, j, j] = alpha
+                above, log_betas, lo, hi = state[r]
+                lo, hi = min(lo, alpha - above - beta), max(hi, alpha + above + beta)
+                big = max(-lo, hi)  # max(|lo|, |hi|), as lo <= hi
+                ceiling = max(ceiling, big)
+                if beta > 0.0:
+                    log_betas += math.log(beta)
+                    width = hi - lo + 4.0 * eps * big
+                    lowest = min(lowest, log_betas - j * math.log(width))
+                    if j + 1 < LANCZOS_STEPS:
+                        np.divide(w, beta, out=basis[j + 1, r])
+                        tri[r, j + 1, j] = beta
+                else:  # an invariant space passes the test
+                    solve = True
+                state[r] = (beta, log_betas, lo, hi)
+            if not (solve or not lowest > log_floor + math.log(ceiling)):
+                continue  # Paige's bound rules the stopping test out on both rows
+            theta, s = np.linalg.eigh(tri[first:last, : j + 1, : j + 1], UPLO="L")
+            thetas = theta.tolist()
+            # np.argmax of |theta| per row: theta ascends, so its first maximum
+            # is theta[0] or the first copy of theta[-1]
+            tops = [0 if -t[0] >= t[-1] else t.index(t[-1]) for t in thetas]
+            floor = LANCZOS_TOL * eps * max([found_top] + [abs(t[i]) for t, i in zip(thetas, tops)])
+            for i, (r, top) in enumerate(zip(range(first, last), tops)):
+                if abs(state[r][0] * s[i, j, top]) <= floor:
+                    if best is None or abs(thetas[i][top]) > found_top:
+                        best = (thetas[i][top], s[i, :, top] @ basis[: j + 1, r])
+                        found_top = abs(best[0])
+                    first, last = (first + 1, last) if r == first else (first, last - 1)
+                elif j == LANCZOS_STEPS - 1:
+                    starts[r] = s[i, :, top] @ basis[:, r]
+                    starts[r] /= np.linalg.norm(starts[r])
+            if first == last:
+                return RitzPair(*best, matvecs)
+    raise ComputationError(
+        f"Lanczos did not converge in {LANCZOS_CYCLES} cycles of {LANCZOS_STEPS} steps "
+        f"(m = {m})"
+    )
+
+
 NORM_CAP = 0.5 + 1e-9  # no projection commutator or Hankel section exceeds 1/2
 
 
 def certified_norm(op: Callable[[np.ndarray], np.ndarray] | None, m: int,
                    start: np.ndarray | None = None, gram: bool = False,
-                   perron: bool = False) -> NormRecord:
+                   perron: bool = False, mirror: bool = False) -> NormRecord:
     """Norm of a real symmetric m x m operator ``op`` (bounded by 1/2:
     Nehari's bound for a Hankel section, the bound on a commutator of two
     projections otherwise) with its certificate: one lanczos_top run from
-    ``start``, then one more product, counted in matvecs.
+    ``start``, then one more product, counted in matvecs.  ``mirror``: op
+    commutes with x -> x[::-1], and lanczos_top runs both reflection
+    sectors in lockstep from the two parts of ``start``; the larger sector
+    top is certified below with a product of op itself, not of a sector's
+    part of it, so the record holds whatever rounding leaks between the
+    sectors.
 
     ``perron``: op is entrywise >= 0, and for x = |Ritz vector| the
     Collatz-Wielandt ratios (Ax)_i/x_i bracket its top eigenvalue, each
@@ -263,7 +387,7 @@ def certified_norm(op: Callable[[np.ndarray], np.ndarray] | None, m: int,
     """
     if m == 0:
         return NormRecord(0.0, "lanczos", 0, 0.0, 0.5)
-    ritz = lanczos_top(op, m, start)
+    ritz = lanczos_top(op, m, start, mirror)
     if perron:
         x = np.abs(ritz.vector)
         ax = op(x)

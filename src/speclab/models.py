@@ -14,7 +14,9 @@ symmetry.  For SU(2) that is B B^T on the in side, P = V V^T for the kept
 J_x eigenvectors V, applied through V_in, a view of the cached
 eigenvectors; for ring and Heisenberg it is B^T B on the out side with P
 applied by FFT (a convolution with the table of Fourier coefficients, or
-the circulant of the DFT-conjugated arc projection).  SE(2)'s block is a section of the half-circle Hankel matrix,
+the circulant of the DFT-conjugated arc projection), and it commutes with
+the reversal of the out side, so the solve runs both reflection sectors in
+lockstep.  SE(2)'s block is a section of the half-circle Hankel matrix,
 so its norm and Perron certificate come from the Hankel odd-block kernel
 (hankel._odd_block_record).  No family forms an n x n or K x K array or
 makes a dense O(n^3) solve for a norm.  Circle-grid membership tests
@@ -100,7 +102,8 @@ def _asymmetric_start(m: int) -> np.ndarray:
     mod n on Heisenberg's sites), and then B^T B commutes with the reversal
     on the out side: from an even start Lanczos never sees an odd
     eigenvector, and can converge, with a tiny residual, to the top even
-    eigenvalue below an odd top."""
+    eigenvalue below an odd top.  Ring and Heisenberg start one recurrence
+    from each part (_fourier_norm); SU(2) runs one from the whole vector."""
     x = 1.0 + 0.5 * np.linspace(-1.0, 1.0, m) + 0.1 * np.cos(1.234 * np.arange(m))
     x.setflags(write=False)
     return x
@@ -110,7 +113,17 @@ def _fourier_norm(apply: Callable, inside: np.ndarray) -> NormRecord:
     """||P[in, out]|| for P real symmetric, applied to a whole real vector
     (or to each row of a block) by ``apply``, and ``inside`` the bool mask
     of D's range: certified_norm of the Gram operator on the out side, where
-    with B = P[in, out] B^T B x is apply(inside * apply(x on out))[out]."""
+    with B = P[in, out] B^T B x is apply(inside * apply(x on out))[out].
+
+    P commutes with the reflection of the indices (ring: P is symmetric
+    Toeplitz in k - l with an even symbol, k -> -k; Heisenberg: P is the
+    circulant of an even row, m -> -m mod n) and the in/out masks are
+    mirror-symmetric, so B^T B commutes with the reversal of the out side.
+    Its spectrum is the union of the two reflection sectors', and the norm
+    is the larger sector top: certified_norm runs one Lanczos recurrence per
+    sector (mirror), both fed by one Gram product per step, from the even
+    and the odd part of _asymmetric_start.  Each sector converges on its own
+    gap ratio, not on the gap between the two sector tops."""
     out = np.flatnonzero(~inside)
 
     def gram(x):
@@ -118,7 +131,7 @@ def _fourier_norm(apply: Callable, inside: np.ndarray) -> NormRecord:
         v[..., out] = x
         return apply(apply(v) * inside)[..., out]
 
-    return certified_norm(gram, len(out), _asymmetric_start(len(out)), gram=True)
+    return certified_norm(gram, len(out), _asymmetric_start(len(out)), gram=True, mirror=True)
 
 
 def _su2_norm(v: np.ndarray, inside: np.ndarray) -> NormRecord:

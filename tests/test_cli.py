@@ -183,6 +183,23 @@ def test_norms_parallel_equals_serial_where_jx_rescales(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+@pytest.mark.parametrize("family, start", [("ring", 30), ("heisenberg", 60)])
+def test_norms_parallel_equals_serial_on_both_reflection_sectors(tmp_path, family, start):
+    # every point here runs its two sectors in lockstep: its Gram operator
+    # is above lanczos_top's one-shot size
+    sizes = range(start, start + 4)
+    for n in sizes:
+        for a in (0.0, 0.3):
+            out_side = np.count_nonzero(~FAMILIES[family].build(n, a, 1.0).inside)
+            assert out_side > linalg.LANCZOS_STEPS
+    serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
+    base = ["norms", "--family", family, "--n-start", str(sizes[0]), "--n-stop", str(sizes[-1]),
+            "--a", "0,0.3"]
+    assert run(base + ["--jobs", "2", "--out", str(parallel)]) == 0
+    assert run(base + ["--out", str(serial)]) == 0
+    assert serial.read_bytes() == parallel.read_bytes()
+
+
 def test_norms_row_ordering(tmp_path):
     out = tmp_path / "o.csv"
     run([
@@ -311,11 +328,14 @@ def test_config_wrong_types_exit_1(tmp_path, command, key, value):
         ("hankel", {"n_stop": 4}),
         ("hankel", {"family": "ring"}),
         ("hankel", {"func": 3}),
+        ("norms", {"out": "y.csv"}),
+        ("hankel", {"out": "y.csv"}),
     ],
 )
 def test_config_keys_are_options_of_the_subcommand(tmp_path, capsys, command, cfg):
-    # parser internals (func, command, the fallbacks), --config itself and
-    # another subcommand's options are refused, not silently ignored
+    # parser internals (func, command, the fallbacks), --config itself,
+    # another subcommand's options and a required option (--out, which the
+    # command line always sets) are refused, not silently ignored
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"schema_version": 1, **cfg}))
     out = tmp_path / "x.csv"

@@ -298,6 +298,97 @@ def test_lanczos_top_start_contract():
             lanczos_top(_diagonal(d), 4, bad)
 
 
+def _sector_gram(m, seed, even, odd):
+    """A symmetric m x m operator >= 0 that commutes with x -> x[::-1] bit
+    for bit, with the eigenvalue ``even`` on a reflection-even eigenvector,
+    ``odd`` on an odd one and the rest of its spectrum in
+    [0, min(even, odd) / 2] (m >= 2)."""
+    b = np.random.default_rng(seed).standard_normal((m, m))
+    b = b + b.T
+    _, u = np.linalg.eigh(b + b[::-1, ::-1])  # each eigenvector even or odd
+    is_odd = np.all(np.abs(u + u[::-1]) <= 1e-12, axis=0)
+    w = np.linspace(0.0, min(even, odd) / 2, m)
+    w[np.flatnonzero(~is_odd)[0]], w[np.flatnonzero(is_odd)[0]] = even, odd
+    a = (u * w) @ u.T
+    a = (a + a.T) / 2
+    return (a + a[::-1, ::-1]) / 2
+
+
+SECTOR_TOPS = {"odd top": (0.09, 0.16), "even top": (0.16, 0.09), "equal tops": (0.16, 0.16)}
+
+
+@pytest.mark.parametrize("m", [LANCZOS_STEPS + 1, 30, 31, 120, 121])
+@pytest.mark.parametrize("case", sorted(SECTOR_TOPS))
+def test_mirror_norm_matches_dense_whichever_sector_holds_the_top(m, case):
+    even, odd = SECTOR_TOPS[case]
+    g = _sector_gram(m, m, even, odd)
+    dense = math.sqrt(operator_norm(g))
+    start = np.linspace(1.0, 2.0, m)  # a part in each sector
+    record = certified_norm(lambda x: x @ g, m, start, gram=True, mirror=True)
+    slack = 16 * np.finfo(float).eps * dense
+    assert abs(record.value - dense) <= 1e-13 and abs(dense - 0.4) <= 1e-13
+    assert record.lower - slack <= dense <= record.upper == 0.5
+    plain = certified_norm(lambda x: x @ g, m, start, gram=True)
+    assert abs(plain.value - dense) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [30, 31])
+@pytest.mark.parametrize("scale", [1e-9, 0.09, 0.2025])
+@pytest.mark.parametrize("sector", ["even", "odd"])
+def test_mirror_sector_that_turns_invariant_leaves_the_product(m, scale, sector):
+    # one sector of the operator is ``scale`` times the identity, so its row
+    # stops on the first step, even at 1e-9, far below the other sector's
+    # top 0.16: its test, and the Paige bound that may skip the eigensolve,
+    # are held to the larger top of both rows, as the shared product's
+    # rounding leaves it a floor near eps * 0.16.  Every later product is of
+    # the other row's vector alone, in its sector up to the rounding its
+    # reorthogonalisation leaks (up to about 2e-12 here), where the stopped
+    # row's unit vector would add a part of order 1/sqrt(m).
+    flip = 1.0 if sector == "even" else -1.0
+    g = _sector_gram(m, m, 0.04, 0.16) if sector == "even" else _sector_gram(m, m, 0.16, 0.04)
+    calls = []
+
+    def op(x):
+        calls.append(x.copy())
+        return scale * ((x + flip * x[::-1]) * 0.5) + ((x - flip * x[::-1]) * 0.5) @ g
+
+    dense = math.sqrt(max(scale, operator_norm(g)))
+    record = certified_norm(op, m, np.linspace(1.0, 2.0, m), gram=True, mirror=True)
+    assert abs(record.value - dense) <= 1e-13
+    assert record.lower - 16 * np.finfo(float).eps <= dense
+    assert len(calls) > 3
+    # every product but the first and the certificate's, the last
+    assert all(np.max(np.abs(x + flip * x[::-1])) <= 1e-8 for x in calls[1:-1])
+
+
+def test_mirror_start_needs_a_part_in_each_sector():
+    m = LANCZOS_STEPS + 6
+    g = _sector_gram(m, 1, 0.09, 0.16)
+    for start in (None, np.ones(m), np.arange(m) - (m - 1) / 2.0):
+        with pytest.raises(ContractError, match="each reflection sector"):
+            lanczos_top(lambda x: x @ g, m, start, mirror=True)
+
+
+def test_mirror_takes_fewer_products_on_the_ring_and_heisenberg(monkeypatch):
+    # the pairing must not switch off unnoticed: on each family's own Gram
+    # operator one run from the same start with no mirror takes more products
+    runs = []
+    kernel = linalg.lanczos_top
+
+    def spy(matvec, m, start=None, mirror=False):
+        runs.append((matvec, m, start, mirror))
+        return kernel(matvec, m, start, mirror)
+
+    monkeypatch.setattr(linalg, "lanczos_top", spy)
+    ring, heisenberg = models.ring_commutator(200, 200, 0.0), models.heisenberg_commutator(320)
+    monkeypatch.undo()
+    assert [mirror for *_, mirror in runs] == [True, True]
+    for report, (matvec, m, start, _) in zip((ring, heisenberg), runs):
+        plain = lanczos_top(matvec, m, start)
+        assert abs(math.sqrt(plain.value) - report.norm) <= 1e-15
+        assert report.record.matvecs - 1 < 0.8 * plain.matvecs, (report.family, plain.matvecs)
+
+
 def _kernel_cases(m):
     """(matrix, gram, perron) for each branch of certified_norm, every norm
     scaled to 0.4, below the 1/2 a lanczos record's upper end assumes."""
@@ -350,42 +441,64 @@ def test_lanczos_top_is_called_only_from_certified_norm():
     assert len(_calls_to(kernel, "lanczos_top")) == 1
 
 
-def _lanczos_top_reference(matvec, m, start=None, trace=None):
+def _lanczos_top_reference(matvec, m, start=None, trace=None, mirror=False):
     """lanczos_top with numpy's symmetric eigensolver on every step's
     tridiagonal, the loop the kernel ran before it skipped the steps Paige's
-    bound rules out.  ``trace`` collects (cycle, step, |beta s_j|,
-    LANCZOS_TOL eps |theta|) of each step."""
+    bound rules out: one row, or with ``mirror`` the even and the odd row in
+    lockstep on one product per step, reorthogonalised together, each solved
+    on its own.  ``trace``
+    collects (cycle, step, |beta s_j|, LANCZOS_TOL eps max_r |theta_r|) of
+    each row and step."""
     if m <= LANCZOS_STEPS:
         theta, s = np.linalg.eigh(matvec(np.eye(m)), UPLO="L")
         top = int(np.argmax(np.abs(theta)))
         return RitzPair(float(theta[top]), s[:, top], m)
     start = np.full(m, 1.0 / math.sqrt(m)) if start is None else start / np.linalg.norm(start)
+    starts = [start + start[::-1], start - start[::-1]] if mirror else [start]
+    starts = [x / np.linalg.norm(x) for x in starts] if mirror else starts
+    k = len(starts)
     eps = np.finfo(float).eps
-    basis = np.empty((LANCZOS_STEPS, m))
-    tri = np.zeros((LANCZOS_STEPS, LANCZOS_STEPS))
-    matvecs = 0
+    basis = np.empty((LANCZOS_STEPS, k, m))
+    tri = np.zeros((k, LANCZOS_STEPS, LANCZOS_STEPS))
+    best, live, matvecs = None, list(range(k)), 0
     for cycle in range(LANCZOS_CYCLES):
-        basis[0] = start
+        for r in live:
+            basis[0, r] = starts[r]
         for j in range(LANCZOS_STEPS):
-            w = matvec(basis[j])
+            y = matvec(basis[j, live].sum(axis=0))
             matvecs += 1
-            tri[j, j] = basis[j] @ w
-            q = basis[: j + 1]
-            w = w - q.T @ (q @ w)
-            w = w - q.T @ (q @ w)
-            beta = np.linalg.norm(w)
-            theta, s = np.linalg.eigh(tri[: j + 1, : j + 1], UPLO="L")
-            top = int(np.argmax(np.abs(theta)))
-            residual, floor = abs(beta * s[j, top]), LANCZOS_TOL * eps * abs(theta[top])
-            if trace is not None:
-                trace.append((cycle, j, residual, floor))
-            if residual <= floor:
-                return RitzPair(float(theta[top]), s[:, top] @ q, matvecs)
-            if j + 1 < LANCZOS_STEPS:
-                basis[j + 1] = w / beta
-                tri[j + 1, j] = beta
-        start = s[:, top] @ basis
-        start /= np.linalg.norm(start)
+            parts = [(y - y[::-1] if r else y + y[::-1]) * 0.5 for r in live] if mirror else [y]
+            for r, w in zip(live, parts):
+                tri[r, j, j] = basis[j, r] @ w
+            # both live rows' new vectors against both rows' bases at once
+            w = parts[0] if len(live) == 1 else np.array(parts)
+            q = basis[: j + 1, live[0] : live[-1] + 1].reshape(-1, m)
+            w = w - (w @ q.T) @ q
+            w = w - (w @ q.T) @ q
+            steps = []
+            for r, x in zip(live, [w] if len(live) == 1 else w):
+                theta, s = np.linalg.eigh(tri[r, : j + 1, : j + 1], UPLO="L")
+                steps.append((r, x, np.linalg.norm(x), theta, s, int(np.argmax(np.abs(theta)))))
+            floor = LANCZOS_TOL * eps * max([abs(theta[top]) for *_, theta, s, top in steps]
+                                            + ([abs(best[0])] if best else []))
+            live = []
+            for r, w, beta, theta, s, top in steps:
+                residual = abs(beta * s[j, top])
+                if trace is not None:
+                    trace.append((cycle, j, residual, floor))
+                if residual <= floor:  # the larger top so far; on a tie, the first
+                    if best is None or abs(theta[top]) > abs(best[0]):
+                        best = (float(theta[top]), s[:, top] @ basis[: j + 1, r])
+                    continue
+                live.append(r)
+                if j + 1 < LANCZOS_STEPS:
+                    basis[j + 1, r] = w / beta
+                    tri[r, j + 1, j] = beta
+                else:
+                    starts[r] = s[:, top] @ basis[:, r]
+                    starts[r] /= np.linalg.norm(starts[r])
+            if not live:
+                return RitzPair(*best, matvecs)
     raise ComputationError(f"no convergence after {matvecs} matvecs")
 
 
@@ -395,7 +508,7 @@ def _eigh_sizes():
     sizes, eigh = [], np.linalg.eigh
 
     def spy(a, *args, **kwargs):
-        sizes.append(len(a))
+        sizes.append(np.shape(a)[-1])  # the kernel solves a stack of k rows' blocks
         return eigh(a, *args, **kwargs)
 
     np.linalg.eigh = spy
@@ -405,12 +518,12 @@ def _eigh_sizes():
         np.linalg.eigh = eigh
 
 
-def _assert_same_ritz_pair(matvec, m, start=None):
+def _assert_same_ritz_pair(matvec, m, start=None, mirror=False):
     """lanczos_top against the reference, bit for bit; returns its result,
     its eigensolves and its Lanczos steps (0 and 0 on the one-shot solve)."""
-    want = _lanczos_top_reference(matvec, m, start)
+    want = _lanczos_top_reference(matvec, m, start, mirror=mirror)
     with _eigh_sizes() as sizes:
-        got = lanczos_top(matvec, m, start)
+        got = lanczos_top(matvec, m, start, mirror)
     assert got.value == want.value and got.matvecs == want.matvecs, m
     assert np.array_equal(got.vector, want.vector), m
     return (got, len(sizes), got.matvecs) if m > LANCZOS_STEPS else (got, 0, 0)
@@ -456,8 +569,8 @@ def test_every_family_operator_is_solved_bit_for_bit(monkeypatch, family, sizes)
     # every n mod 4, checked against the every-step eigensolve
     counts = []
 
-    def checked(matvec, m, start=None):
-        got, k, n = _assert_same_ritz_pair(matvec, m, start)
+    def checked(matvec, m, start=None, mirror=False):
+        got, k, n = _assert_same_ritz_pair(matvec, m, start, mirror)
         counts.append((k, n))
         return got
 
@@ -498,6 +611,9 @@ def test_non_finite_products_raise_computation_error(m, bad):
             for perron in (False, True):
                 with pytest.raises(ComputationError, match=f"m = {m}"):
                     certified_norm(op, m, gram=gram, perron=perron)
+        # both sectors in lockstep, from a start with a part in each
+        with pytest.raises(ComputationError, match=f"m = {m}"):
+            certified_norm(op, m, np.linspace(1.0, 2.0, m), gram=True, mirror=True)
 
 
 def test_non_finite_product_names_its_step():
