@@ -78,26 +78,41 @@ def _is_hermitian(a, tol: float = 1e-12) -> bool:
     return _max_abs(a - a.conj().T) <= tol * max(1.0, _max_abs(a))
 
 
-def _exact_norm(a) -> float:
-    """LAPACK-grade largest singular value.  Off the Hermitian branch it is
-    the first of gesdd's descending singular values: np.linalg.norm(a, 2)
-    makes the same call and takes their max."""
-    if a.shape[0] == a.shape[1] and np.array_equal(a, a.conj().T):
-        w = np.linalg.eigvalsh(a)
-        return float(max(abs(w[0]), abs(w[-1])))
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+def _exact_norm(a: np.ndarray):
+    """LAPACK-grade largest singular value of a matrix (a float), or of
+    each matrix of a stack (..., M, N) (an array of shape (...)).  One
+    stacked eigvalsh takes the exactly Hermitian matrices and one stacked
+    gesdd the rest, of whose descending singular values the first is the
+    norm: np.linalg.norm(a, 2) makes the same call and takes their max.
+    numpy's stacked solves run LAPACK on each matrix as a lone call does, so
+    a matrix's norm does not depend on the stack it came in."""
+    stack = a.reshape((-1,) + a.shape[-2:])
+    out = np.empty(len(stack))
+    hermitian = np.zeros(len(stack), dtype=bool)
+    if a.shape[-2] == a.shape[-1]:
+        hermitian = (stack == stack.conj().swapaxes(1, 2)).all(axis=(1, 2))
+    if hermitian.any():
+        w = np.linalg.eigvalsh(stack[hermitian])
+        out[hermitian] = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
+    if not hermitian.all():
+        out[~hermitian] = np.linalg.svd(stack[~hermitian], compute_uv=False)[:, 0]
+    return float(out[0]) if a.ndim == 2 else out.reshape(a.shape[:-2])
 
 
-def operator_norm(a) -> float:
-    """Largest singular value of a dense matrix.
+def operator_norm(a):
+    """Largest singular value of a dense matrix, or of each matrix of a
+    stack (..., M, N).
 
     One LAPACK solve with no fast paths: a Hermitian eigensolve when the
-    input is exactly Hermitian, an SVD otherwise.  LAPACK returns exactly 0.0
-    for a zero matrix and max|d| for a real diagonal one.
+    input is exactly Hermitian, an SVD otherwise.  A 2-D input gives a
+    float; a stack gives an array of shape (...), one stacked call per kind
+    of solve, each norm bit for bit the one its matrix gives alone.  LAPACK
+    returns exactly 0.0 for a zero matrix and max|d| for a real diagonal
+    one.
     """
     A = np.asarray(a)
-    if A.ndim != 2 or A.size == 0:
-        raise ContractError(f"operator_norm needs a non-empty matrix, got shape {A.shape}")
+    if A.ndim < 2 or A.size == 0:
+        raise ContractError(f"operator_norm needs a non-empty matrix or stack, got shape {A.shape}")
     if not np.all(np.isfinite(A.real)) or (np.iscomplexobj(A) and not np.all(np.isfinite(A.imag))):
         raise ContractError("operator_norm: non-finite entries")
     return _exact_norm(A)
@@ -187,7 +202,10 @@ def lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], m: int,
     then steps alone, reorthogonalised against its own basis.  Rounding in
     the reorthogonalisation leaves a row's vectors a small part in the
     other sector; the split keeps it out of the row's part of each product,
-    and certified_norm certifies with the operator itself.
+    and certified_norm certifies with the operator itself.  A lone row's
+    new vector is put back into its sector, (w +- w[::-1]) * 0.5, before it
+    is normalised: with no split of a shared product, that part would grow
+    about threefold per step (to 1.9e-12 in 10 steps on a 30 x 30 operator).
     A row stops at |beta_{j+1} s_j| <= LANCZOS_TOL * eps * max_r |theta_r|,
     the largest top over both rows, stopped or live.  The shared product
     leaves every row a rounding floor near eps max_r |theta_r|, so a sector
@@ -308,6 +326,8 @@ def _lanczos_sectors(matvec: Callable[[np.ndarray], np.ndarray], m: int,
             q = basis[: j + 1, first] if one else basis[: j + 1].reshape(-1, m)
             y = y - (y @ q.T) @ q  # a gemv per product for one row, a gemm for two
             y -= (y @ q.T) @ q  # twice is enough (Kahan-Parlett)
+            if one:  # back into the row's sector, out of which its basis's rounding leaks
+                y = (y + _SECTOR_SIGN[first, 0] * y[::-1]) * 0.5
             betas = [math.sqrt(y @ y)] if one else np.sqrt(np.vecdot(y, y)).tolist()
             if not all(map(math.isfinite, betas)):
                 raise _non_finite(m, j, cycle)
