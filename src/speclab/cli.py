@@ -160,8 +160,9 @@ def cmd_norms(args) -> int:
 # ---------------------------------------------------------------------------
 
 # Each row is matrix-free: O(N) memory and O(N log N) per matvec.  The cap
-# keeps a row near a second: at N = 2^18 the a = 0 row took 0.74 s and the
-# a = 0.3 row 1.42 s, peak RSS 149 MB (2-core VM, 1 BLAS thread).
+# keeps a row under a second: at N = 2^18 the a = 0 row took 0.18-0.29 s and
+# the a = 0.3 row 0.59-0.69 s, peak RSS 100 MB for both rows in one process
+# (`speclab hankel --N 262144 --a 0,0.3`, 2-core VM, 1 BLAS thread).
 MAX_HANKEL_N = 2**18
 
 

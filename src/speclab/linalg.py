@@ -8,11 +8,11 @@ fixed vector or from one its caller passes and takes its Ritz pairs from
 numpy's symmetric eigensolver on its small tridiagonal, only on the steps
 where a bound from Paige's identity does not rule out convergence (on the
 whole operator, applied once to the identity, when that is no larger than
-one Krylov cycle).  For an operator that commutes with the reversal
-x -> x[::-1] it runs one recurrence per reflection sector in lockstep, on
-one product per step.  certified_norm, its one caller, certifies every
-norm the package reports.  Nothing draws random numbers: reruns are
-bit-identical.
+one Krylov cycle).  Its one loop runs one recurrence, or, for an operator
+that commutes with the reversal x -> x[::-1], one per reflection sector in
+lockstep on one product per step.  certified_norm, its one caller,
+certifies every norm the package reports.  Nothing draws random numbers:
+reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -153,73 +153,69 @@ def lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], m: int,
     the m x m identity (it must map each row of a 2-D block), numpy's
     symmetric eigensolver takes the result, and matvecs = m.  The start
     and ``mirror`` do not matter there.
-    Otherwise explicitly restarted Lanczos: each cycle runs up to
-    LANCZOS_STEPS steps from ``start`` normalised, by default the unit
-    vector ones/sqrt(m) (then from the last cycle's Ritz vector),
-    reorthogonalising each new vector against the whole cycle's basis, and
-    stops as soon as the residual bound |beta_{j+1} s_j| of the Ritz pair of
-    largest modulus is at most LANCZOS_TOL * eps * |theta|.  The cycle's
-    tridiagonal T is filled one entry per step.  Its leading
-    (j + 1) x (j + 1) block T_j goes to numpy's symmetric eigensolver on a
-    cycle's last step (its Ritz vector is the next start) and on every step
-    where that test might pass.
-    Paige's identity says when it cannot (Paige 1971; Parlett, The Symmetric
-    Eigenvalue Problem, ch. 7).  For the unreduced T_j, with eigenpairs
-    (theta_i, s_i), |s_0i s_ji| prod_{l != i} |theta_i - theta_l| =
-    beta_1 ... beta_j.  Let [lo, hi] be the Gershgorin hull of T's first
+
+    Otherwise explicitly restarted Lanczos (_lanczos_rows) on one
+    recurrence, a "row", from ``start`` normalised (by default
+    ones/sqrt(m)).  Lanczos only sees the invariant subspace its start
+    generates, and an operator that commutes with the reversal
+    x -> x[::-1] keeps an even start even.  ``mirror`` says the operator
+    commutes with it.  Then two rows run in lockstep, one per reflection
+    sector, from the even and the odd part of the start, each normalised
+    (both must be nonzero).  Each step makes one call to ``matvec``, on the
+    sum of the live rows' current vectors.  With ``mirror`` the product y
+    is split exactly: the even row takes (y + y[::-1]) * 0.5 and the odd
+    row (y - y[::-1]) * 0.5 (IEEE addition commutes).  The new vectors are
+    reorthogonalised twice, together, against the cycle's basis of every
+    live row: a gemv per product for one row, a gemm for two, where the
+    other row's basis adds only rounding, being orthogonal by symmetry.
+    That rounding leaves a row's vectors a small part in the other sector.
+    The split keeps it out of the row's part of each product, and
+    certified_norm certifies with the operator itself.  A lone mirror row's
+    new vector is put back into its sector, (w +- w[::-1]) * 0.5, before it
+    is normalised: with no split of a shared product, that part would grow
+    about threefold per step (to 1.9e-12 in 10 steps on a 30 x 30 operator).
+
+    Each row fills its own tridiagonal T, one entry per step, and stops as
+    soon as the residual bound |beta_{j+1} s_j| of the Ritz pair of largest
+    modulus of T's leading (j + 1) x (j + 1) block T_j is at most
+    LANCZOS_TOL * eps * max_r |theta_r|, the largest top over the rows,
+    stopped or live: the shared product leaves every row a rounding floor
+    near eps max_r |theta_r|, so a sector whose top lies far below the
+    other's could never pass the test at its own scale.  A stopped row
+    leaves the product; a row still live at a cycle's last step restarts
+    from its Ritz vector.  The result is the largest top (on a tie, the row
+    that stopped first).  Each sector converges on the gap ratio of its own
+    spectrum, not on the gap between the two sector tops, so two rows take
+    fewer products than one row from a start with a part in both (ring
+    K = 200, a = 0: 11 against 17).  An invariant Krylov space
+    (beta_j = 0) passes the test, so a start that is an eigenvector takes
+    one matvec.
+
+    The live rows' T_j go to numpy's symmetric eigensolver, stacked, on a
+    cycle's last step and on every step where some row's test might pass.
+    Paige's identity says when it cannot (Paige 1971; Parlett, The
+    Symmetric Eigenvalue Problem, ch. 7).  For the unreduced T_j, with
+    eigenpairs (theta_i, s_i), |s_0i s_ji| prod_{l != i} |theta_i - theta_l|
+    = beta_1 ... beta_j.  Let [lo, hi] be the Gershgorin hull of T's first
     j + 1 rows; row j's disc is final once beta_{j+1} is known.  Every
     theta_i lies in the hull, so |theta| <= max(|lo|, |hi|) and
     |beta_{j+1} s_j| >= beta_1 ... beta_{j+1} / (hi - lo)^j.  The step skips
-    the eigensolve when that bound exceeds PAIGE_SAFETY times
-    LANCZOS_TOL * eps * max(|lo|, |hi|).  The margin covers LAPACK's
+    the eigensolve when on every live row that bound exceeds PAIGE_SAFETY
+    times LANCZOS_TOL * eps * h, with h the largest max(|lo|, |hi|) of the
+    live rows and |theta| of the stopped ones.  The margin covers LAPACK's
     absolute error c eps ||T_j|| / gap in the computed s_j for any c below
     about 8000: the identity with one |theta_i - theta_l| at the gap gives
     |s_j| >= bound (hi - lo) / (beta_{j+1} gap), and hi - lo >= 2 beta_{j+1}.
     (At j = 0 the bound is the test itself: T_0 = [alpha_0] and s_0 = 1.)
     The hull is widened by 4 eps max(|lo|, |hi|) for the rounding of its
-    ends.  The bound costs O(1) Python floats per step, with the betas kept
-    as a running sum of logs so that nothing underflows.  Neither T nor the
-    basis depends on an eigensolve, so the result is bit for bit that of
-    solving on every step.
-    An invariant Krylov space (beta_j = 0) is converged by the same test,
-    so a start that is an eigenvector takes one matvec.
+    ends.  The bound costs O(1) Python floats per row and step, with the
+    betas kept as a running sum of logs so that nothing underflows.
+    Neither T nor the basis depends on an eigensolve, so the result is bit
+    for bit that of solving on every step.
 
-    Lanczos only sees the invariant subspace its start generates, and an
-    operator that commutes with the reversal x -> x[::-1] keeps an even
-    start even.  ``mirror`` says the operator commutes with it.  Then two
-    recurrences ("rows") run in lockstep (_lanczos_sectors), one per
-    reflection sector, from the even and the odd part of the start, each
-    normalised (both must be nonzero).  Each step makes one call to
-    ``matvec``, on the sum of the two rows' current vectors, and splits the
-    product y exactly: the even row takes (y + y[::-1]) * 0.5 and the odd
-    row (y - y[::-1]) * 0.5.  IEEE addition commutes, so these parts are
-    exactly even and odd.  Each row
-    has its own alpha, beta, tridiagonal, Paige bound and restart; the two
-    new vectors are reorthogonalised together, as a 2-row block against
-    both rows' bases (one gemm per product where one row alone makes a
-    gemv; the other row's basis adds only rounding, being orthogonal by
-    symmetry).  A row that has stopped leaves the product, and the other
-    then steps alone, reorthogonalised against its own basis.  Rounding in
-    the reorthogonalisation leaves a row's vectors a small part in the
-    other sector; the split keeps it out of the row's part of each product,
-    and certified_norm certifies with the operator itself.  A lone row's
-    new vector is put back into its sector, (w +- w[::-1]) * 0.5, before it
-    is normalised: with no split of a shared product, that part would grow
-    about threefold per step (to 1.9e-12 in 10 steps on a 30 x 30 operator).
-    A row stops at |beta_{j+1} s_j| <= LANCZOS_TOL * eps * max_r |theta_r|,
-    the largest top over both rows, stopped or live.  The shared product
-    leaves every row a rounding floor near eps max_r |theta_r|, so a sector
-    whose top lies far below the other's could never pass the test at its
-    own scale.  The eigensolves of a step run stacked, on the steps where
-    some row's Paige bound, held to the same largest hull end, does not rule
-    the test out.  The result is the larger of the two sector tops (on a
-    tie, the row that stopped first).  Each row converges on the gap ratio
-    of its own sector, not on the gap between the two sector tops, so this
-    takes fewer products than one run from a start with a part in both
-    sectors (ring K = 200, a = 0: 11 against 17).  matvecs counts the calls
-    to ``matvec``.  A given start gives a bit-reproducible result.
-    Raises ComputationError on a product that is not finite, and if
-    LANCZOS_CYCLES cycles do not converge.
+    matvecs counts the calls to ``matvec``.  A given start gives a
+    bit-reproducible result.  Raises ComputationError on a product that is
+    not finite, and if LANCZOS_CYCLES cycles do not converge.
     """
     if m < 1:
         raise ContractError(f"lanczos_top needs m >= 1, got {m}")
@@ -237,120 +233,79 @@ def lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], m: int,
         top = int(np.argmax(np.abs(theta)))
         return RitzPair(float(theta[top]), s[:, top], m)
     start = np.full(m, 1.0 / math.sqrt(m)) if start is None else start / np.linalg.norm(start)
+    starts = [start]
     if mirror:
-        return _lanczos_sectors(matvec, m, start)
-    eps = float(np.finfo(float).eps)
-    log_floor = math.log(PAIGE_SAFETY * LANCZOS_TOL * eps)
-    basis = np.empty((LANCZOS_STEPS, m))
-    tri = np.zeros((LANCZOS_STEPS, LANCZOS_STEPS))  # lower: alpha on the diagonal, beta below
-    matvecs = 0
-    for cycle in range(LANCZOS_CYCLES):
-        basis[0] = start
-        above = log_betas = 0.0  # beta_j, and the sum of log beta_l for l <= j
-        lo, hi = math.inf, -math.inf
-        for j in range(LANCZOS_STEPS):
-            w = matvec(basis[j])
-            matvecs += 1
-            alpha = float(basis[j] @ w)  # not finite if an entry of w is not
-            if not math.isfinite(alpha):
-                raise _non_finite(m, j, cycle)
-            q = basis[: j + 1]
-            w = w - q.T @ (q @ w)
-            w -= q.T @ (q @ w)  # twice is enough (Kahan-Parlett)
-            beta = math.sqrt(w @ w)  # np.linalg.norm's own sum, bit for bit
-            if not math.isfinite(beta):
-                raise _non_finite(m, j, cycle)
-            tri[j, j] = alpha
-            lo, hi = min(lo, alpha - above - beta), max(hi, alpha + above + beta)
-            above = beta
-            skip = False  # Paige's bound rules the stopping test out
-            if beta > 0.0:
-                log_betas += math.log(beta)
-                big = max(-lo, hi)  # max(|lo|, |hi|), as lo <= hi
-                width = hi - lo + 4.0 * eps * big
-                skip = j < LANCZOS_STEPS - 1 and (
-                    log_betas - j * math.log(width) > log_floor + math.log(big)
-                )
-            if not skip:
-                theta, s = np.linalg.eigh(tri[: j + 1, : j + 1], UPLO="L")
-                top = int(np.argmax(np.abs(theta)))
-                if abs(beta * s[j, top]) <= LANCZOS_TOL * eps * abs(theta[top]):
-                    return RitzPair(float(theta[top]), s[:, top] @ q, matvecs)
-            if j + 1 < LANCZOS_STEPS:
-                np.divide(w, beta, out=basis[j + 1])
-                tri[j + 1, j] = beta
-        start = s[:, top] @ basis
-        start /= np.linalg.norm(start)
-    raise ComputationError(
-        f"Lanczos did not converge in {LANCZOS_CYCLES} cycles of {LANCZOS_STEPS} steps "
-        f"(m = {m})"
-    )
+        starts = [start + start[::-1], start - start[::-1]]  # twice its even and odd parts
+        norms = [np.linalg.norm(x) for x in starts]
+        if not min(norms) > 0.0:
+            raise ContractError("lanczos_top needs a start with a part in each reflection sector")
+        starts = [x / norm for x, norm in zip(starts, norms)]
+    return _lanczos_rows(matvec, m, starts, mirror)
 
 
-def _lanczos_sectors(matvec: Callable[[np.ndarray], np.ndarray], m: int,
-                     start: np.ndarray) -> RitzPair:
-    """lanczos_top's Lanczos loop with ``mirror``, for m > LANCZOS_STEPS and
-    a unit start: one row (recurrence) per reflection sector, in lockstep.
-    It is a loop of its own so that the one-row loop keeps its arithmetic
-    and its speed: run through this loop's per-row bookkeeping, one row
-    cost the hankel_table benchmark about 5%."""
-    starts = [start + start[::-1], start - start[::-1]]  # twice its even and odd parts
-    norms = [np.linalg.norm(x) for x in starts]
-    if not min(norms) > 0.0:
-        raise ContractError("lanczos_top needs a start with a part in each reflection sector")
-    starts = [x / norm for x, norm in zip(starts, norms)]
+def _lanczos_rows(matvec: Callable[[np.ndarray], np.ndarray], m: int,
+                  starts: list, mirror: bool) -> RitzPair:
+    """lanczos_top's Lanczos loop for m > LANCZOS_STEPS: one row per unit
+    start of ``starts``, which with ``mirror`` are the even and the odd
+    row's."""
     eps = float(np.finfo(float).eps)
     log_floor = math.log(PAIGE_SAFETY * LANCZOS_TOL * eps)
-    basis = np.empty((LANCZOS_STEPS, 2, m))  # step-major: basis[: j + 1] spans both rows' spaces
-    tri = np.zeros((2, LANCZOS_STEPS, LANCZOS_STEPS))  # lower: alpha on the diagonal, beta below
+    rows = len(starts)
+    basis = np.empty((LANCZOS_STEPS, rows, m))  # step-major: basis[: j + 1] spans every row's space
+    tri = np.zeros((rows, LANCZOS_STEPS, LANCZOS_STEPS))  # lower: alpha on the diagonal, beta below
     best, found_top = None, 0.0  # (theta, Ritz vector) of the stopped row of largest |theta|
-    first, last = 0, 2  # the live rows: a row that stops is an end row
+    first, last = 0, rows  # the live rows: a row that stops is an end row
     matvecs = 0
     for cycle in range(LANCZOS_CYCLES):
         # per row: beta_j, the sum of log beta_l for l <= j, and the hull [lo, hi]
-        state = [(0.0, 0.0, math.inf, -math.inf)] * 2
-        for r in range(first, last):
-            basis[0, r] = starts[r]
+        state = [(0.0, 0.0, math.inf, -math.inf)] * rows
+        basis[0, first:last] = starts[first:last]
         for j in range(LANCZOS_STEPS):
             one = last - first == 1  # one live row steps a vector, two a 2-row block
             v = basis[j, first] if one else basis[j]
             y = matvec(v if one else v[0] + v[1])
             matvecs += 1
-            if not np.isfinite(y).all():  # checked before the split subtracts inf
-                raise _non_finite(m, j, cycle)
-            y = (y + _SECTOR_SIGN[first:last] * y[::-1]) * 0.5  # each live row's part
-            y = y[0] if one else y
-            alphas = [float(v @ y)] if one else np.vecdot(v, y).tolist()  # v[i] @ y[i]
-            if not all(map(math.isfinite, alphas)):
+            if mirror:
+                if not np.isfinite(y).all():  # checked before the split subtracts inf
+                    raise _non_finite(m, j, cycle)
+                y = (y + _SECTOR_SIGN[first:last] * y[::-1]) * 0.5  # each live row's part
+                y = y[0] if one else y
+            # v[i] @ y[i], not finite if an entry of y[i] is not
+            alphas = [float(v @ y)] if one else np.vecdot(v, y).tolist()
+            if not math.isfinite(sum(alphas)):  # the sum is finite only if each alpha is
                 raise _non_finite(m, j, cycle)
             q = basis[: j + 1, first] if one else basis[: j + 1].reshape(-1, m)
             y = y - (y @ q.T) @ q  # a gemv per product for one row, a gemm for two
             y -= (y @ q.T) @ q  # twice is enough (Kahan-Parlett)
-            if one:  # back into the row's sector, out of which its basis's rounding leaks
+            if one and mirror:  # back into the row's sector, out of which its basis's rounding leaks
                 y = (y + _SECTOR_SIGN[first, 0] * y[::-1]) * 0.5
             betas = [math.sqrt(y @ y)] if one else np.sqrt(np.vecdot(y, y)).tolist()
-            if not all(map(math.isfinite, betas)):
+            if not math.isfinite(sum(betas)):
                 raise _non_finite(m, j, cycle)
             solve = j == LANCZOS_STEPS - 1
             ceiling, lowest = found_top, math.inf  # the largest hull end, the smallest bound
-            for r, alpha, beta, w in zip(range(first, last), alphas, betas, (y,) if one else y):
+            for i in range(last - first):
+                r, alpha, beta = first + i, alphas[i], betas[i]
                 tri[r, j, j] = alpha
                 above, log_betas, lo, hi = state[r]
                 lo, hi = min(lo, alpha - above - beta), max(hi, alpha + above + beta)
                 big = max(-lo, hi)  # max(|lo|, |hi|), as lo <= hi
-                ceiling = max(ceiling, big)
+                if big > ceiling:
+                    ceiling = big
                 if beta > 0.0:
                     log_betas += math.log(beta)
                     width = hi - lo + 4.0 * eps * big
-                    lowest = min(lowest, log_betas - j * math.log(width))
+                    bound = log_betas - j * math.log(width)
+                    if bound < lowest:
+                        lowest = bound
                     if j + 1 < LANCZOS_STEPS:
-                        np.divide(w, beta, out=basis[j + 1, r])
+                        np.divide(y if one else y[i], beta, out=basis[j + 1, r])
                         tri[r, j + 1, j] = beta
                 else:  # an invariant space passes the test
                     solve = True
                 state[r] = (beta, log_betas, lo, hi)
             if not (solve or not lowest > log_floor + math.log(ceiling)):
-                continue  # Paige's bound rules the stopping test out on both rows
+                continue  # Paige's bound rules the stopping test out on every row
             theta, s = np.linalg.eigh(tri[first:last, : j + 1, : j + 1], UPLO="L")
             thetas = theta.tolist()
             # np.argmax of |theta| per row: theta ascends, so its first maximum

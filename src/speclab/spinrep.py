@@ -407,8 +407,8 @@ def _wigner_sum(tj: int, tp, tm, theta: float) -> np.ndarray:
     so memory stays a few times that of the output whatever j.  The powers of
     cos(theta/2) and sin(theta/2) are gathered from tables of the tj + 1
     exponents.  np.bincount sums each entry's terms in order, which is the
-    order of a sum over s; a lone entry (`wigner_d_sum`) is summed by np.sum,
-    pairwise from 8 terms.  A term too large for a float raises
+    order of a sum over s, so an entry has the same bits alone
+    (`wigner_d_sum`) as in a matrix.  A term too large for a float raises
     ComputationError, and so does an entry whose cancellation estimate
     4 tj eps sum_s |term_s| (each term's relative rounding grows with the
     powers' exponents, up to tj) exceeds 1e-8, `validate`'s cross-path
@@ -446,11 +446,8 @@ def _wigner_sum(tj: int, tp, tm, theta: float) -> np.ndarray:
             except FloatingPointError:
                 raise ComputationError(f"binomial sum overflows at j = {HalfInt(tj)}") from None
         terms = sign * size * cos_pow[k_sin] * sin_pow[k_sin]
-        if shape:
-            total[lo:hi] = np.bincount(e - lo, weights=terms, minlength=hi - lo)
-            magnitude[lo:hi] = np.bincount(e - lo, weights=np.abs(terms), minlength=hi - lo)
-        else:
-            total[0], magnitude[0] = terms.sum(), np.abs(terms).sum()
+        total[lo:hi] = np.bincount(e - lo, weights=terms, minlength=hi - lo)
+        magnitude[lo:hi] = np.bincount(e - lo, weights=np.abs(terms), minlength=hi - lo)
         lo = hi
     error = 4 * tj * np.finfo(float).eps * float(np.max(magnitude))
     if error > 1e-8:
@@ -466,8 +463,8 @@ def wigner_d_sum(j, mprime, m, theta: float) -> float:
     Exact convention of the rotation e^{-i theta J_y}; trustworthy to full
     precision for j <= 15 (alternating-sum cancellation grows with j).  A
     term beyond the float range, or a cancellation estimate above 1e-8,
-    raises ComputationError.  Summed pairwise (np.sum), so it agrees with
-    `wigner_d_sum_matrix` only to rounding (see there).
+    raises ComputationError.  Summed in s order, so it is the
+    `wigner_d_sum_matrix` entry bit for bit.
     """
     j = HalfInt.coerce(j)
     mp = HalfInt.coerce(mprime)
@@ -480,10 +477,8 @@ def wigner_d_sum(j, mprime, m, theta: float) -> float:
 
 def wigner_d_sum_matrix(rep: SpinRep, theta: float = math.pi / 2) -> np.ndarray:
     """The whole d^j(theta) matrix by the binomial sum, in descending weight
-    order; the same j <= 15 caveat and errors as `wigner_d_sum`.  Entries
-    are summed in s order, not pairwise as `wigner_d_sum` sums, so one of 8
-    or more terms can differ from it by rounding (1.06e-11 at most at
-    n <= 43, theta = pi/2)."""
+    order; the same j <= 15 caveat and errors as `wigner_d_sum`, and each
+    entry bit for bit its value."""
     return _wigner_sum(rep.j.twice, rep.twice[:, None], rep.twice[None, :], theta)
 
 

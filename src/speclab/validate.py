@@ -127,7 +127,7 @@ def _suite_projection_properties():
             p = spinrep.projection_x(rep, a)
             worst = max(worst, float(np.max(np.abs(p - p.T))))
             worst = max(worst, float(np.max(np.abs(p @ p - p))))
-            expected = sum(1 for t in rep.twice if spinrep.weight_exceeds(t, a, n))
+            expected = int(spinrep.weights_exceeding(rep.twice, a, n).sum())
             worst = max(worst, abs(float(np.trace(p)) - expected))
     return worst, 1e-9
 

@@ -492,6 +492,17 @@ def test_lanczos_top_is_called_only_from_certified_norm():
     assert len(_calls_to(kernel, "lanczos_top")) == 1
 
 
+def test_linalg_holds_one_lanczos_step_loop():
+    # one recurrence serves one row and both reflection sectors; a second
+    # copy of the step loop would carry its own Paige bound, stopping test,
+    # restart and non-finite checks
+    tree = ast.parse((Path(__file__).parents[1] / "src" / "speclab" / "linalg.py").read_text())
+    loops = [node for node in ast.walk(tree) if isinstance(node, ast.For)
+             and isinstance(node.iter, ast.Call) and getattr(node.iter.func, "id", None) == "range"
+             and [getattr(arg, "id", None) for arg in node.iter.args] == ["LANCZOS_STEPS"]]
+    assert len(loops) == 1
+
+
 def _lanczos_top_reference(matvec, m, start=None, trace=None, mirror=False):
     """lanczos_top with numpy's symmetric eigensolver on every step's
     tridiagonal, the loop the kernel ran before it skipped the steps Paige's
@@ -598,10 +609,17 @@ def test_lanczos_top_is_the_every_step_eigensolve_bit_for_bit():
         a = np.random.default_rng(m).standard_normal((m, m))
         a = a + a.T
         cases.append(((lambda x, a=a: x @ a), m, None))
-    solves = steps = 0
-    for matvec, m, start in cases:
-        _, k, n = _assert_same_ritz_pair(matvec, m, start)
-        solves, steps = solves + k, steps + n
+    # started in the span of three eigenvectors, the Krylov space turns
+    # invariant on the third step of the first cycle
+    invariant = _diagonal(np.linspace(-1.0, 0.5, 40)), 40, np.eye(40)[[0, 17, 39]].sum(axis=0)
+    cases = [case + (False,) for case in cases + [invariant]]
+    # both reflection sectors in lockstep, from a start with a part in each
+    a, _ = _reflection_odd_top(40, 7)
+    cases.append(((lambda x: x @ a), 40, np.linspace(1.0, 2.0, 40), True))
+    results = [_assert_same_ritz_pair(*case) for case in cases]
+    invariant_top = results[-2][0]
+    assert (invariant_top.value, invariant_top.matvecs) == (-1.0, 3)
+    solves, steps = sum(k for _, k, _ in results), sum(n for *_, n in results)
     assert solves < steps
 
 

@@ -496,13 +496,14 @@ def test_live_term_sum_matrix_is_the_masked_kernel_bit_for_bit(theta):
 
 @pytest.mark.parametrize("theta", [math.pi / 2, 1.1, 0.0])
 def test_live_term_sum_scalar_is_the_masked_kernel_bit_for_bit(theta):
-    # a lone entry is summed pairwise, past 8 terms not in the matrix's order
+    # a lone entry is summed in s order, as the whole grid is
     for n in range(2, 44):
         rep = SpinRep(n)
+        ref = _wigner_sum_masked(rep.j.twice, rep.twice[:, None], rep.twice[None, :], theta)
         for mp, m in ((0, 0), (0, n - 1), (n - 1, 0), (n // 2, n // 3), (n // 3, n // 2)):
             tp, tm = int(rep.twice[mp]), int(rep.twice[m])
-            ref = _wigner_sum_masked(rep.j.twice, tp, tm, theta)
-            assert _same_bits(wigner_d_sum(rep.j, HalfInt(tp), HalfInt(tm), theta), ref), (n, mp, m)
+            got = wigner_d_sum(rep.j, HalfInt(tp), HalfInt(tm), theta)
+            assert _same_bits(got, ref[mp, m]), (n, mp, m)
 
 
 def test_binomial_sum_overflow_raises():
