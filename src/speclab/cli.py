@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from ._errors import ComputationError, ContractError
+from ._errors import ComputationError, ContractError, integer_at_least, threshold
 from .hankel import ArcSymbol, nehari_bound, power_essential_radius, truncated_norm_record
 from .models import FAMILIES, extremal_vector
 from .validate import run_validation
@@ -63,8 +63,7 @@ def _family_args(args) -> tuple:
             raise ContractError(f"family {args.family} reads no --{flag}")
     a_list, b_list = args.a or [0.0], args.b or [1.0]
     for a in a_list:
-        if not 0.0 <= a < 1.0:
-            raise ContractError(f"--a must lie in [0, 1), got {a}")
+        threshold("--a", a)
     for b in b_list:
         if not 0.0 < b <= 1.0:
             raise ContractError(f"--b must lie in (0, 1], got {b}")
@@ -86,9 +85,7 @@ MAX_SWEEP_N = 2048
 
 def _check_sizes(name: str, lo: int, hi: int) -> None:
     """Sizes lo..hi lie between family name's smallest n and the sweep cap."""
-    min_n = FAMILIES[name].min_n
-    if lo < min_n:
-        raise ContractError(f"family {name} needs n >= {min_n}, got {lo}")
+    integer_at_least(f"family {name}: n", lo, FAMILIES[name].min_n)
     if hi > MAX_SWEEP_N:
         raise ContractError(f"sweep cap is n <= {MAX_SWEEP_N}, got {hi}")
 
@@ -106,8 +103,7 @@ def _norm_point(task):
 
 
 def _sweep_tasks(args) -> list:
-    if args.n_step < 1:
-        raise ContractError(f"--n-step must be >= 1, got {args.n_step}")
+    integer_at_least("--n-step", args.n_step, 1)
     ns = list(range(args.n_start, args.n_stop + 1, args.n_step))
     if not ns:
         raise ContractError("empty n range")
@@ -119,8 +115,7 @@ def _sweep_tasks(args) -> list:
 def _worker_count(jobs: int, tasks: int, cpus: int) -> int:
     """Worker processes for a sweep: the requested count, but never more than
     there are tasks or CPUs."""
-    if jobs < 1:
-        raise ContractError(f"--jobs must be >= 1, got {jobs}")
+    integer_at_least("--jobs", jobs, 1)
     return min(jobs, tasks, cpus)
 
 
@@ -177,8 +172,7 @@ def _distinct(flag: str, values: list) -> list:
 def cmd_hankel(args) -> int:
     sizes = _distinct("N", args.N or [1, 2, 4, 8, 16, 32, 64, 128, 256, 512])
     a_list = _distinct("a", args.a or [0.0])
-    if sizes[0] < 1:
-        raise ContractError(f"truncation size must be >= 1, got {sizes[0]}")
+    integer_at_least("truncation size", sizes[0], 1)
     if sizes[-1] > MAX_HANKEL_N:
         raise ContractError(f"hankel cap is N <= {MAX_HANKEL_N}, got {sizes[-1]}")
     symbols = [ArcSymbol(a) for a in a_list]

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._errors import ContractError
+from ._errors import integer_at_least, threshold
 from .linalg import NormRecord, certified_norm, toeplitz_matvec
 
 
@@ -46,8 +46,7 @@ class ArcSymbol:
     alpha: float = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.a < 1.0:
-            raise ContractError(f"arc parameter must lie in [0, 1), got {self.a}")
+        threshold("arc parameter", self.a)
         object.__setattr__(self, "alpha", math.acos(self.a))
 
 
@@ -96,8 +95,7 @@ def _coeff_grid(sym: ArcSymbol, p: np.ndarray) -> np.ndarray:
 
 def hankel_truncation(sym: ArcSymbol, n: int) -> np.ndarray:
     """N x N truncated Hankel matrix h_{k,l} = coeff(1 - k - l), 1-based k, l."""
-    if n < 1:
-        raise ContractError(f"truncation size must be >= 1, got {n}")
+    n = integer_at_least("truncation size", n, 1)
     k = np.arange(1, n + 1, dtype=np.int64)
     return _coeff_grid(sym, 1 - np.add.outer(k, k))
 
@@ -145,8 +143,7 @@ def truncated_norm_record(sym: ArcSymbol, n: int) -> NormRecord:
     |theta| - ||Hx - theta x|| and the upper end Nehari's 1/2.  method
     "lanczos".
     """
-    if n < 1:
-        raise ContractError(f"truncation size must be >= 1, got {n}")
+    n = integer_at_least("truncation size", n, 1)
     if sym.a == 0.0:
         return _odd_block_record(n, n)
     return certified_norm(_hankel_apply(_coeff_grid(sym, -np.arange(1, 2 * n))), n)

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import numpy.fft  # noqa: F401  (loaded at import, not on the first transform)
 
-from ._errors import ComputationError, ContractError
+from ._errors import ComputationError, ContractError, integer_at_least
 
 
 class NormRecord(NamedTuple):
@@ -217,8 +217,7 @@ def lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], m: int,
     bit-reproducible result.  Raises ComputationError on a product that is
     not finite, and if LANCZOS_CYCLES cycles do not converge.
     """
-    if m < 1:
-        raise ContractError(f"lanczos_top needs m >= 1, got {m}")
+    m = integer_at_least("lanczos_top: m", m, 1)
     if start is not None:
         start = np.asarray(start, dtype=float)
         if start.shape != (m,) or not np.linalg.norm(start) > 0.0:
@@ -357,8 +356,11 @@ def certified_norm(op: Callable[[np.ndarray], np.ndarray] | None, m: int,
     the record is ||B||, square roots of the value and computed ends (a
     "lanczos" upper end stays 1/2).  A value or end in (1/2, NORM_CAP] is
     rounding (one ulp at Heisenberg's norm-1/2 points) and is clipped to
-    1/2; a larger one is kept for the caller to refuse.  m = 0, a block
-    with no rows or columns, gives NormRecord(0.0, "lanczos", 0, 0.0, 0.5).
+    1/2.  A value past NORM_CAP breaks the bound, so it raises
+    ComputationError, never clipped into a false certificate: no norm the
+    package reports, commutator or Hankel row, exceeds NORM_CAP.  m = 0, a
+    block with no rows or columns, gives NormRecord(0.0, "lanczos", 0, 0.0,
+    0.5).
     """
     if m == 0:
         return NormRecord(0.0, "lanczos", 0, 0.0, 0.5)
@@ -376,4 +378,6 @@ def certified_norm(op: Callable[[np.ndarray], np.ndarray] | None, m: int,
         ends = [math.sqrt(max(t, 0.0)) for t in ends]
     ends = ends if perron else ends + [0.5]
     value, lower, upper = (0.5 if 0.5 < t <= NORM_CAP else float(t) for t in ends)
+    if value > NORM_CAP:
+        raise ComputationError(f"certified_norm: norm {value} violates the 1/2 bound (m = {m})")
     return NormRecord(value, "perron" if perron else "lanczos", ritz.matvecs + 1, lower, upper)

@@ -35,9 +35,9 @@ from typing import Callable
 
 import numpy as np
 
-from ._errors import ComputationError, ContractError
+from ._errors import ComputationError, ContractError, integer_at_least, threshold
 from .hankel import HALF_CIRCLE, ArcSymbol, _coeff_grid, _odd_block_record
-from .linalg import NORM_CAP, NormRecord, certified_norm, toeplitz_matvec
+from .linalg import NormRecord, certified_norm, toeplitz_matvec
 from .spinrep import (
     SpinRep,
     _kept_vectors,
@@ -54,6 +54,8 @@ class CommutatorReport:
     ``inside`` is D's range as a bool mask and ``projection`` returns the
     dense P.  ``matrix``, ``block`` and ``block_check`` are formed from them
     on first read, the same way for every family, so no norm forms them.
+    The record is certified_norm's, which refuses a norm past the 1/2
+    bound, so a report is never built with one.
     """
 
     family: str
@@ -62,12 +64,6 @@ class CommutatorReport:
     inside: np.ndarray = field(repr=False, compare=False)
     projection: Callable[[], np.ndarray] = field(repr=False, compare=False)
     diagnostics: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not 0.0 <= self.norm <= NORM_CAP:
-            raise ComputationError(
-                f"{self.family}: norm {self.norm} violates the 1/2 projection bound"
-            )
 
     @property
     def norm(self) -> float:
@@ -170,42 +166,41 @@ def _block_residual(c: np.ndarray, rows: np.ndarray) -> float:
 # SU(2)
 # ---------------------------------------------------------------------------
 
-def su2_commutator(n: int, a: float = 0.0, b: float = 1.0) -> CommutatorReport:
-    """Commutator of the J_x projection above a*(j+1/2) with the J_z
-    projection onto (0, b*(j+1/2)]."""
-    rep = SpinRep(n)
-    if not 0.0 <= a < 1.0:
-        raise ContractError(f"su2_commutator: a must lie in [0, 1), got {a}")
-    if not 0.0 < b <= 1.0:
-        raise ContractError(f"su2_commutator: b must lie in (0, 1], got {b}")
-    family = "su2" if a == 0.0 and b == 1.0 else "su2_interval"
-    inside = z_interval_mask(rep, b)
+def _su2_report(family: str, params: dict, rep: SpinRep, a: float,
+                inside: np.ndarray) -> CommutatorReport:
+    """The report of every SU(2) family: the J_x projection above
+    a*(j+1/2) against the diagonal projection whose range is ``inside``;
+    _kept_vectors refuses an a outside [0, 1) before any eigensystem is
+    built."""
     return CommutatorReport(
         family,
-        {"n": n, "a": a, "b": b},
+        params,
         _su2_norm(_kept_vectors(rep, a, family), inside),
         inside,
         lambda: projection_x(rep, a),
     )
 
 
+def su2_commutator(n: int, a: float = 0.0, b: float = 1.0) -> CommutatorReport:
+    """Commutator of the J_x projection above a*(j+1/2) with the J_z
+    projection onto (0, b*(j+1/2)]."""
+    rep = SpinRep(n)
+    family = "su2" if a == 0.0 and b == 1.0 else "su2_interval"
+    return _su2_report(family, {"n": rep.n, "a": a, "b": b}, rep, a, z_interval_mask(rep, b))
+
+
 def su2_caps_commutator(n: int, a: float) -> CommutatorReport:
     """Commutator with both projections thresholded at a*(j+1/2).
 
     This is the family whose norm profile changes character as a crosses
-    1/sqrt(2) (both caps shrink together).
+    1/sqrt(2) (both caps shrink together).  An a outside [0, 1) is a
+    ContractError, checked here before weights_exceeding, whose exact
+    rational threshold cannot hold nan or inf.
     """
     rep = SpinRep(n)
-    if not 0.0 <= a < 1.0:
-        raise ContractError(f"su2_caps_commutator: a must lie in [0, 1), got {a}")
-    inside = weights_exceeding(rep.twice, a, n)
-    return CommutatorReport(
-        "su2_caps",
-        {"n": n, "a": a, "b": a},  # both projections thresholded at a
-        _su2_norm(_kept_vectors(rep, a, "su2_caps"), inside),
-        inside,
-        lambda: projection_x(rep, a),
-    )
+    threshold("su2_caps_commutator: a", a)
+    params = {"n": rep.n, "a": a, "b": a}  # both projections thresholded at a
+    return _su2_report("su2_caps", params, rep, a, weights_exceeding(rep.twice, a, rep.n))
 
 
 def su2_submatrix(n: int, size: int) -> np.ndarray:
@@ -216,8 +211,7 @@ def su2_submatrix(n: int, size: int) -> np.ndarray:
     The entries converge entrywise to the half-circle Hankel truncation.
     """
     rep = SpinRep(n)
-    if size < 1:
-        raise ContractError("su2_submatrix: size must be >= 1")
+    size = integer_at_least("su2_submatrix: size", size, 1)
     if rep.j.twice <= 2 * size:
         raise ContractError(f"su2_submatrix requires j > N, got j = {rep.j}, N = {size}")
     half = 1 - n % 2  # even dimensions sit half a step lower
@@ -242,8 +236,7 @@ def grid_in_arc(k: int, n: int, a: float = 0.0) -> bool:
     a != 0 both points of a mirror pair k, -k share one cosine, of the
     reduced index min(r, n - r) with r = k mod n, so the arc is symmetric.
     """
-    if n < 1:
-        raise ContractError(f"grid_in_arc: n must be >= 1, got {n}")
+    n = integer_at_least("grid_in_arc: n", n, 1)
     if a == 0.0:
         r = (4 * k) % (4 * n)
         return r < n or r > 3 * n
@@ -271,17 +264,14 @@ def ring_commutator(n: int, window: int, a: float = 0.0) -> CommutatorReport:
     points exp(2*pi*i*k/n) on the arc Re z > a (the right half-circle at
     a = 0) and coeff is the arc indicator's Fourier coefficient.
     """
-    if n < 2:
-        raise ContractError(f"ring_commutator: n must be >= 2, got {n}")
-    if window < 1:
-        raise ContractError(f"ring_commutator: window must be >= 1, got {window}")
-    if not 0.0 <= a < 1.0:
-        raise ContractError(f"ring_commutator: a must lie in [0, 1), got {a}")
+    n = integer_at_least("ring_commutator: n", n, 2)
+    window = integer_at_least("ring_commutator: window", window, 1)
+    sym = ArcSymbol(a)
     ks = np.arange(-window, window + 1, dtype=np.int64)
     inside = _arc_membership(ks, n, a) != 0.0
     # one table of coeff over the lags -2K..2K, gathered for the matrix and
     # applied as its Toeplitz product (m = 2K + 1) for the norm
-    table = _coeff_grid(ArcSymbol(a), np.arange(-2 * window, 2 * window + 1))
+    table = _coeff_grid(sym, np.arange(-2 * window, 2 * window + 1))
     return CommutatorReport(
         "ring",
         {"n": n, "K": window, "a": a},
@@ -294,10 +284,8 @@ def ring_commutator(n: int, window: int, a: float = 0.0) -> CommutatorReport:
 def _designated(name: str, n: int, size: int):
     """Rows ceil(n/4) - k and columns ceil(n/4) + l - 1 (k, l = 1..N) of the
     designated N x N window; requires N >= 1 and n > 4N."""
-    if size < 1:
-        raise ContractError(f"{name}: size must be >= 1, got {size}")
-    if n <= 4 * size:
-        raise ContractError(f"{name} requires n > 4N, got n = {n}, N = {size}")
+    size = integer_at_least(f"{name}: size", size, 1)
+    n = integer_at_least(f"{name}: n (> 4N)", n, 4 * size + 1)
     q = -(-n // 4)  # ceil(n/4)
     return q - np.arange(1, size + 1, dtype=np.int64), q + np.arange(size, dtype=np.int64)
 
@@ -384,10 +372,8 @@ def heisenberg_commutator(n: int, a: float = 0.0) -> CommutatorReport:
     checked against them (heisenberg_closed_form_residual checks the whole
     matrix); the residual is kept in diagnostics.
     """
-    if n < 2:
-        raise ContractError(f"heisenberg_commutator: n must be >= 2, got {n}")
-    if not 0.0 <= a < 1.0:
-        raise ContractError(f"heisenberg_commutator: a must lie in [0, 1), got {a}")
+    n = integer_at_least("heisenberg_commutator: n", n, 2)
+    threshold("heisenberg_commutator: a", a)
     memb = _arc_membership(range(n), n, a)
     grid = np.arange(n)
     # P is the real circulant with entry (j, k) = row[(k - j) mod n]
@@ -429,8 +415,7 @@ def heisenberg_submatrix(n: int, size: int, a: float = 0.0) -> np.ndarray:
 
     Entries converge to the arc-symbol Hankel truncation as n grows.
     """
-    if not 0.0 <= a < 1.0:
-        raise ContractError(f"heisenberg_submatrix: a must lie in [0, 1), got {a}")
+    threshold("heisenberg_submatrix: a", a)
     rows, cols = _designated("heisenberg_submatrix", n, size)
     memb = _arc_membership(range(n), n, a)
     pairing = _heis_pairing_table(memb, np.subtract.outer(rows, cols))
@@ -452,8 +437,7 @@ def se2_commutator(window: int) -> CommutatorReport:
     matrix, whose norm and Perron certificate come from the Hankel
     odd-block kernel (hankel._odd_block_record).
     """
-    if window < 1:
-        raise ContractError(f"se2_commutator: window must be >= 1, got {window}")
+    window = integer_at_least("se2_commutator: window", window, 1)
     ks = np.arange(-window, window + 1, dtype=np.int64)
     return CommutatorReport(
         "se2",

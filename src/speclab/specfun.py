@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 import numpy.polynomial  # noqa: F401  (loaded at import, not on the first quadrature)
 
-from ._errors import ContractError
+from ._errors import ContractError, integer_at_least, threshold
 
 MAX_ORDER = 64
 SERIES_CROSSOVER = 12.0
@@ -188,8 +188,7 @@ def jacobi_p(k: int, alpha: float, beta: float, x: float) -> float:
     The recurrence is accumulated in extended precision; alpha > -1 and
     x in [-1, 1] are required.
     """
-    if k < 0:
-        raise ContractError("jacobi_p: degree must be nonnegative")
+    k = integer_at_least("jacobi_p: degree", k, 0)
     if alpha <= -1:
         raise ContractError("jacobi_p: alpha must exceed -1")
     if not -1.0 <= x <= 1.0:
@@ -229,8 +228,7 @@ def cap_integral(a: float, p: int) -> float:
     Returns arcsin(a) for p = 0 (sine weight), sin(p arcsin a)/p for even
     p != 0 (sine weight), and cos(p arcsin a)/p for odd p (cosine weight).
     """
-    if not 0.0 <= a < 1.0:
-        raise ContractError(f"cap_integral: a must lie in [0, 1), got {a}")
+    threshold("cap_integral: a", a)
     if p == 0:
         return math.asin(a)
     if p % 2 == 0:

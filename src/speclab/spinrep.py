@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._errors import ComputationError, ContractError
+from ._errors import ComputationError, ContractError, integer_at_least, threshold
 from .specfun import bessel_j
 
 
@@ -99,10 +99,7 @@ class SpinRep:
     """
 
     def __init__(self, n: int):
-        n = int(n)
-        if n < 2:
-            raise ContractError(f"representation dimension must be >= 2, got {n}")
-        self.n = n
+        self.n = n = integer_at_least("representation dimension", n, 2)
         self.j = HalfInt(n - 1)
         self.twice = np.arange(n - 1, -n, -2, dtype=np.int64)  # twice each weight
         self.twice.setflags(write=False)
@@ -516,8 +513,7 @@ def _kept_vectors(rep: SpinRep, a: float, name: str, rows=None) -> np.ndarray:
     ceil(n/2) rows, a read-only view of the cached Q, not a copy (D's range
     in every SU(2) family lies there).  With ``rows`` (indices 0..n-1, any
     shape): those rows, a new array, the bottom ones mirrored from Q."""
-    if not 0.0 <= a < 1.0:
-        raise ContractError(f"{name}: a must lie in [0, 1), got {a}")
+    threshold(f"{name}: a", a)
     tw, q = _jx_eigensystem(rep.n)
     start = int(np.searchsorted(tw, _floor_scaled(a, rep.n), side="right"))
     return q[:, start:] if rows is None else _jx_rows(rep.n, rows, rep.n // 2 + start)[1]

@@ -374,6 +374,15 @@ def test_hankel_checks_every_request_before_any_row(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+def test_hankel_norm_past_the_half_bound_exits_1_without_a_csv(tmp_path, capsys, monkeypatch):
+    grid = hankel._coeff_grid
+    monkeypatch.setattr(hankel, "_coeff_grid", lambda sym, p: 2.5 * grid(sym, p))
+    out = tmp_path / "h.csv"
+    assert run(["hankel", "--N", "64", "--a", "0.3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("computation error")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, family, builder, flags",
     [

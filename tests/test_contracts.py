@@ -1,0 +1,111 @@
+"""The input rules every family shares, at every public entry that takes a
+size or a threshold, and the structure that keeps each rule in one place.
+
+A size is a Python or numpy integer, not a bool and not a float, even a
+whole one: `8.0` is refused as `4.5` is, since truncating either would
+compute a size nobody asked for.  A threshold lies in [0, 1)."""
+
+import ast
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from speclab import (
+    HALF_CIRCLE,
+    ArcSymbol,
+    ContractError,
+    SpinRep,
+    cap_integral,
+    grid_in_arc,
+    hankel_truncation,
+    heisenberg_commutator,
+    heisenberg_submatrix,
+    jacobi_p,
+    lanczos_top,
+    models,
+    projection_x,
+    ring_commutator,
+    ring_submatrix,
+    se2_commutator,
+    su2_caps_commutator,
+    su2_commutator,
+    su2_submatrix,
+    truncated_norm_record,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "speclab"
+
+# each entry maps a size s to a value that is compared at s = 8 and
+# s = np.int64(8); a CommutatorReport is compared by its norm record
+SIZE_ENTRIES = {
+    "SpinRep": lambda s: SpinRep(s).twice,
+    "su2_commutator": lambda s: su2_commutator(s).record,
+    "su2_caps_commutator": lambda s: su2_caps_commutator(s, 0.3).record,
+    "su2_submatrix": lambda s: su2_submatrix(40, s),
+    "grid_in_arc": lambda s: grid_in_arc(3, s),
+    "ring_commutator n": lambda s: ring_commutator(s, 4).record,
+    "ring_commutator window": lambda s: ring_commutator(20, s).record,
+    "ring_submatrix n": lambda s: ring_submatrix(s, 1),
+    "ring_submatrix size": lambda s: ring_submatrix(40, s),
+    "heisenberg_commutator": lambda s: heisenberg_commutator(s).record,
+    "heisenberg_submatrix n": lambda s: heisenberg_submatrix(s, 1),
+    "heisenberg_submatrix size": lambda s: heisenberg_submatrix(40, s, 0.3),
+    "se2_commutator": lambda s: se2_commutator(s).record,
+    "hankel_truncation": lambda s: hankel_truncation(HALF_CIRCLE, s),
+    "truncated_norm_record a=0": lambda s: truncated_norm_record(HALF_CIRCLE, s),
+    "truncated_norm_record a=0.3": lambda s: truncated_norm_record(ArcSymbol(0.3), s),
+    "lanczos_top": lambda s: lanczos_top(lambda x: x @ np.diag(np.arange(1.0, 9.0)), s).value,
+    "jacobi_p": lambda s: jacobi_p(s, 0.5, 0.5, 0.3),
+}
+
+THRESHOLD_ENTRIES = {
+    "ArcSymbol": lambda a: ArcSymbol(a),
+    "projection_x": lambda a: projection_x(SpinRep(5), a),
+    "su2_commutator": lambda a: su2_commutator(8, a),
+    "su2_commutator interval": lambda a: su2_commutator(8, a, 0.5),
+    "su2_caps_commutator": lambda a: su2_caps_commutator(8, a),
+    "ring_commutator": lambda a: ring_commutator(8, 4, a),
+    "ring_submatrix": lambda a: ring_submatrix(40, 4, a),
+    "heisenberg_commutator": lambda a: heisenberg_commutator(8, a),
+    "heisenberg_submatrix": lambda a: heisenberg_submatrix(40, 4, a),
+    "cap_integral": lambda a: cap_integral(a, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZE_ENTRIES))
+def test_every_size_entry_takes_only_integers(name):
+    entry = SIZE_ENTRIES[name]
+    for bad in (4.5, 8.0, True, np.float64(8.0)):
+        with pytest.raises(ContractError):
+            entry(bad)
+    plain, wide = entry(8), entry(np.int64(8))
+    assert np.array_equal(plain, wide) if isinstance(plain, np.ndarray) else plain == wide
+
+
+@pytest.mark.parametrize("name", sorted(THRESHOLD_ENTRIES))
+def test_every_threshold_entry_refuses_a_outside_0_1(name):
+    entry = THRESHOLD_ENTRIES[name]
+    for bad in (math.nan, math.inf, -math.inf, -0.1, 1.0):
+        with pytest.raises(ContractError):
+            entry(bad)
+    entry(0.0)
+    entry(0.3)
+
+
+def test_each_input_rule_has_one_implementation():
+    # the 1/2 bound is refused in linalg.certified_norm alone, and the
+    # threshold test 0 <= a < 1 is written out in _errors.threshold alone
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        cap = [node for node in ast.walk(tree)
+               if getattr(node, "id", None) == "NORM_CAP" or getattr(node, "attr", None) == "NORM_CAP"
+               or isinstance(node, ast.alias) and node.name == "NORM_CAP"]
+        assert not cap or path.name == "linalg.py", path.name
+        spans = [node for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                 and [type(op) for op in node.ops] == [ast.LtE, ast.Lt]
+                 and getattr(node.left, "value", None) == 0
+                 and getattr(node.comparators[-1], "value", None) == 1]
+        assert not spans or path.name == "_errors.py", path.name
+    assert "__post_init__" not in vars(models.CommutatorReport)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from speclab import (
     ArcSymbol,
+    ComputationError,
     ContractError,
     HALF_CIRCLE,
     fourier_coeff,
@@ -17,6 +18,7 @@ from speclab import (
     truncated_norm,
     truncated_norm_record,
 )
+from speclab import hankel
 from speclab.hankel import _coeff_grid
 from speclab.linalg import toeplitz_matvec
 
@@ -132,6 +134,16 @@ def test_truncated_norm_rejects_nonpositive_size():
     for n in (0, -3):
         with pytest.raises(ContractError):
             truncated_norm(HALF_CIRCLE, n)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.3])  # the Perron kernel and a whole-truncation Lanczos run
+def test_a_hankel_norm_past_the_half_bound_is_refused(monkeypatch, a):
+    # coefficients 2.5 times too large give a norm past Nehari's 1/2 (about
+    # 1.07 at a = 0.3), which no certificate with upper end 1/2 may hold
+    grid = hankel._coeff_grid
+    monkeypatch.setattr(hankel, "_coeff_grid", lambda sym, p: 2.5 * grid(sym, p))
+    with pytest.raises(ComputationError, match="1/2 bound"):
+        truncated_norm_record(ArcSymbol(a), 64)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)

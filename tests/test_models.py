@@ -509,12 +509,10 @@ def test_every_family_respects_the_half_bound():
 
 
 @pytest.mark.parametrize("m", [10, 30])  # the one-shot solve and a Lanczos run
-def test_lanczos_norm_keeps_a_value_past_the_half_bound(m):
-    # clipping 0.7 to 1/2 would certify a false norm; the report refuses it
-    record = certified_norm(lambda x: 0.49 * x, m, models._asymmetric_start(m), gram=True)
-    assert abs(record.value - 0.7) <= 1e-15 and abs(record.lower - 0.7) <= 1e-12
-    with pytest.raises(ComputationError):
-        models.CommutatorReport("ring", {}, record, np.ones(m, dtype=bool), lambda: np.eye(m))
+def test_lanczos_norm_refuses_a_value_past_the_half_bound(m):
+    # clipping 0.7 to 1/2 would certify a false norm; certified_norm refuses it
+    with pytest.raises(ComputationError, match="norm 0.7"):
+        certified_norm(lambda x: 0.49 * x, m, models._asymmetric_start(m), gram=True)
 
 
 @pytest.mark.parametrize("m", [10, 30])
