@@ -1,5 +1,8 @@
-"""Error types shared across the package, and the two input checks every
-family shares: an integer size and a threshold a in [0, 1)."""
+"""Error types shared across the package, and the input checks the families
+share: an integer size, a threshold a in [0, 1), a z-side width b in (0, 1]
+and a finite exact-comparison threshold."""
+
+import math
 
 import numpy as np
 
@@ -27,3 +30,15 @@ def threshold(name: str, a) -> None:
     """Refuses a threshold outside [0, 1), nan included."""
     if not 0.0 <= a < 1.0:
         raise ContractError(f"{name} must lie in [0, 1), got {a}")
+
+
+def width(name: str, b) -> None:
+    """Refuses a z-side width outside (0, 1], nan included."""
+    if not 0.0 < b <= 1.0:
+        raise ContractError(f"{name} must lie in (0, 1], got {b}")
+
+
+def finite(name: str, x) -> None:
+    """Refuses nan and +-inf, which have no exact rational value."""
+    if not math.isfinite(x):
+        raise ContractError(f"{name} must be finite, got {x}")

@@ -21,9 +21,10 @@ import time
 
 import numpy as np
 
-from ._errors import ComputationError, ContractError, integer_at_least, threshold
+from ._errors import ComputationError, ContractError, integer_at_least, threshold, width
 from .hankel import ArcSymbol, nehari_bound, power_essential_radius, truncated_norm_record
 from .models import FAMILIES, extremal_vector
+from .spinrep import jx_cache_info
 from .validate import run_validation
 
 NORMS_HEADER = "family,n,a,b,norm,n_mod_4,wall_ms"
@@ -65,21 +66,21 @@ def _family_args(args) -> tuple:
     for a in a_list:
         threshold("--a", a)
     for b in b_list:
-        if not 0.0 < b <= 1.0:
-            raise ContractError(f"--b must lie in (0, 1], got {b}")
+        width("--b", b)
     return family, a_list, b_list
 
 
 # Keeps desk-scale runtimes.  No point makes an O(n^3) solve: each is one
 # Lanczos run on an operator of the commutator's block.  An SU(2) matvec is
-# four O(n^2) GEMVs on a view of the cached J_x eigensystem (the top-half
-# rows of the mu >= 0 columns, about n^2/4 doubles, built in O(n^2) time;
-# spinrep refuses n > 2^14 itself); a ring or Heisenberg matvec is
-# O(n log n) FFTs in O(n) memory, Heisenberg's closed-form cross-check
-# included; SE(2)'s block is a Hankel section, solved by the Hankel
-# odd-block kernel with FFT products of about half that length.  The cap
-# stays until it is lifted per family, once a benchmark workload measures
-# the large sizes.
+# four O(n^2) GEMVs on a view of the stored J_x eigensystem (the top-half
+# rows of the mu >= 0 columns, about n^2/4 doubles, built in O(n^2) time).
+# A sweep runs every point of one n in turn, so spinrep's store, bounded by
+# bytes, holds one eigensystem this large at a time; spinrep refuses
+# n > 2^14 itself.  A ring or Heisenberg matvec is O(n log n) FFTs in O(n)
+# memory, Heisenberg's closed-form cross-check included; SE(2)'s block is a
+# Hankel section, solved by the Hankel odd-block kernel with FFT products of
+# about half that length.  The cap stays until it is lifted per family,
+# once a benchmark workload measures the large sizes.
 MAX_SWEEP_N = 2048
 
 
@@ -92,14 +93,17 @@ def _check_sizes(name: str, lo: int, hi: int) -> None:
 
 def _norm_point(task):
     """Worker for one sweep point; returns (csv key, csv row, wall ms, norm
-    record as a dict)."""
+    record as a dict, the J_x store's (hits, misses) it caused)."""
     family, n, a, b = task
+    before = jx_cache_info()
     t0 = time.perf_counter()
     report = FAMILIES[family].build(n, a, b)
     wall_ms = int(round(1000 * (time.perf_counter() - t0)))
+    after = jx_cache_info()
     a_out, b_out = report.params.get("a", 0.0), report.params.get("b", 0.0)
     cells = [report.family, str(n), _fmt(a_out), _fmt(b_out), _fmt(report.norm), str(n % 4), "0"]
-    return (n, a_out, b_out), ",".join(cells), wall_ms, report.record._asdict()
+    jx = (after.hits - before.hits, after.misses - before.misses)
+    return (n, a_out, b_out), ",".join(cells), wall_ms, report.record._asdict(), jx
 
 
 def _sweep_tasks(args) -> list:
@@ -145,6 +149,8 @@ def cmd_norms(args) -> int:
             "wall_ms_total": int(round(1000 * (time.perf_counter() - t0))),
             "wall_ms_points": [r[2] for r in results],
             "norm_records": [r[3] for r in results],
+            "jx_cache": {"hits": sum(r[4][0] for r in results),
+                         "misses": sum(r[4][1] for r in results)},
         },
     )
     return 0

@@ -235,8 +235,10 @@ def grid_in_arc(k: int, n: int, a: float = 0.0) -> bool:
     Re z exactly zero are excluded the way a strict inequality demands.  At
     a != 0 both points of a mirror pair k, -k share one cosine, of the
     reduced index min(r, n - r) with r = k mod n, so the arc is symmetric.
+    An a outside [0, 1) is a ContractError.
     """
     n = integer_at_least("grid_in_arc: n", n, 1)
+    threshold("grid_in_arc: a", a)
     if a == 0.0:
         r = (4 * k) % (4 * n)
         return r < n or r > 3 * n

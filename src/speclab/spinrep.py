@@ -14,7 +14,8 @@ eigenvalue, certified by its residual.  Every recurrence column starts
 positive, which fixes the d-matrix's column signs by construction;
 projections are sums of column outer products and do not depend on them.
 Only a quarter of the eigensystem is computed and cached, the top-half
-rows of the columns mu >= 0; two exact symmetries give the rest.
+rows of the columns mu >= 0, in one store bounded by bytes (`_JxStore`);
+two exact symmetries give the rest.
 
 Each route works on the whole (m', m) grid at once: the binomial sum is one
 array kernel over the live terms of every entry, laid out flat, the Fourier
@@ -27,6 +28,7 @@ product.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -34,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._errors import ComputationError, ContractError, integer_at_least, threshold
+from ._errors import ComputationError, ContractError, finite, integer_at_least, threshold, width
 from .specfun import bessel_j
 
 
@@ -128,12 +130,16 @@ class SpinRep:
 
 
 def weight_exceeds(twice_m: int, a, n: int) -> bool:
-    """Exact test m > a*(j + 1/2), i.e. twice_m > a*n, in rational arithmetic."""
+    """Exact test m > a*(j + 1/2), i.e. twice_m > a*n, in rational arithmetic.
+    A non-finite a is a ContractError, here and in the three predicates
+    below; any finite a is compared, as the b side reads them too."""
+    finite("weight_exceeds: a", a)
     return Fraction(int(twice_m)) > Fraction(a) * n
 
 
 def weight_at_most(twice_m: int, b, n: int) -> bool:
     """Exact test m <= b*(j + 1/2) in rational arithmetic."""
+    finite("weight_at_most: b", b)
     return Fraction(int(twice_m)) <= Fraction(b) * n
 
 
@@ -148,11 +154,13 @@ def _floor_scaled(x, n: int) -> int:
 
 def weights_exceeding(twice, a, n: int) -> np.ndarray:
     """weight_exceeds over an integer array of twice-weights, as a bool mask."""
+    finite("weights_exceeding: a", a)
     return np.asarray(twice) > _floor_scaled(a, n)
 
 
 def weights_at_most(twice, b, n: int) -> np.ndarray:
     """weight_at_most over an integer array of twice-weights, as a bool mask."""
+    finite("weights_at_most: b", b)
     return np.asarray(twice) <= _floor_scaled(b, n)
 
 
@@ -192,8 +200,9 @@ def build_spin_operators(rep: SpinRep) -> SpinOperators:
 RECURRENCE_RESCALE = 1e150  # a column passing this is rescaled to max 1
 
 
-MAX_JX_N = 1 << 14  # largest J_x eigensystem: Q is then 8192 x 8192, 537 MB
-JX_SMALL_N = 128  # sizes whose whole eigensystem is cached (_jx_small)
+MAX_JX_N = 1 << 14  # largest J_x eigensystem: Q is then 8192 x 8192, 537 MB, stored alone
+JX_SMALL_N = 128  # sizes whose whole eigensystem is stored, not its quarter
+JX_CACHE_BYTES = 2 << 20  # most bytes _JxStore holds; its newest entry is kept even past it
 
 
 def _jx_recurrence(n: int):
@@ -295,28 +304,95 @@ def _flip_parity(n: int, tw: np.ndarray) -> np.ndarray:
     return np.where((n - 1 - tw) % 4 == 0, 1.0, -1.0)
 
 
-@lru_cache(maxsize=4)  # an entry is about n^2/4 doubles: 8.4 MB at n = 2048
-def _jx_eigensystem(n: int):
-    """_jx_recurrence(n), cached for the last four sizes (a sweep visits each n
-    in turn); at n <= JX_SMALL_N, views of `_jx_small`.  Sizes past MAX_JX_N
-    raise ContractError before anything is allocated."""
-    if n > MAX_JX_N:
-        raise ContractError(f"J_x eigensystem: n must be <= {MAX_JX_N}, got {n}")
-    if n > JX_SMALL_N:
-        return _jx_recurrence(n)
-    tw, v = _jx_small(n)
-    return tw[n // 2 :], v[: (n + 1) // 2, n // 2 :]
+class JxCacheInfo(NamedTuple):
+    """The J_x store's hits and misses since it was last cleared, and the
+    entries it holds and their bytes."""
+
+    hits: int
+    misses: int
+    entries: int
+    nbytes: int
 
 
-@lru_cache(maxsize=64)  # n <= JX_SMALL_N: 8.4 MB at most
-def _jx_small(n: int):
-    """The whole eigensystem (tw, V) at a size n <= JX_SMALL_N, kept for 64
-    sizes: validate's suites revisit n = 2..31, and the dense routes and
-    scalar entries there read whole rows of V."""
+def _jx_entry_bytes(n: int) -> int:
+    """Bytes of the stored eigensystem of size n, known before it is built:
+    the whole (tw, V) at n <= JX_SMALL_N, else the quarter (tw, Q), whose Q
+    is a view of the recurrence's array of ceil(n/2) + 1 rows."""
+    if n <= JX_SMALL_N:
+        return 8 * n * (n + 1)
+    half = (n + 1) // 2
+    return 8 * half * (half + 2)
+
+
+class _JxStore:
+    """J_x eigensystems keyed by n, least recently used first, holding at
+    most JX_CACHE_BYTES but for the newest entry, which is kept whatever its
+    size.  A miss evicts before it builds (the entry's size is known from
+    n), so no eigensystem is allocated beside older ones that will not fit
+    with it.  A norms sweep runs every point of one n in turn and so needs
+    only the newest entry; the budget serves revisits of small sizes
+    (validate's suites, su2_caps after su2_interval).  A rebuilt entry is
+    the evicted one bit for bit."""
+
+    def __init__(self):
+        self.entries = OrderedDict()
+        self.nbytes = self.hits = self.misses = 0
+
+    def get(self, n: int):
+        """(tw, Q) at n > JX_SMALL_N, (tw, V) at smaller n; sizes past
+        MAX_JX_N raise ContractError before anything is evicted or built."""
+        if n > MAX_JX_N:
+            raise ContractError(f"J_x eigensystem: n must be <= {MAX_JX_N}, got {n}")
+        entry = self.entries.get(n)
+        if entry is not None:
+            self.hits += 1
+            self.entries.move_to_end(n)
+            return entry
+        self.misses += 1
+        size = _jx_entry_bytes(n)
+        while self.entries and self.nbytes + size > JX_CACHE_BYTES:
+            self.nbytes -= _jx_entry_bytes(self.entries.popitem(last=False)[0])
+        entry = _jx_whole(n) if n <= JX_SMALL_N else _jx_recurrence(n)
+        self.entries[n] = entry
+        self.nbytes += size
+        return entry
+
+    def cache_info(self) -> JxCacheInfo:
+        return JxCacheInfo(self.hits, self.misses, len(self.entries), self.nbytes)
+
+    def cache_clear(self) -> None:
+        """Drops every entry and zeroes the counts, as functools' caches do."""
+        self.entries.clear()
+        self.nbytes = self.hits = self.misses = 0
+
+
+_JX_STORE = _JxStore()
+jx_cache_info = _JX_STORE.cache_info
+
+
+def _jx_whole(n: int):
+    """The whole eigensystem (tw, V), the stored entry at n <= JX_SMALL_N:
+    the dense routes and scalar entries of validate's suites read whole
+    rows of V."""
     tw, v = _expand_rows(n, *_jx_recurrence(n), np.arange(n))
     tw.setflags(write=False)
     v.setflags(write=False)
     return tw, v
+
+
+def _jx_eigensystem(n: int):
+    """The quarter (tw, Q) of the J_x eigensystem (see _jx_recurrence) from
+    the store; at n <= JX_SMALL_N, views of the stored whole system.  Sizes
+    past MAX_JX_N raise ContractError before anything is allocated.  The
+    store's counts and reset are ``cache_info()`` and ``cache_clear()``."""
+    tw, v = _JX_STORE.get(n)
+    if n > JX_SMALL_N:
+        return tw, v
+    return tw[n // 2 :], v[: (n + 1) // 2, n // 2 :]
+
+
+_jx_eigensystem.cache_info = _JX_STORE.cache_info
+_jx_eigensystem.cache_clear = _JX_STORE.cache_clear
 
 
 def _expand_rows(n: int, tw_q: np.ndarray, q: np.ndarray, rows, start: int = 0):
@@ -341,10 +417,10 @@ def _expand_rows(n: int, tw_q: np.ndarray, q: np.ndarray, rows, start: int = 0):
 
 def _jx_rows(n: int, rows, start: int = 0):
     """(tw, V[rows, start:]) of the whole J_x eigensystem (see
-    _expand_rows), read from `_jx_small` at n <= JX_SMALL_N."""
+    _expand_rows), read from the stored whole system at n <= JX_SMALL_N."""
+    tw, v = _JX_STORE.get(n)
     if n > JX_SMALL_N:
-        return _expand_rows(n, *_jx_eigensystem(n), rows, start)
-    tw, v = _jx_small(n)
+        return _expand_rows(n, tw, v, rows, start)
     return tw[start:], v[rows, start:]
 
 
@@ -555,8 +631,7 @@ def z_interval_mask(rep: SpinRep, b: float) -> np.ndarray:
     Selects the b_j smallest positive weights, which sit at the bottom of the
     positive block.
     """
-    if not 0.0 < b <= 1.0:
-        raise ContractError(f"z_interval_mask: b must lie in (0, 1], got {b}")
+    width("z_interval_mask: b", b)
     return (rep.twice > 0) & weights_at_most(rep.twice, b, rep.n)
 
 

@@ -229,6 +229,63 @@ def test_su2_sweep_memory_is_bounded(tmp_path):
     assert peak < 64e6
 
 
+def test_su2_sweep_holds_one_large_eigensystem(tmp_path):
+    # a sweep runs each n's points in turn, so the J_x store evicts before it
+    # builds and holds one eigensystem of about 2.1 MB; a store of the last
+    # four sizes held about 8.4 MB here
+    _jx_eigensystem.cache_clear()
+    tracemalloc.start()
+    try:
+        args = ["norms", "--family", "su2", "--n-start", "1020", "--n-stop", "1023"]
+        assert run(args + ["--out", str(tmp_path / "m.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+        held = _jx_eigensystem.cache_info().entries
+    finally:
+        tracemalloc.stop()
+        _jx_eigensystem.cache_clear()
+    assert held == 1
+    assert peak < 5e6
+
+
+def _jx_counts(out) -> dict:
+    return json.loads(pathlib.Path(f"{out}.meta.json").read_text())["jx_cache"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_norms_sidecar_counts_the_jx_store(tmp_path, jobs):
+    # one miss per n and a hit for its second a; with two workers each
+    # point's counts come back from the worker that ran it
+    out = tmp_path / "i.csv"
+    _jx_eigensystem.cache_clear()
+    try:
+        assert run(["norms", "--family", "su2_interval", "--n-start", "400", "--n-stop", "403",
+                    "--a", "0.2,0.3", "--b", "0.6", "--jobs", jobs, "--out", str(out)]) == 0
+    finally:
+        _jx_eigensystem.cache_clear()
+    counts = _jx_counts(out)
+    if jobs == "1":
+        assert counts == {"hits": 4, "misses": 4}
+    else:  # a worker misses at most once per n, and hits otherwise
+        assert counts["hits"] + counts["misses"] == 8 and 4 <= counts["misses"] <= 8
+    ring = tmp_path / "r.csv"
+    assert run(["norms", "--family", "ring", "--n-start", "4", "--n-stop", "6", "--out", str(ring)]) == 0
+    assert _jx_counts(ring) == {"hits": 0, "misses": 0}
+
+
+def test_su2_caps_after_su2_interval_reads_the_stored_eigensystems(tmp_path):
+    # the benchmark's spin sweep: four n ~ 400 systems (1.3 MB) fit the budget
+    base = ["--n-start", "400", "--n-stop", "403", "--out"]
+    _jx_eigensystem.cache_clear()
+    try:
+        assert run(["norms", "--family", "su2_interval", "--a", "0.3", "--b", "0.6"]
+                   + base + [str(tmp_path / "i.csv")]) == 0
+        assert run(["norms", "--family", "su2_caps", "--a", "0.6,0.8"]
+                   + base + [str(tmp_path / "c.csv")]) == 0
+    finally:
+        _jx_eigensystem.cache_clear()
+    assert _jx_counts(tmp_path / "c.csv") == {"hits": 8, "misses": 0}
+
+
 def test_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema_version": 1, "family": "su2", "n_start": 2, "n_stop": 6}))

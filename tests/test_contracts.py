@@ -18,6 +18,7 @@ from speclab import (
     ContractError,
     SpinRep,
     cap_integral,
+    cli,
     grid_in_arc,
     hankel_truncation,
     heisenberg_commutator,
@@ -29,6 +30,7 @@ from speclab import (
     ring_commutator,
     ring_submatrix,
     se2_commutator,
+    spinrep,
     su2_caps_commutator,
     su2_commutator,
     su2_submatrix,
@@ -71,6 +73,16 @@ THRESHOLD_ENTRIES = {
     "heisenberg_commutator": lambda a: heisenberg_commutator(8, a),
     "heisenberg_submatrix": lambda a: heisenberg_submatrix(40, 4, a),
     "cap_integral": lambda a: cap_integral(a, 1),
+    "grid_in_arc": lambda a: grid_in_arc(3, 8, a),
+}
+
+# the exact weight predicates keep any finite threshold, since they serve the
+# b side (up to 1) as well, but no nan or inf, which no rational can hold
+WEIGHT_PREDICATES = {
+    "weight_exceeds": lambda a: spinrep.weight_exceeds(1, a, 5),
+    "weight_at_most": lambda a: spinrep.weight_at_most(1, a, 5),
+    "weights_exceeding": lambda a: spinrep.weights_exceeding(np.arange(-4, 5, 2), a, 5),
+    "weights_at_most": lambda a: spinrep.weights_at_most(np.arange(-4, 5, 2), a, 5),
 }
 
 
@@ -94,9 +106,43 @@ def test_every_threshold_entry_refuses_a_outside_0_1(name):
     entry(0.3)
 
 
+@pytest.mark.parametrize("name", sorted(WEIGHT_PREDICATES))
+def test_weight_predicates_refuse_a_threshold_that_is_not_finite(name):
+    entry = WEIGHT_PREDICATES[name]
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ContractError, match=name):
+            entry(bad)
+    for fine in (-2.0, 0.0, 0.3, 1, 1.0, 1.5):
+        entry(fine)
+
+
+def test_grid_in_arc_refuses_a_threshold_outside_0_1():
+    # it once answered False at a = 1.5 and True at a = -2
+    for k, a in ((3, 1.5), (0, -2.0)):
+        with pytest.raises(ContractError, match="grid_in_arc: a"):
+            grid_in_arc(k, 8, a)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda b: spinrep.z_interval_mask(SpinRep(8), b), "z_interval_mask: b"),
+    (lambda b: cli.main(["norms", "--family", "su2_interval", "--b", repr(b), "--out", "-"]), "--b"),
+])
+def test_the_b_rule_names_its_caller(call, name, capsys):
+    for bad in (math.nan, 0.0, -0.1, 1.5, math.inf):
+        try:
+            code = call(bad)
+        except ContractError as exc:
+            message = str(exc)
+        else:
+            assert code == 1
+            message = capsys.readouterr().err
+        assert f"{name} must lie in (0, 1], got {bad}" in message
+
+
 def test_each_input_rule_has_one_implementation():
-    # the 1/2 bound is refused in linalg.certified_norm alone, and the
-    # threshold test 0 <= a < 1 is written out in _errors.threshold alone
+    # the 1/2 bound is refused in linalg.certified_norm alone, the threshold
+    # test 0 <= a < 1 is written out in _errors.threshold alone, and the
+    # width test 0 < b <= 1 in _errors.width alone
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         cap = [node for node in ast.walk(tree)
@@ -108,4 +154,9 @@ def test_each_input_rule_has_one_implementation():
                  and getattr(node.left, "value", None) == 0
                  and getattr(node.comparators[-1], "value", None) == 1]
         assert not spans or path.name == "_errors.py", path.name
+        widths = [node for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                  and [type(op) for op in node.ops] == [ast.Lt, ast.LtE]
+                  and getattr(node.left, "value", None) == 0
+                  and getattr(node.comparators[-1], "value", None) == 1]
+        assert not widths or path.name == "_errors.py", path.name
     assert "__post_init__" not in vars(models.CommutatorReport)

@@ -686,6 +686,19 @@ def test_heisenberg_point_memory_is_linear_in_n():
     assert peak < 16e6
 
 
+@pytest.mark.parametrize("a", [0.0, 0.3])
+def test_ring_point_memory_is_linear_in_k(a):
+    # the norm applies the block as FFT Toeplitz products on the 2K + 1
+    # modes; any (2K + 1)-square float array would be 8.6 GB at K = 16384
+    tracemalloc.start()
+    try:
+        ring_commutator(16384, 16384, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.3, 0.6)])
 def test_su2_point_memory_reads_the_cached_eigenvectors(a, b):
     # the norm reads V_in as a view of the cached J_x eigenvectors; copying

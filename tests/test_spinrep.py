@@ -26,6 +26,7 @@ from speclab import (
     wigner_d_sum,
     wigner_d_theta,
 )
+from speclab import spinrep
 from speclab.models import _su2_norm
 from speclab.spinrep import (
     MAX_JX_N,
@@ -331,8 +332,114 @@ def test_jx_eigensystem_memory_is_a_quarter():
 
 
 def test_jx_eigensystem_size_is_bounded_before_allocating():
-    with pytest.raises(ContractError):
-        _jx_eigensystem(MAX_JX_N + 1)
+    # refused before the store evicts or builds anything
+    _jx_eigensystem.cache_clear()
+    _jx_eigensystem(300)
+    held = _jx_eigensystem.cache_info()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContractError):
+            _jx_eigensystem(MAX_JX_N + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+        after = _jx_eigensystem.cache_info()
+    finally:
+        tracemalloc.stop()
+        _jx_eigensystem.cache_clear()
+    assert peak < 1e5
+    assert after == held == (0, 1, 1, spinrep._jx_entry_bytes(300))
+
+
+def _held_bytes(entry) -> int:
+    # the arrays an entry keeps alive: Q is a view of one row more
+    return sum((x if x.base is None else x.base).nbytes for x in entry)
+
+
+# every size class: whole systems (n <= 128), quarters of a few hundred kB,
+# quarters near the budget (n ~ 1020) and one past it alone (n = 2048)
+STORE_VISITS = [2, 5, 128, 129, 5, 400, 401, 402, 403, 400, 2, 1020, 401, 1021,
+                64, 2048, 3, 401, 1024, 128, 402, 403, 5, 129, 1020]
+
+
+def test_jx_store_holds_its_budget_but_for_a_lone_newest_entry():
+    _jx_eigensystem.cache_clear()
+    recent, most = [], 0  # distinct sizes, most recently used first
+    try:
+        for count, n in enumerate(STORE_VISITS, 1):
+            hit = n in spinrep._JX_STORE.entries
+            hits = _jx_eigensystem.cache_info().hits
+            _jx_eigensystem(n)
+            recent = [n] + [m for m in recent if m != n]
+            info = _jx_eigensystem.cache_info()
+            assert info.hits == hits + hit and info.hits + info.misses == count
+            entries = spinrep._JX_STORE.entries
+            held = list(entries)[::-1]
+            # least recently used goes first, so the store holds the most
+            # recent sizes, the newest always
+            assert held == recent[: len(held)] and held[0] == n
+            assert info.entries == len(held)
+            assert info.nbytes == sum(_held_bytes(e) for e in entries.values())
+            assert info.nbytes <= spinrep.JX_CACHE_BYTES or info.entries == 1, (n, info)
+            most = max(most, info.entries)
+    finally:
+        _jx_eigensystem.cache_clear()
+    assert most >= 8  # the budget held the small sizes and n = 400..403 together
+
+
+def test_jx_store_evicts_before_it_builds(monkeypatch):
+    # while an eigensystem is built, the store holds only what fits beside it
+    built = []
+
+    def recurrence(n):
+        size = spinrep._jx_entry_bytes(n)
+        held = spinrep._JX_STORE.nbytes
+        built.append(n)
+        assert held + size <= spinrep.JX_CACHE_BYTES or held == 0, (n, held)
+        return _jx_recurrence(n)
+
+    monkeypatch.setattr(spinrep, "_jx_recurrence", recurrence)
+    _jx_eigensystem.cache_clear()
+    try:
+        for n in STORE_VISITS:
+            _jx_eigensystem(n)
+        misses = _jx_eigensystem.cache_info().misses
+    finally:
+        _jx_eigensystem.cache_clear()
+    # some sizes were evicted and built again
+    assert len(built) == misses > len(set(STORE_VISITS))
+
+
+def test_jx_store_counts_hits_and_misses_and_clears():
+    # perfbench --trace 1 reads cache_info().hits and .misses of
+    # _jx_eigensystem; the tests rely on cache_clear() emptying the store
+    _jx_eigensystem.cache_clear()
+    assert _jx_eigensystem.cache_info() == (0, 0, 0, 0)
+    try:
+        _jx_eigensystem(300)
+        _jx_eigensystem(300)
+        _jx_vectors(300)  # whole rows are read from the same entry
+        _jx_vectors(20)
+        _jx_eigensystem(20)
+        info = _jx_eigensystem.cache_info()
+        assert (info.hits, info.misses, info.entries) == (3, 2, 2)
+        assert info.nbytes == spinrep._jx_entry_bytes(300) + spinrep._jx_entry_bytes(20)
+    finally:
+        _jx_eigensystem.cache_clear()
+    assert _jx_eigensystem.cache_info() == (0, 0, 0, 0)
+    assert not spinrep._JX_STORE.entries
+
+
+@pytest.mark.parametrize("n", [7, 128, 400, 1021])
+def test_jx_store_rebuilds_an_evicted_entry_bit_for_bit(n):
+    _jx_eigensystem.cache_clear()
+    try:
+        tw, q = (x.copy() for x in _jx_eigensystem(n))
+        _jx_eigensystem(2048)  # evicts every other entry
+        assert list(spinrep._JX_STORE.entries) == [2048]
+        tw2, q2 = _jx_eigensystem(n)
+    finally:
+        _jx_eigensystem.cache_clear()
+    assert np.array_equal(tw, tw2)
+    assert np.array_equal(q.view(np.int64), q2.view(np.int64))
 
 
 @pytest.mark.parametrize("n", [9, 12, 101, 102, 401, 402])
