@@ -1,6 +1,7 @@
 """Error types shared across the package, and the input checks the families
-share: an integer size, a threshold a in [0, 1), a z-side width b in (0, 1]
-and a finite exact-comparison threshold."""
+share: an integer (a size, a half-integer's twice), a threshold a in [0, 1),
+a z-side width b in (0, 1] and a finite value (an exact-comparison threshold,
+an angle)."""
 
 import math
 
@@ -15,15 +16,21 @@ class ComputationError(RuntimeError):
     """A numerical routine could not produce a trustworthy result."""
 
 
-def integer_at_least(name: str, n, least: int) -> int:
-    """n as an int: a Python or numpy integer, not a bool, and >= least.
-    A float is refused even when it is whole (8.0), as a truncation would
-    silently change the size asked for."""
+def integer(name: str, n) -> int:
+    """n as an int: a Python or numpy integer, not a bool.  A float is
+    refused even when it is whole (8.0), as a truncation would silently
+    change the value asked for."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ContractError(f"{name} must be an integer, got {n!r}")
+    return int(n)
+
+
+def integer_at_least(name: str, n, least: int) -> int:
+    """n as an int (see `integer`), and >= least."""
+    n = integer(name, n)
     if n < least:
         raise ContractError(f"{name} must be >= {least}, got {n}")
-    return int(n)
+    return n
 
 
 def threshold(name: str, a) -> None:
@@ -39,6 +46,7 @@ def width(name: str, b) -> None:
 
 
 def finite(name: str, x) -> None:
-    """Refuses nan and +-inf, which have no exact rational value."""
+    """Refuses nan and +-inf: a threshold has no exact rational value then,
+    and an angle no rotation."""
     if not math.isfinite(x):
         raise ContractError(f"{name} must be finite, got {x}")

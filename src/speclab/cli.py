@@ -374,13 +374,14 @@ def _int_list(text: str):
     return [int(tok) for tok in text.split(",") if tok != ""]
 
 
-def _config_keys(parser: argparse.ArgumentParser) -> frozenset:
-    """The dests a config file may set: the subcommand's own options but
-    --help, --config and the required ones (argparse keeps no public list of
-    them).  A required option such as --out is always on the command line,
-    which wins over the config, so a config value for it would never be read."""
-    keys = frozenset(action.dest for action in parser._actions if not action.required)
-    return keys - {"help", "config"}
+def _config_keys(parser: argparse.ArgumentParser) -> dict:
+    """The dests a config file may set, each with its option's declared
+    argparse type: the subcommand's own options but --help, --config and the
+    required ones (argparse keeps no public list of them).  A required option
+    such as --out is always on the command line, which wins over the config,
+    so a config value for it would never be read."""
+    return {action.dest: action.type for action in parser._actions
+            if not action.required and action.dest not in ("help", "config")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -439,27 +440,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-CONFIG_LISTS = {"a": float, "b": float, "N": int}  # config keys holding lists of numbers
-CONFIG_INTS = ("n_start", "n_stop", "n_step", "jobs")
-
-
 def _numbers(items, kind) -> bool:
     """Whether every JSON value is an integer (kind int) or a number (kind float)."""
     allowed = int if kind is int else (int, float)
     return all(isinstance(x, allowed) and not isinstance(x, bool) for x in items)
 
 
-def _config_value(attr: str, value):
-    """A config value checked against its option's type and cast to it."""
-    if attr in CONFIG_LISTS:
-        kind = CONFIG_LISTS[attr]
-        if not (isinstance(value, list) and _numbers(value, kind)):
-            what = f"a list of {kind.__name__}s"
-            raise ContractError(f"config key {attr!r} needs {what}, got {value!r}")
-        return [kind(x) for x in value]
-    if attr in CONFIG_INTS and not _numbers([value], int):
-        raise ContractError(f"config key {attr!r} needs an int, got {value!r}")
-    return value
+def _config_value(key: str, kind, value):
+    """A config value checked against its option's declared argparse type
+    and read by it: a list of numbers for `_float_list` (of integers for
+    `_int_list`), read as the comma list it would be on the command line (so
+    an integer past the float range reads as inf, as it would there), an
+    integer for int, and a string for an untyped option."""
+    if kind in (_float_list, _int_list):
+        if isinstance(value, list) and _numbers(value, float if kind is _float_list else int):
+            return kind(",".join(map(str, value)))
+    elif (kind is int and _numbers([value], int)) or (kind is None and isinstance(value, str)):
+        return value
+    wanted = getattr(kind, "__name__", "str").strip("_").replace("_", " ")
+    raise ContractError(f"config key {key!r} needs a JSON value of type {wanted}, got {value!r}")
 
 
 def _apply_config(args) -> None:
@@ -479,8 +478,10 @@ def _apply_config(args) -> None:
             attr = key.replace("-", "_")
             if attr not in args._options:
                 raise ContractError(f"config key {key!r} is not a recognized option")
+            # checked even where a flag wins
+            value = _config_value(key, args._options[attr], value)
             if getattr(args, attr) is None:
-                setattr(args, attr, _config_value(attr, value))
+                setattr(args, attr, value)
     for attr, value in getattr(args, "_fallbacks", {}).items():
         if getattr(args, attr) is None:
             setattr(args, attr, value)

@@ -3,7 +3,9 @@ Wigner d-functions along three routes, and the x-axis spectral projections.
 
 Half-integers are stored as twice their value so that weight-lattice logic
 (m - m' parities, threshold comparisons against a*(j + 1/2)) runs on exact
-integers and rationals, never on floats.
+integers and rationals, never on floats.  Every weight an entry takes passes
+`HalfInt.coerce` and one lattice test, `_lattice_rows`, and every angle
+`_errors.finite`.
 
 The d-matrix at theta = pi/2 is computed two ways: the explicit binomial sum
 (reliable for j <= 15, cancellation grows after that) and the eigenvector
@@ -36,29 +38,39 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._errors import ComputationError, ContractError, finite, integer_at_least, threshold, width
+from ._errors import ComputationError, ContractError, finite, integer, integer_at_least, threshold, width
 from .specfun import bessel_j
 
 
 @dataclass(frozen=True)
 class HalfInt:
-    """Exact half-integer, stored as twice its value."""
+    """Exact half-integer, stored as twice its value: ``HalfInt(3)`` is 3/2.
+    ``twice`` is a Python or numpy integer, not a bool and not a float
+    (`_errors.integer`), so ``HalfInt(2.7)`` raises ContractError rather
+    than truncate.  The one half-integer rule of the package: every spin and
+    weight an entry takes passes `coerce`."""
 
     twice: int
 
     def __post_init__(self):
-        object.__setattr__(self, "twice", int(self.twice))
+        object.__setattr__(self, "twice", integer("HalfInt: twice", self.twice))
 
     @classmethod
     def coerce(cls, x) -> "HalfInt":
+        """x as a HalfInt: a HalfInt, a Python or numpy integer (not a bool),
+        or a finite float or a Fraction that is a whole multiple of 1/2 (1.5,
+        2.0).  Any other value (0.3, nan, inf, a bool, np.True_, the string
+        "1/2") raises ContractError."""
         if isinstance(x, HalfInt):
             return x
-        if isinstance(x, (int, np.integer)):
+        if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
             return cls(2 * int(x))
-        d = 2 * Fraction(x)
-        if d.denominator != 1:
-            raise ContractError(f"{x!r} is not a half-integer")
-        return cls(d.numerator)
+        exact = x
+        if isinstance(x, (float, np.floating)) and math.isfinite(x):
+            exact = Fraction(float(x))
+        if isinstance(exact, Fraction) and exact.denominator <= 2:
+            return cls(int(2 * exact))
+        raise ContractError(f"{x!r} is not a half-integer")
 
     @property
     def value(self) -> float:
@@ -94,6 +106,20 @@ class HalfInt:
         return str(self.twice // 2) if self.is_integer else f"{self.twice}/2"
 
 
+def _lattice_rows(tj: int, weights) -> list:
+    """Rows (tj - 2m)/2 of the weights m in the descending weight order of
+    spin tj/2, as Python ints.  Each weight passes `HalfInt.coerce`, and one
+    off the lattice (|m| > j, or j - m not an integer) raises ContractError:
+    the one lattice test of the package."""
+    rows = []
+    for m in weights:
+        t = HalfInt.coerce(m).twice
+        if (tj - t) % 2 or abs(t) > tj:
+            raise ContractError(f"weight {HalfInt(t)} not in the lattice of spin {HalfInt(tj)}")
+        rows.append((tj - t) // 2)
+    return rows
+
+
 class SpinRep:
     """Irreducible SU(2) representation of dimension n, spin j = (n-1)/2.
 
@@ -113,11 +139,10 @@ class SpinRep:
         return tuple(HalfInt(int(t)) for t in self.twice)
 
     def index_of(self, m) -> int:
-        """Row index of weight m in the descending weight ordering."""
-        m = HalfInt.coerce(m)
-        if (self.j.twice - m.twice) % 2 != 0 or abs(m.twice) > self.j.twice:
-            raise ContractError(f"weight {m} not in the lattice of spin {self.j}")
-        return (self.j.twice - m.twice) // 2
+        """Row index of weight m in the descending weight ordering; m is
+        anything `HalfInt.coerce` takes, and one off the lattice raises
+        ContractError (`_lattice_rows`)."""
+        return _lattice_rows(self.j.twice, (m,))[0]
 
     def __eq__(self, other):
         return isinstance(other, SpinRep) and other.n == self.n
@@ -485,8 +510,9 @@ def _wigner_sum(tj: int, tp, tm, theta: float) -> np.ndarray:
     ComputationError, and so does an entry whose cancellation estimate
     4 tj eps sum_s |term_s| (each term's relative rounding grows with the
     powers' exponents, up to tj) exceeds 1e-8, `validate`'s cross-path
-    tolerance.
+    tolerance.  A non-finite theta raises ContractError.
     """
+    finite("theta", theta)
     tp, tm = np.broadcast_arrays(np.asarray(tp, dtype=np.int64), np.asarray(tm, dtype=np.int64))
     shape = tp.shape
     tp, tm = tp.ravel(), tm.ravel()
@@ -537,21 +563,19 @@ def wigner_d_sum(j, mprime, m, theta: float) -> float:
     precision for j <= 15 (alternating-sum cancellation grows with j).  A
     term beyond the float range, or a cancellation estimate above 1e-8,
     raises ComputationError.  Summed in s order, so it is the
-    `wigner_d_sum_matrix` entry bit for bit.
+    `wigner_d_sum_matrix` entry bit for bit.  j, m' and m are anything
+    `HalfInt.coerce` takes; a weight off the spin-j lattice, or a theta that
+    is not finite, raises ContractError.
     """
-    j = HalfInt.coerce(j)
-    mp = HalfInt.coerce(mprime)
-    m = HalfInt.coerce(m)
-    tj, tp, tm = j.twice, mp.twice, m.twice
-    if abs(tp) > tj or abs(tm) > tj or (tj - tp) % 2 or (tj - tm) % 2:
-        raise ContractError(f"indices ({mprime}, {m}) outside spin-{j} lattice")
-    return float(_wigner_sum(tj, tp, tm, theta))
+    tj = HalfInt.coerce(j).twice
+    rp, rm = _lattice_rows(tj, (mprime, m))
+    return float(_wigner_sum(tj, tj - 2 * rp, tj - 2 * rm, theta))
 
 
 def wigner_d_sum_matrix(rep: SpinRep, theta: float = math.pi / 2) -> np.ndarray:
     """The whole d^j(theta) matrix by the binomial sum, in descending weight
-    order; the same j <= 15 caveat and errors as `wigner_d_sum`, and each
-    entry bit for bit its value."""
+    order; the same j <= 15 caveat and errors as `wigner_d_sum` (a theta
+    that is not finite too), and each entry bit for bit its value."""
     return _wigner_sum(rep.j.twice, rep.twice[:, None], rep.twice[None, :], theta)
 
 
@@ -562,8 +586,10 @@ def _fourier_entries(rep: SpinRep, rows, cols, theta: float) -> np.ndarray:
     Entry (i', i) is Re(exp(i pi/4 (t_i - t_i')) sum_nu V[i', nu] V[i, nu]
     exp(-i nu theta)) for the twice-weights t and the J_x eigenvectors V of
     eigenvalues nu: products of two entries of one eigenvector, so the value
-    does not depend on the sign of any eigenvector.
+    does not depend on the sign of any eigenvector.  A non-finite theta
+    raises ContractError.
     """
+    finite("theta", theta)
     tw, left = _jx_rows(rep.n, rows)
     sums = (left * _jx_rows(rep.n, cols)[1]) @ np.exp(-1j * (tw / 2.0) * theta)
     return (np.exp(1j * (math.pi / 4) * (rep.twice[cols] - rep.twice[rows])) * sums).real
@@ -611,16 +637,13 @@ def projection_x_entries(rep: SpinRep, a: float, pairs) -> np.ndarray:
     """Selected entries P_{m',m} of projection_x without forming the matrix.
 
     ``pairs`` is an iterable of (m', m); useful at dimensions where the full
-    n x n projection would be wasteful.  The weights become row indices in
-    one array expression, and each entry is a dot product of two rows of the
-    kept J_x eigenvectors.
+    n x n projection would be wasteful.  The weights become row indices
+    through `_lattice_rows` (anything `HalfInt.coerce` takes; one off the
+    lattice raises ContractError), and each entry is a dot product of two
+    rows of the kept J_x eigenvectors.
     """
-    twice = np.array([HalfInt.coerce(x).twice for pair in pairs for x in pair], dtype=np.int64)
-    off = rep.j.twice - twice
-    bad = (off % 2 != 0) | (np.abs(twice) > rep.j.twice)
-    if bad.any():
-        raise ContractError(f"weight {HalfInt(twice[bad][0])} not in the lattice of spin {rep.j}")
-    idx = (off // 2).reshape(-1, 2)
+    flat = [x for pair in pairs for x in pair]
+    idx = np.array(_lattice_rows(rep.j.twice, flat), dtype=np.int64).reshape(-1, 2)
     left, right = (_kept_vectors(rep, a, "projection_x_entries", idx[:, k]) for k in (0, 1))
     return np.einsum("ij,ij->i", left, right)
 
@@ -646,11 +669,10 @@ def fourier_expansion_d(rep: SpinRep, mprime, m) -> dict:
     The full 4*pi-periodic expansion is recovered as
     exp(i*pi/2*(m-m')) * sum_mu coeff(mu) * exp(-i*mu*theta).  Coefficients
     are products of two entries of the same eigenvector column, hence
-    independent of any sign convention; stable at any dimension.
+    independent of any sign convention; stable at any dimension.  A weight
+    off the lattice raises ContractError (`_lattice_rows`).
     """
-    mp = HalfInt.coerce(mprime)
-    m = HalfInt.coerce(m)
-    tw, (row_m, row_mp) = _jx_rows(rep.n, [rep.index_of(m), rep.index_of(mp)])
+    tw, (row_m, row_mp) = _jx_rows(rep.n, _lattice_rows(rep.j.twice, (m, mprime)))
     prods = row_m * row_mp
     order = np.argsort(tw)[::-1]
     return {HalfInt(int(tw[i])): float(prods[i]) for i in order}
@@ -659,9 +681,10 @@ def fourier_expansion_d(rep: SpinRep, mprime, m) -> dict:
 def wigner_d_theta(rep: SpinRep, mprime, m, theta: float) -> float:
     """d^j_{m',m}(theta) evaluated through the Fourier expansion.
 
-    Large-j-safe alternative to the binomial sum (same convention).
+    Large-j-safe alternative to the binomial sum (same convention).  A weight
+    off the lattice, or a theta that is not finite, raises ContractError.
     """
-    return float(_fourier_entries(rep, rep.index_of(mprime), rep.index_of(m), theta))
+    return float(_fourier_entries(rep, *_lattice_rows(rep.j.twice, (mprime, m)), theta))
 
 
 def wigner_d_matrix(rep: SpinRep, theta: float) -> np.ndarray:
@@ -670,7 +693,9 @@ def wigner_d_matrix(rep: SpinRep, theta: float) -> np.ndarray:
     With F = V diag(exp(-i tw/2 theta)) V^T (one complex GEMM on the J_x
     eigenvectors), entry (i', i) is Re(exp(i pi/4 (t_i - t_i')) F[i', i])
     for the twice-weights t: what `_fourier_entries` sums entry by entry.
+    A non-finite theta raises ContractError.
     """
+    finite("theta", theta)
     tw, v = _jx_vectors(rep.n)
     f = (v * np.exp(-1j * (tw / 2.0) * theta)) @ v.T
     t = rep.twice
@@ -709,24 +734,22 @@ def szego_approximation(j, mprime, m, theta: float):
     Returns (approx, C) with
     approx = C * sqrt(theta/sin theta) * J_{m-m'}((2j+1)/2 * theta) and
     C the factorial-ratio constant (log-gamma evaluated, -> 1 as j grows).
-    Valid for m - m' >= -1 and theta in (0, pi - 0.2].
+    Valid for m - m' >= -1 and theta in (0, pi - 0.2].  j, m' and m are
+    anything `HalfInt.coerce` takes; a weight off the spin-j lattice, an
+    m - m' below -1 or a theta outside the window raises ContractError.
     """
-    j = HalfInt.coerce(j)
-    mp = HalfInt.coerce(mprime)
-    m = HalfInt.coerce(m)
-    diff = m.diff_int(mp)
+    tj = HalfInt.coerce(j).twice
+    rp, rm = _lattice_rows(tj, (mprime, m))  # j - m', j - m
+    diff = rp - rm  # m - m'
     if diff < -1:
         raise ContractError(f"szego_approximation requires m - m' >= -1, got {diff}")
     if not 0.0 < theta <= math.pi - 0.2:
         raise ContractError(f"theta {theta} outside validity window (0, pi - 0.2]")
-    tj, tp, tm = j.twice, mp.twice, m.twice
-    if abs(tp) > tj or abs(tm) > tj:
-        raise ContractError("indices outside the weight lattice")
     lg = math.lgamma
     # paired differences so equal indices cancel exactly (C = 1 when m' = m)
     log_ratio = 0.5 * (
-        (lg((tj - tp) / 2 + 1) - lg((tj - tm) / 2 + 1))
-        + (lg((tj + tm) / 2 + 1) - lg((tj + tp) / 2 + 1))
+        (lg(rp + 1) - lg(rm + 1))
+        + (lg(tj - rm + 1) - lg(tj - rp + 1))
     )
     c = math.exp(log_ratio) / ((tj + 1) / 2.0) ** diff
     approx = c * math.sqrt(theta / math.sin(theta)) * bessel_j(diff, (tj + 1) / 2.0 * theta)

@@ -362,6 +362,9 @@ def test_n_step_below_one_exits_1(tmp_path):
         ("hankel", "N", [4, 8.0]),
         ("hankel", "a", None),
         ("norms", "family", "bogus"),
+        ("norms", "a", [10**400]),
+        ("norms", "family", ["su2"]),
+        ("norms", "family", {"a": 1}),
     ],
 )
 def test_config_wrong_types_exit_1(tmp_path, command, key, value):
@@ -369,6 +372,16 @@ def test_config_wrong_types_exit_1(tmp_path, command, key, value):
     cfg.write_text(json.dumps({"schema_version": 1, key: value}))
     out = tmp_path / "x.csv"
     assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_config_wrong_type_exits_1_where_a_flag_wins(tmp_path):
+    # the flag's value would be used, but the config is still checked
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "n_stop": "x", "family": ["su2"]}))
+    out = tmp_path / "x.csv"
+    assert run(["norms", "--config", str(cfg), "--n-stop", "4", "--family", "su2",
+                "--out", str(out)]) == 1
     assert not out.exists()
 
 

@@ -1,12 +1,18 @@
 """The input rules every family shares, at every public entry that takes a
-size or a threshold, and the structure that keeps each rule in one place.
+size, a threshold, a spin weight or an angle, and the structure that keeps
+each rule in one place.
 
 A size is a Python or numpy integer, not a bool and not a float, even a
 whole one: `8.0` is refused as `4.5` is, since truncating either would
-compute a size nobody asked for.  A threshold lies in [0, 1)."""
+compute a size nobody asked for.  A threshold lies in [0, 1).  A weight is
+a half-integer (`HalfInt.coerce`) on the spin's lattice, and an angle is
+finite."""
 
+import argparse
 import ast
 import math
+import pickle
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +22,11 @@ from speclab import (
     HALF_CIRCLE,
     ArcSymbol,
     ContractError,
+    HalfInt,
     SpinRep,
     cap_integral,
     cli,
+    fourier_expansion_d,
     grid_in_arc,
     hankel_truncation,
     heisenberg_commutator,
@@ -27,6 +35,7 @@ from speclab import (
     lanczos_top,
     models,
     projection_x,
+    projection_x_entries,
     ring_commutator,
     ring_submatrix,
     se2_commutator,
@@ -34,7 +43,11 @@ from speclab import (
     su2_caps_commutator,
     su2_commutator,
     su2_submatrix,
+    szego_approximation,
     truncated_norm_record,
+    wigner_d_matrix,
+    wigner_d_sum,
+    wigner_d_theta,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "speclab"
@@ -86,6 +99,25 @@ WEIGHT_PREDICATES = {
 }
 
 
+# each entry maps one weight w of spin j = 3 (n = 7) to a value; szego takes
+# it as both m' and m, so m - m' = 0 and only the lattice can refuse it
+WEIGHT_ENTRIES = {
+    "SpinRep.index_of": lambda w: SpinRep(7).index_of(w),
+    "wigner_d_sum": lambda w: wigner_d_sum(3, w, 1, 0.9),
+    "wigner_d_theta": lambda w: wigner_d_theta(SpinRep(7), w, 1, 0.9),
+    "fourier_expansion_d": lambda w: fourier_expansion_d(SpinRep(7), 1, w),
+    "projection_x_entries": lambda w: projection_x_entries(SpinRep(7), 0.3, [(w, 1), (1, w)]),
+    "szego_approximation": lambda w: szego_approximation(3, w, w, 0.7),
+}
+
+ANGLE_ENTRIES = {
+    "wigner_d_sum": lambda t: wigner_d_sum(3, 2, 1, t),
+    "wigner_d_sum_matrix": lambda t: spinrep.wigner_d_sum_matrix(SpinRep(7), t),
+    "wigner_d_theta": lambda t: wigner_d_theta(SpinRep(7), 2, 1, t),
+    "wigner_d_matrix": lambda t: wigner_d_matrix(SpinRep(7), t),
+}
+
+
 @pytest.mark.parametrize("name", sorted(SIZE_ENTRIES))
 def test_every_size_entry_takes_only_integers(name):
     entry = SIZE_ENTRIES[name]
@@ -116,6 +148,39 @@ def test_weight_predicates_refuse_a_threshold_that_is_not_finite(name):
         entry(fine)
 
 
+@pytest.mark.parametrize("name", sorted(WEIGHT_ENTRIES))
+def test_every_weight_entry_takes_only_lattice_half_integers(name):
+    # 4 is past j = 3 and 0.5 has the wrong parity for an integer spin;
+    # szego once returned a value for the latter, and the bools, the strings
+    # and the non-finite floats reached int(), Fraction or the lattice test
+    entry = WEIGHT_ENTRIES[name]
+    for bad in (4, -4, 0.5, 0.3, True, np.True_, "1/2", "2", math.nan, math.inf, -math.inf):
+        with pytest.raises(ContractError):
+            entry(bad)
+    want = pickle.dumps(entry(2))
+    for same in (np.int64(2), 2.0, HalfInt(4)):
+        assert pickle.dumps(entry(same)) == want
+
+
+@pytest.mark.parametrize("name", sorted(ANGLE_ENTRIES))
+def test_every_angle_entry_refuses_an_angle_that_is_not_finite(name):
+    entry = ANGLE_ENTRIES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ContractError, match="theta must be finite"):
+                entry(bad)
+        entry(0.9)
+
+
+def test_halfint_stores_only_integers():
+    # HalfInt(2.7) once truncated to 1 and HalfInt(True) was 1/2
+    for bad in (2.7, 2.0, True, np.True_, "3"):
+        with pytest.raises(ContractError, match="HalfInt: twice"):
+            HalfInt(bad)
+    assert HalfInt(np.int64(3)) == HalfInt(3) == HalfInt.coerce(1.5)
+
+
 def test_grid_in_arc_refuses_a_threshold_outside_0_1():
     # it once answered False at a = 1.5 and True at a = -2
     for k, a in ((3, 1.5), (0, -2.0)):
@@ -139,10 +204,29 @@ def test_the_b_rule_names_its_caller(call, name, capsys):
         assert f"{name} must lie in (0, 1], got {bad}" in message
 
 
+def _functions_with(tree, found) -> set:
+    """Names of the functions of tree holding a node for which found is true."""
+    return {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+            and any(found(node) for node in ast.walk(f))}
+
+
+def _abs_above(node) -> bool:
+    """A range test abs(x) > y (or np.abs)."""
+    return (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+            and getattr(node.left.func, "id", getattr(node.left.func, "attr", None)) == "abs"
+            and isinstance(node.ops[0], ast.Gt))
+
+
+def _mod_two(node) -> bool:
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+            and getattr(node.right, "value", None) == 2)
+
+
 def test_each_input_rule_has_one_implementation():
     # the 1/2 bound is refused in linalg.certified_norm alone, the threshold
-    # test 0 <= a < 1 is written out in _errors.threshold alone, and the
-    # width test 0 < b <= 1 in _errors.width alone
+    # test 0 <= a < 1 is written out in _errors.threshold alone, the width
+    # test 0 < b <= 1 in _errors.width alone, and a Fraction's denominator
+    # (a half-integer parse) is read in HalfInt.coerce alone
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         cap = [node for node in ast.walk(tree)
@@ -159,4 +243,23 @@ def test_each_input_rule_has_one_implementation():
                   and getattr(node.left, "value", None) == 0
                   and getattr(node.comparators[-1], "value", None) == 1]
         assert not widths or path.name == "_errors.py", path.name
+        parses = _functions_with(tree, lambda node: getattr(node, "attr", None) == "denominator")
+        assert parses <= ({"coerce"} if path.name == "spinrep.py" else set()), path.name
     assert "__post_init__" not in vars(models.CommutatorReport)
+    # spinrep's weight lattice: the range test |m| > j sits in one function,
+    # which also holds the parity test (j - m) % 2
+    tree = ast.parse((SRC / "spinrep.py").read_text())
+    assert _functions_with(tree, _abs_above) == {"_lattice_rows"}
+    assert "_lattice_rows" in _functions_with(tree, _mod_two)
+    # the config types are argparse's own: cli.py keeps no module-level
+    # table naming option dests or the types int and float
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for sub in subs.choices.values() for a in sub._actions} - {"help"}
+    for node in ast.parse((SRC / "cli.py").read_text()).body:
+        value = getattr(node, "value", None)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(
+                value, (ast.Dict, ast.Tuple, ast.List, ast.Set)):
+            names = {getattr(x, "id", None) for x in ast.walk(value)}
+            strings = {x.value for x in ast.walk(value) if isinstance(x, ast.Constant)}
+            assert not names & {"int", "float"} and not strings & dests, ast.unparse(node)
