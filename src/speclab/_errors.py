@@ -1,7 +1,8 @@
 """Error types shared across the package, and the input checks the families
 share: an integer (a size, a half-integer's twice), a threshold a in [0, 1),
 a z-side width b in (0, 1] and a finite value (an exact-comparison threshold,
-an angle)."""
+an angle).  The last three take only a real number (`_real`): a bool, a
+string or None is refused, not compared or read as 0 or 1."""
 
 import math
 
@@ -33,14 +34,23 @@ def integer_at_least(name: str, n, least: int) -> int:
     return n
 
 
+def _real(name: str, x) -> None:
+    """Refuses what is not a Python or numpy integer or float; a bool or
+    np.bool_ is refused, as `integer` refuses it for a size."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise ContractError(f"{name} must be a real number, got {x!r}")
+
+
 def threshold(name: str, a) -> None:
     """Refuses a threshold outside [0, 1), nan included."""
+    _real(name, a)
     if not 0.0 <= a < 1.0:
         raise ContractError(f"{name} must lie in [0, 1), got {a}")
 
 
 def width(name: str, b) -> None:
     """Refuses a z-side width outside (0, 1], nan included."""
+    _real(name, b)
     if not 0.0 < b <= 1.0:
         raise ContractError(f"{name} must lie in (0, 1], got {b}")
 
@@ -48,5 +58,6 @@ def width(name: str, b) -> None:
 def finite(name: str, x) -> None:
     """Refuses nan and +-inf: a threshold has no exact rational value then,
     and an angle no rotation."""
+    _real(name, x)
     if not math.isfinite(x):
         raise ContractError(f"{name} must be finite, got {x}")

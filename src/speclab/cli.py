@@ -25,7 +25,6 @@ from ._errors import ComputationError, ContractError, integer_at_least, threshol
 from .hankel import ArcSymbol, nehari_bound, power_essential_radius, truncated_norm_record
 from .models import FAMILIES, extremal_vector
 from .spinrep import jx_cache_info
-from .validate import run_validation
 
 NORMS_HEADER = "family,n,a,b,norm,n_mod_4,wall_ms"
 HANKEL_HEADER = "a,N,truncated_norm,nehari_upper,power_lower"
@@ -344,6 +343,10 @@ def _svg_bars(labels, heights, title: str) -> str:
 
 def cmd_validate(args) -> int:
     t0 = time.perf_counter()
+    # imported here, inside wall_ms_total: validate and the numpy.random it
+    # draws from cost every other subcommand about 14 ms of start-up
+    from .validate import run_validation
+
     report, wall_ms = run_validation(inject_sign_flip=args.inject_sign_flip)
     text = json.dumps(report, indent=2) + "\n"
     if args.out:

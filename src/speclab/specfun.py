@@ -20,7 +20,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-import numpy.polynomial  # noqa: F401  (loaded at import, not on the first quadrature)
 
 from ._errors import ContractError, integer_at_least, threshold
 
@@ -238,8 +237,11 @@ def cap_integral(a: float, p: int) -> float:
 
 @lru_cache(maxsize=8)
 def _legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's Gauss-Legendre nodes and weights of one order; cached, read-only."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    """numpy's Gauss-Legendre nodes and weights of one order; cached, read-only.
+    numpy.polynomial loads on the first call, as only validate integrates."""
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(nodes)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

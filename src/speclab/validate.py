@@ -13,7 +13,7 @@ import math
 import time
 
 import numpy as np
-import numpy.random  # noqa: F401  (loaded at import, not on the first validate call)
+import numpy.random  # noqa: F401  (the suites draw from np.random)
 
 from . import hankel, models, specfun, spinrep
 from .linalg import commutator, operator_norm

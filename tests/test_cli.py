@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from speclab import ContractError, cli, hankel, linalg, models
+from speclab import ContractError, cli, hankel, linalg, models, validate
 from speclab.cli import _worker_count, main, regress_rows
 from speclab.models import FAMILIES
 from speclab.spinrep import _jx_eigensystem
@@ -716,15 +716,20 @@ def test_validate_sign_flip_injection(tmp_path):
     assert failed == {"spinrep.wigner_cross_path"}
 
 
-def _modules_loaded_by_cli_import(*names):
-    """Import speclab.cli in a fresh interpreter and return which of the
-    named modules it loaded."""
+def _fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports speclab from src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    code = ("import json, speclab.cli, sys; "
+    return env
+
+
+def _modules_loaded_by_cli_import(*names, module="speclab.cli"):
+    """Import module (speclab.cli by default) in a fresh interpreter and
+    return which of the named modules it loaded."""
+    code = (f"import json, {module}, sys; "
             f"print(json.dumps([m for m in {list(names)!r} if m in sys.modules]))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], env=_fresh_env(), capture_output=True,
+                          text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -737,3 +742,24 @@ def test_cli_import_loads_no_scipy():
 def test_cli_import_loads_no_process_pool():
     # the pool is imported inside cmd_norms, and only when it runs workers
     assert _modules_loaded_by_cli_import("concurrent.futures", "multiprocessing") == []
+
+
+@pytest.mark.parametrize("module", ["speclab.cli", "speclab"])
+def test_import_loads_no_validate_only_module(module):
+    # validate, its numpy.random and the quadrature's numpy.polynomial load
+    # when validate runs, so norms, hankel and vectors never pay for them
+    loaded = _modules_loaded_by_cli_import(
+        "speclab.validate", "numpy.random", "numpy.polynomial", module=module)
+    assert loaded == []
+
+
+def test_validate_in_a_fresh_interpreter_writes_the_in_process_report(tmp_path):
+    # the test process may hold numpy.random already; a fresh one shows that
+    # validate imports what it defers
+    out = tmp_path / "val.json"
+    proc = subprocess.run([sys.executable, "-m", "speclab.cli", "validate", "--out", str(out)],
+                          env=_fresh_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report, _ = validate.run_validation()
+    assert out.read_text() == json.dumps(report, indent=2) + "\n"
+    assert json.loads((tmp_path / "val.json.meta.json").read_text())["command"] == "validate"

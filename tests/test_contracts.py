@@ -6,10 +6,13 @@ A size is a Python or numpy integer, not a bool and not a float, even a
 whole one: `8.0` is refused as `4.5` is, since truncating either would
 compute a size nobody asked for.  A threshold lies in [0, 1).  A weight is
 a half-integer (`HalfInt.coerce`) on the spin's lattice, and an angle is
-finite."""
+finite.  A threshold, a width and an angle are real numbers: a Python or
+numpy integer or float, not a bool, a string or None.  The last test keeps
+numpy's optional subpackages out of import time."""
 
 import argparse
 import ast
+import importlib.util
 import math
 import pickle
 import warnings
@@ -128,20 +131,49 @@ def test_every_size_entry_takes_only_integers(name):
     assert np.array_equal(plain, wide) if isinstance(plain, np.ndarray) else plain == wide
 
 
+# what is not a real number: a bool once read as 0 or 1 (su2_commutator(8,
+# False) returned a norm), and a string or None raised TypeError
+NOT_REAL = (False, True, np.False_, np.True_, "0.3", None)
+
+
 @pytest.mark.parametrize("name", sorted(THRESHOLD_ENTRIES))
 def test_every_threshold_entry_refuses_a_outside_0_1(name):
     entry = THRESHOLD_ENTRIES[name]
     for bad in (math.nan, math.inf, -math.inf, -0.1, 1.0):
         with pytest.raises(ContractError):
             entry(bad)
-    entry(0.0)
-    entry(0.3)
+    for bad in NOT_REAL:
+        with pytest.raises(ContractError, match="must be a real number"):
+            entry(bad)
+    for fine in (0.0, 0.3, 0, np.int64(0), np.float64(0.3)):
+        entry(fine)
+
+
+# each entry maps a width b to a value; 1 is the widest
+WIDTH_ENTRIES = {
+    "z_interval_mask": lambda b: spinrep.z_interval_mask(SpinRep(8), b),
+    "su2_commutator": lambda b: su2_commutator(8, 0.0, b),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDTH_ENTRIES))
+def test_every_width_entry_refuses_b_outside_0_1(name):
+    # su2_commutator(8, 0.0, True) once took the bool as b = 1
+    entry = WIDTH_ENTRIES[name]
+    for bad in (math.nan, math.inf, 0.0, -0.1, 1.5):
+        with pytest.raises(ContractError):
+            entry(bad)
+    for bad in NOT_REAL:
+        with pytest.raises(ContractError, match="must be a real number"):
+            entry(bad)
+    for fine in (0.5, 1.0, 1, np.int64(1), np.float64(0.5)):
+        entry(fine)
 
 
 @pytest.mark.parametrize("name", sorted(WEIGHT_PREDICATES))
 def test_weight_predicates_refuse_a_threshold_that_is_not_finite(name):
     entry = WEIGHT_PREDICATES[name]
-    for bad in (math.nan, math.inf, -math.inf):
+    for bad in (math.nan, math.inf, -math.inf, *NOT_REAL):
         with pytest.raises(ContractError, match=name):
             entry(bad)
     for fine in (-2.0, 0.0, 0.3, 1, 1.0, 1.5):
@@ -170,7 +202,13 @@ def test_every_angle_entry_refuses_an_angle_that_is_not_finite(name):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ContractError, match="theta must be finite"):
                 entry(bad)
-        entry(0.9)
+        # wigner_d_theta once took True as theta = 1, and "1" raised TypeError
+        for bad in (True, np.True_, "1", None):
+            with pytest.raises(ContractError, match="theta must be a real number"):
+                entry(bad)
+        want = entry(1.0)
+        for same in (1, np.int64(1), np.float64(1.0)):
+            assert np.array_equal(entry(same), want)
 
 
 def test_halfint_stores_only_integers():
@@ -263,3 +301,44 @@ def test_each_input_rule_has_one_implementation():
             names = {getattr(x, "id", None) for x in ast.walk(value)}
             strings = {x.value for x in ast.walk(value) if isinstance(x, ast.Constant)}
             assert not names & {"int", "float"} and not strings & dests, ast.unparse(node)
+
+
+def _module_level(tree):
+    """The nodes of tree outside function bodies: what runs at import."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+            stack += ast.iter_child_nodes(node)
+
+
+def _numpy_subpackages(nodes) -> set:
+    """The numpy subpackages the nodes name: by import (`import numpy.x`,
+    `from numpy.x import y`, `from numpy import x`) or by attribute
+    (`np.x`, which numpy 2 loads on first access)."""
+    names = set()
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names if a.name.startswith("numpy.")}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy."):
+            names.add(node.module.split(".")[1])
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in ("np", "numpy"):
+            names.add(node.attr)
+    return {x for x in names if importlib.util.find_spec(f"numpy.{x}") is not None}
+
+
+def test_import_time_loads_only_the_numpy_every_command_uses():
+    # numpy.fft (every Fourier family and Hankel norm) and numpy.linalg load
+    # at import; any other numpy subpackage loads where it is used, so that
+    # norms, hankel and vectors do not pay for validate's numpy.random or the
+    # quadrature's numpy.polynomial, and only validate draws random numbers
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        eager = _numpy_subpackages(_module_level(tree))
+        assert eager <= ({"fft", "linalg", "random"} if path.name == "validate.py"
+                         else {"fft", "linalg"}), path.name
+        anywhere = _numpy_subpackages(ast.walk(tree))
+        assert "random" not in anywhere or path.name == "validate.py", path.name

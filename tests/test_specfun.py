@@ -150,6 +150,25 @@ def test_hilbert_bessel_vs_quadrature(p):
         assert abs(hilbert_bessel_at_zero(p) - quad) <= 1e-8
 
 
+# validate's Hilbert-quadrature suite at nodes = 64, p = 1, 3, ..., 15, as
+# computed when numpy.polynomial was loaded at import; the integrand is odd
+# in p, so -p gives the negated bits
+HILBERT_QUADRATURE_64 = {
+    1: "-0x1.45f306dc9c88bp-1", 3: "-0x1.b2995e7b7b60dp-3", 5: "-0x1.04c26be3b06dap-3",
+    7: "-0x1.7483758e69bfap-4", 9: "-0x1.21bb9452523fdp-4", 11: "-0x1.da1bace3cc654p-5",
+    13: "-0x1.912b1c2336c71p-5", 15: "-0x1.5bade52f95dc9p-5",
+}
+
+
+def test_gauss_legendre_quad_bit_for_bit_on_validate_orders():
+    for p, bits in HILBERT_QUADRATURE_64.items():
+        for sign in (1, -1):
+            quad = gauss_legendre_quad(
+                lambda t: math.sin(-sign * p * t) / math.pi, 0.0, math.pi, nodes=64
+            )
+            assert quad == sign * float.fromhex(bits), (sign * p, quad.hex())
+
+
 def test_cap_integral_values():
     assert cap_integral(0.0, 0) == 0.0
     assert abs(cap_integral(1 / math.sqrt(2), 0) - math.pi / 4) <= 1e-15

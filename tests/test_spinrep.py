@@ -84,7 +84,7 @@ def test_weight_threshold_is_exact():
     # a = 0.5 is exact: threshold 0.5 * 6 = 3 and the test is strict
     assert not weight_exceeds(6, 0.5, 12)
     assert weight_exceeds(8, 0.5, 12)
-    # integer and Fraction thresholds work unchanged
+    # an integer threshold works unchanged
     assert not weight_exceeds(6, 1, 6)
 
 
