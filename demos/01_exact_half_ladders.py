@@ -20,7 +20,9 @@ ladder = [su2_commutator(n).norm for n in range(2, 103, 4)]
 print("\nmax |norm - 1/2| on the n = 2 mod 4 ladder up to 102:",
       f"{max(abs(v - 0.5) for v in ladder):.2e}")
 
-# the distance to 1/2 on the 0 mod 4 class decays like a small power of n
+# the distance to 1/2 on the 0 mod 4 class shrinks slowly, and its local
+# slope against log n drifts toward 0 (-0.295, -0.253, -0.219 over
+# n = 8..512), so no one power of n describes it
 ns = np.array([8, 32, 128, 512])
 gaps = np.array([0.5 - su2_commutator(int(n)).norm for n in ns])
 slopes = np.diff(np.log(gaps)) / np.diff(np.log(ns))

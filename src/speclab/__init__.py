@@ -37,7 +37,7 @@ from .models import (
     su2_commutator,
     su2_submatrix,
 )
-from .specfun import bessel_j, cap_integral, hilbert_bessel_at_zero, jacobi_p
+from .specfun import bessel_j, cap_integral, hilbert_bessel_at_zero
 from .spinrep import (
     HalfInt,
     SpinOperators,
@@ -80,7 +80,6 @@ __all__ = [
     "heisenberg_commutator",
     "heisenberg_submatrix",
     "hilbert_bessel_at_zero",
-    "jacobi_p",
     "lanczos_top",
     "nehari_bound",
     "operator_norm",

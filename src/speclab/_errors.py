@@ -21,6 +21,8 @@ def integer(name: str, n) -> int:
     """n as an int: a Python or numpy integer, not a bool.  A float is
     refused even when it is whole (8.0), as a truncation would silently
     change the value asked for."""
+    if type(n) is int:  # the common case first: a bool's type is bool
+        return n
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ContractError(f"{name} must be an integer, got {n!r}")
     return int(n)

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._errors import integer_at_least, threshold
+from ._errors import integer, integer_at_least, threshold
 from .linalg import NormRecord, certified_norm, toeplitz_matvec
 
 
@@ -54,8 +54,9 @@ HALF_CIRCLE = ArcSymbol(0.0)
 
 
 def fourier_coeff(sym: ArcSymbol, p: int) -> float:
-    """Fourier coefficient of the arc indicator at integer frequency p."""
-    p = int(p)
+    """Fourier coefficient of the arc indicator at integer frequency p (a
+    Python or numpy integer, not a bool: 2.7 is refused, not read as 2)."""
+    p = integer("fourier_coeff: p", p)
     if sym.a == 0.0:
         # sin(pi*p/2) by integer logic: exact zeros on even frequencies
         if p == 0:

@@ -118,15 +118,45 @@ def operator_norm(a):
     return _exact_norm(A)
 
 
+FACTOR_COST = 2.5  # the cost of a factor 3 or 5 of a transform length, in factors of 2
+
+
+def fft_length(n: int) -> int:
+    """The cheapest transform length L >= n >= 1 of the form 2^a 3^b 5^c
+    that is no longer than the power of two 2^ceil(log2 n), by the cost
+    model L (a + FACTOR_COST (b + c)); the shorter one on a tie.
+
+    On one core, one rfft/irfft pair of numpy's pocketfft spends about as
+    much per element on a factor 3 or 5 as on 2.5 factors of 2: lengths with
+    many of them are slower than the power of two above them (972 = 2^2 3^5
+    by 13% against 1024, 1000 = 2^3 5^3 by 9%), and the model picks neither.
+    Just above a power of two it picks 5/4 of it (1280 for n = 1025), 28%
+    faster than the 2048 the power of two would take.
+    """
+    power = 1 << (n - 1).bit_length()
+    costs = []  # (cost, length) of each odd part 3^b 5^c's least length >= n
+    p3, b = 1, 0
+    while p3 <= power:
+        odd, factors = p3, b
+        while odd <= power:
+            a = (-(-n // odd) - 1).bit_length()  # the least a with odd 2^a >= n
+            size = odd << a
+            if size <= power:
+                costs.append((size * (a + FACTOR_COST * factors), size))
+            odd, factors = 5 * odd, factors + 1
+        p3, b = 3 * p3, b + 1
+    return min(costs)[1]
+
+
 def toeplitz_matvec(table: np.ndarray, m: int) -> Callable[[np.ndarray], np.ndarray]:
     """x -> T x for the m x m Toeplitz matrix T[i, j] = table[i - j + m - 1]
     (len(table) = 2m - 1), by one rfft/irfft pair of length
-    2^ceil(log2(2m - 1)): (T x)_i is entry i + m - 1 of the linear
-    convolution of table with x, whose m - 1 entries past that length wrap
-    onto entries 0..m - 2, none of which is read.  x may be a 2-D block, each
-    of whose rows is multiplied.
+    fft_length(2m - 1): (T x)_i is entry i + m - 1 of the linear convolution
+    of table with x, whose m - 1 entries past that length wrap onto entries
+    0..m - 2, none of which is read.  x may be a 2-D block, each of whose
+    rows is multiplied.
     """
-    size = 1 << (2 * m - 2).bit_length()
+    size = fft_length(2 * m - 1)
     t_hat = np.fft.rfft(table, size)
     return lambda x: np.fft.irfft(t_hat * np.fft.rfft(x, size), size)[..., m - 1 : 2 * m - 1]
 
@@ -329,6 +359,8 @@ def _lanczos_rows(matvec: Callable[[np.ndarray], np.ndarray], m: int,
 
 
 NORM_CAP = 0.5 + 1e-9  # no projection commutator or Hankel section exceeds 1/2
+FFT_ALLOWANCE = 5.0  # a Perron ratio's widening, in eps max(Ax), for one FFT product
+GRAM_ALLOWANCE = 10.0  # and for a Gram operator of two
 
 
 def certified_norm(op: Callable[[np.ndarray], np.ndarray] | None, m: int,
@@ -346,11 +378,16 @@ def certified_norm(op: Callable[[np.ndarray], np.ndarray] | None, m: int,
 
     ``perron``: op is entrywise >= 0, and for x = |Ritz vector| the
     Collatz-Wielandt ratios (Ax)_i/x_i bracket its top eigenvalue, each
-    widened by k eps max(Ax)/x_i for the FFT's rounding, k = 2 for one
-    product and 4 for a Gram operator of two (an allowance, not a proven
-    bound: against long double one Hankel product was off by at most
-    1.2 eps max|Hx| in any entry, N <= 16384, and C C^T x by
-    1.45 eps max(C C^T x), K <= 32768).  Otherwise "lanczos": some
+    widened by k eps max(Ax)/x_i for the FFT's rounding, k = FFT_ALLOWANCE
+    = 5 for one product and GRAM_ALLOWANCE = 10 for a Gram operator of two.
+    That is an allowance measured, not a proven bound.  Against long double,
+    at the ends and the middle of the m-range of every length fft_length
+    picks for m <= 2^14, and at 450 more m, for x = 1/sqrt(i) and for the
+    Ritz vector's modulus, the half-circle odd block's product C x was off
+    by at most 2.85 eps max(C x) in any entry (m = 13392, length
+    27648 = 2^10 3^3), and the SE(2) Gram C C^T x by 5.34 eps
+    max(C C^T x) (m = 5183, length 10368 = 2^7 3^4); at the powers of two
+    alone, 1.06 and 1.60 eps.  Otherwise "lanczos": some
     eigenvalue lies within r = ||Ax - theta x|| of the Ritz value theta, so
     the ends are |theta| - r and 1/2.  ``gram``: op is B^T B or B B^T and
     the record is ||B||, square roots of the value and computed ends (a
@@ -368,7 +405,7 @@ def certified_norm(op: Callable[[np.ndarray], np.ndarray] | None, m: int,
     if perron:
         x = np.abs(ritz.vector)
         ax = op(x)
-        slack = (4.0 if gram else 2.0) * np.finfo(float).eps * ax.max()
+        slack = (GRAM_ALLOWANCE if gram else FFT_ALLOWANCE) * np.finfo(float).eps * ax.max()
         ends = [abs(ritz.value), np.min((ax - slack) / x), np.max((ax + slack) / x)]
     else:
         residual = float(np.linalg.norm(op(ritz.vector) - ritz.value * ritz.vector))

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._errors import ComputationError, ContractError, integer_at_least, threshold
+from ._errors import ComputationError, ContractError, integer, integer_at_least, threshold
 from .hankel import HALF_CIRCLE, ArcSymbol, _coeff_grid, _odd_block_record
 from .linalg import NormRecord, certified_norm, toeplitz_matvec
 from .spinrep import (
@@ -235,8 +235,10 @@ def grid_in_arc(k: int, n: int, a: float = 0.0) -> bool:
     Re z exactly zero are excluded the way a strict inequality demands.  At
     a != 0 both points of a mirror pair k, -k share one cosine, of the
     reduced index min(r, n - r) with r = k mod n, so the arc is symmetric.
-    An a outside [0, 1) is a ContractError.
+    A k that is not an integer (2.5, True) or an a outside [0, 1) is a
+    ContractError.
     """
+    k = integer("grid_in_arc: k", k)
     n = integer_at_least("grid_in_arc: n", n, 1)
     threshold("grid_in_arc: a", a)
     if a == 0.0:

@@ -1,5 +1,5 @@
-"""Special functions: Bessel J_p, Jacobi polynomials, closed-form Hilbert
-transforms, and the arcsin-family integrals behind the shifted-symbol limits.
+"""Special functions: Bessel J_p, closed-form Hilbert transforms, and the
+arcsin-family integrals behind the shifted-symbol limits.
 
 Bessel evaluation switches between two representations: the ascending series
 (accumulated in extended precision via a term recurrence, no per-term lgamma
@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._errors import ContractError, integer_at_least, threshold
+from ._errors import ContractError, threshold
 
 MAX_ORDER = 64
 SERIES_CROSSOVER = 12.0
@@ -179,33 +179,6 @@ def _integral(p: np.ndarray, x: np.ndarray) -> np.ndarray:
         ends = 0.5 * (f[:, 0] + f[:, -1])
         out[rows] = (f.sum(axis=1) - ends) * (math.pi / TRAPEZOID_NODES) / math.pi
     return out
-
-
-def jacobi_p(k: int, alpha: float, beta: float, x: float) -> float:
-    """Jacobi polynomial P_k^(alpha, beta)(x) by the three-term recurrence.
-
-    The recurrence is accumulated in extended precision; alpha > -1 and
-    x in [-1, 1] are required.
-    """
-    k = integer_at_least("jacobi_p: degree", k, 0)
-    if alpha <= -1:
-        raise ContractError("jacobi_p: alpha must exceed -1")
-    if not -1.0 <= x <= 1.0:
-        raise ContractError("jacobi_p: x outside [-1, 1]")
-    if k == 0:
-        return 1.0
-    a = np.longdouble(alpha)
-    b = np.longdouble(beta)
-    xx = np.longdouble(x)
-    p_prev = np.longdouble(1.0)
-    p_cur = (a + 1) + (a + b + 2) * (xx - 1) / 2
-    for n in range(2, k + 1):
-        nn = np.longdouble(n)
-        c1 = 2 * nn * (nn + a + b) * (2 * nn + a + b - 2)
-        c2 = (2 * nn + a + b - 1) * ((2 * nn + a + b) * (2 * nn + a + b - 2) * xx + a * a - b * b)
-        c3 = 2 * (nn + a - 1) * (nn + b - 1) * (2 * nn + a + b)
-        p_prev, p_cur = p_cur, (c2 * p_cur - c3 * p_prev) / c1
-    return float(p_cur)
 
 
 def hilbert_bessel_at_zero(p: int) -> float:

@@ -1,14 +1,14 @@
 """The input rules every family shares, at every public entry that takes a
-size, a threshold, a spin weight or an angle, and the structure that keeps
-each rule in one place.
+size, an index, a threshold, a spin weight or an angle, and the structure
+that keeps each rule in one place.
 
-A size is a Python or numpy integer, not a bool and not a float, even a
-whole one: `8.0` is refused as `4.5` is, since truncating either would
-compute a size nobody asked for.  A threshold lies in [0, 1).  A weight is
-a half-integer (`HalfInt.coerce`) on the spin's lattice, and an angle is
-finite.  A threshold, a width and an angle are real numbers: a Python or
-numpy integer or float, not a bool, a string or None.  The last test keeps
-numpy's optional subpackages out of import time."""
+A size, a frequency or a grid index is a Python or numpy integer, not a bool
+and not a float, even a whole one: `8.0` is refused as `4.5` is, since
+truncating either would compute a value nobody asked for.  A threshold lies
+in [0, 1).  A weight is a half-integer (`HalfInt.coerce`) on the spin's
+lattice, and an angle is finite.  A threshold, a width and an angle are real
+numbers: a Python or numpy integer or float, not a bool, a string or None.
+The last test keeps numpy's optional subpackages out of import time."""
 
 import argparse
 import ast
@@ -29,12 +29,12 @@ from speclab import (
     SpinRep,
     cap_integral,
     cli,
+    fourier_coeff,
     fourier_expansion_d,
     grid_in_arc,
     hankel_truncation,
     heisenberg_commutator,
     heisenberg_submatrix,
-    jacobi_p,
     lanczos_top,
     models,
     projection_x,
@@ -75,7 +75,6 @@ SIZE_ENTRIES = {
     "truncated_norm_record a=0": lambda s: truncated_norm_record(HALF_CIRCLE, s),
     "truncated_norm_record a=0.3": lambda s: truncated_norm_record(ArcSymbol(0.3), s),
     "lanczos_top": lambda s: lanczos_top(lambda x: x @ np.diag(np.arange(1.0, 9.0)), s).value,
-    "jacobi_p": lambda s: jacobi_p(s, 0.5, 0.5, 0.3),
 }
 
 THRESHOLD_ENTRIES = {
@@ -217,6 +216,22 @@ def test_halfint_stores_only_integers():
         with pytest.raises(ContractError, match="HalfInt: twice"):
             HalfInt(bad)
     assert HalfInt(np.int64(3)) == HalfInt(3) == HalfInt.coerce(1.5)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda p: fourier_coeff(HALF_CIRCLE, p), "fourier_coeff: p"),
+    (lambda p: fourier_coeff(ArcSymbol(0.3), p), "fourier_coeff: p"),
+    (lambda k: grid_in_arc(k, 8), "grid_in_arc: k"),
+    (lambda k: grid_in_arc(k, 8, 0.3), "grid_in_arc: k"),
+])
+def test_frequencies_and_grid_indices_are_integers(call, name):
+    # fourier_coeff(HALF_CIRCLE, 2.7) once truncated to coeff(2) = 0.0 and
+    # 1.9 to coeff(1); grid_in_arc(2.5, 8) answered False; True was 1
+    for bad in (2.7, 1.9, 2.5, 2.0, True, np.True_, np.float64(3.0), "3", None):
+        with pytest.raises(ContractError, match=name):
+            call(bad)
+    for k in (-3, 0, 1, 5):
+        assert call(np.int64(k)) == call(k)
 
 
 def test_grid_in_arc_refuses_a_threshold_outside_0_1():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,7 @@ from speclab import (
 )
 from speclab import hankel
 from speclab.hankel import _coeff_grid
-from speclab.linalg import toeplitz_matvec
+from speclab.linalg import FFT_ALLOWANCE, GRAM_ALLOWANCE, toeplitz_matvec
 
 
 def test_arc_symbol_contract():
@@ -171,25 +172,56 @@ def test_large_truncation_norm_is_bounded_certified_and_reproducible(a):
     assert truncated_norm(sym, 4096) <= record.value <= 0.5
     assert record.lower <= record.value <= record.upper
     if a == 0.0:
-        assert record.upper - record.lower <= 1e-12
+        # the width is the Perron ratios' rounding allowance, about
+        # 3.2e-13 per unit of FFT_ALLOWANCE at this N (1.6e-12 at 5)
+        assert record.upper - record.lower <= FFT_ALLOWANCE * 4e-13
     else:
         assert record.upper == 0.5
     assert truncated_norm_record(sym, 2**16) == record  # floats compared bitwise
 
 
-@pytest.mark.parametrize("a, n", [(0.0, 64), (0.0, 4096), (0.3, 777)])
+def _long_double_hankel(c):
+    """The m x m Hankel matrix H[i, j] = c[i + j] (len(c) = 2m - 1) in long
+    double, as a strided view of c."""
+    return sliding_window_view(c.astype(np.longdouble), (len(c) + 1) // 2)
+
+
+# the odd block's m = ceil(n/2) at a = 0 and m = n at a != 0; 2m - 1 just above
+# a power of two (m = 33, 69, 321, 513, 643, 1025, 2049: lengths 2^a 5^c), with
+# factors 3 (m = 1300: 3072 = 2^10 3; 2570: 5184 = 2^6 3^4) and at powers of
+# two (m = 32, 2048)
+@pytest.mark.parametrize("a, n", [
+    (0.0, 64), (0.0, 65), (0.0, 137), (0.0, 641), (0.0, 1025), (0.0, 1285), (0.0, 2049),
+    (0.0, 2599), (0.0, 4096), (0.0, 4097), (0.0, 5140), (0.3, 643), (0.3, 777), (0.3, 1300),
+])
 def test_fft_matvec_within_the_rounding_allowance(a, n):
     # the Hankel matrix c[i + j] applied as the Toeplitz FFT product on the
-    # reversed vector, against the same product in long double; the bracket
-    # allows 2 eps max(Hx) per entry
+    # reversed vector, against the same product in long double; the Perron
+    # bracket allows FFT_ALLOWANCE eps max(Hx) per entry
     sym = ArcSymbol(a)
     m = (n + 1) // 2 if a == 0.0 else n
     lags = 2 * np.arange(2 * m - 1) + 1 if a == 0.0 else np.arange(1, 2 * m)
     c = _coeff_grid(sym, -lags)
     x = 1.0 / np.sqrt(np.arange(1.0, m + 1))
     fast = toeplitz_matvec(c, m)(x[::-1])
-    exact = c.astype(np.longdouble)[np.add.outer(np.arange(m), np.arange(m))] @ x
-    assert np.max(np.abs(fast - exact)) <= 2 * np.finfo(float).eps * np.max(np.abs(fast))
+    exact = _long_double_hankel(c) @ x
+    assert np.max(np.abs(fast - exact)) <= FFT_ALLOWANCE * np.finfo(float).eps * np.max(np.abs(fast))
+
+
+@pytest.mark.parametrize("k", [1286, 5138])
+def test_se2_gram_within_the_rounding_allowance(k):
+    # the SE(2) block's Gram operator C C^T x = (G G [x; 0])[:m], two FFT
+    # products (m = K/2 = 643: length 1600 = 2^6 5^2; 2569: 5184 = 2^6 3^4),
+    # against long double; the bracket allows GRAM_ALLOWANCE eps max(C C^T x)
+    m, wide = k // 2, k // 2 + 1
+    c = np.abs(_coeff_grid(HALF_CIRCLE, -(2 * np.arange(2 * wide - 1) + 1)))
+    square = hankel._hankel_apply(c)
+    y = np.zeros(wide)
+    y[:m] = 1.0 / np.sqrt(np.arange(1.0, m + 1))
+    fast = square(square(y))[:m]
+    g = _long_double_hankel(c)
+    exact = (g @ (g @ y.astype(np.longdouble)))[:m]
+    assert np.max(np.abs(fast - exact)) <= GRAM_ALLOWANCE * np.finfo(float).eps * np.max(fast)
 
 
 def test_nehari_bound():

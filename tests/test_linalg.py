@@ -26,6 +26,7 @@ from speclab.linalg import (
     RitzPair,
     _exact_norm,
     certified_norm,
+    fft_length,
     toeplitz_matvec,
 )
 
@@ -227,7 +228,10 @@ def test_projection_commutator_bound():
             assert operator_norm(commutator(p, q)) <= 0.5 + 1e-12
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 512, 513, 1025])
+# 2m - 1 just above a power of two (33, 69, 321, 513, 643, 1025, 2049: lengths
+# 80, 160, 800, 1280, 1600, 2560, 5120 = 2^a 5^c), with a factor 3 (1300:
+# 3072 = 2^10 3) and at a power of two (512: 1024)
+@pytest.mark.parametrize("m", [1, 2, 3, 33, 69, 321, 512, 513, 643, 1025, 1300, 2049])
 def test_toeplitz_matvec_matches_long_double_dense(m):
     # a non-symmetric table, so that T[j, i] in place of T[i, j] fails (by
     # about 2% of max|Tx| at these sizes)
@@ -238,6 +242,19 @@ def test_toeplitz_matvec_matches_long_double_dense(m):
     fast = toeplitz_matvec(table, m)(x)
     assert fast.shape == (m,)
     assert np.max(np.abs(fast - exact)) <= 16 * np.finfo(float).eps * np.max(np.abs(exact))
+
+
+def test_fft_length_is_a_short_5_smooth_length_no_longer_than_the_power_of_two():
+    for m in range(1, 2**14 + 1):
+        n = 2 * m - 1
+        size = odd = fft_length(n)
+        for p in (2, 3, 5):
+            while odd % p == 0:
+                odd //= p
+        assert odd == 1 and n <= size <= 1 << (n - 1).bit_length(), m
+    # many factors 3 or 5 are slower than the power of two: 972 = 2^2 3^5
+    # and 1000 = 2^3 5^3 are never taken for 1024
+    assert [fft_length(n) for n in (961, 1000, 1025, 2049)] == [1024, 1024, 1280, 2560]
 
 
 def _diagonal(d):

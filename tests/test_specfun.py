@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from speclab import ContractError, bessel_j, cap_integral, hilbert_bessel_at_zero, jacobi_p
+from speclab import ContractError, bessel_j, cap_integral, hilbert_bessel_at_zero
 from speclab.specfun import (
     MAX_ORDER,
     SERIES_CROSSOVER,
@@ -100,35 +100,6 @@ def test_integral_on_shared_nodes_is_the_per_call_rule_bit_for_bit():
     p, x = (t.ravel() for t in np.meshgrid(np.arange(6), xs, indexing="ij"))
     want = [_integral_per_call(int(q), float(y)) for q, y in zip(p, x)]
     assert np.array_equal(_integral(p, x).view(np.int64), np.array(want).view(np.int64))
-
-
-def test_jacobi_degree_zero_and_one():
-    for alpha, beta, x in ((0.0, 0.0, 0.3), (1.5, -0.5, -0.9), (2.0, 3.0, 1.0)):
-        assert jacobi_p(0, alpha, beta, x) == 1.0
-    for x in (-1.0, -0.25, 0.0, 0.8, 1.0):
-        assert abs(jacobi_p(1, 0.0, 0.0, x) - x) <= 1e-15
-
-
-def test_jacobi_legendre_two_by_hand():
-    # P_2 with both weights zero is the Legendre polynomial (3x^2 - 1)/2
-    for x in (-0.9, 0.1, 0.77):
-        assert abs(jacobi_p(2, 0.0, 0.0, x) - (3 * x * x - 1) / 2) <= 1e-14
-
-
-def test_jacobi_orthogonality_by_quadrature():
-    inner = gauss_legendre_quad(
-        lambda x: jacobi_p(2, 0.0, 0.0, x) * jacobi_p(3, 0.0, 0.0, x), -1.0, 1.0, nodes=64
-    )
-    assert abs(inner) <= 1e-10
-
-
-def test_jacobi_contracts():
-    with pytest.raises(ContractError):
-        jacobi_p(-1, 0.0, 0.0, 0.0)
-    with pytest.raises(ContractError):
-        jacobi_p(2, -1.5, 0.0, 0.0)
-    with pytest.raises(ContractError):
-        jacobi_p(2, 0.0, 0.0, 1.5)
 
 
 def test_hilbert_bessel_closed_form():
