@@ -106,12 +106,14 @@ def _norm_point(task):
 
 
 def _sweep_tasks(args) -> list:
-    integer_at_least("--n-step", args.n_step, 1)
-    ns = list(range(args.n_start, args.n_stop + 1, args.n_step))
-    if not ns:
+    step = integer_at_least("--n-step", args.n_step, 1)
+    if args.n_stop < args.n_start:
         raise ContractError("empty n range")
     _, a_list, b_list = _family_args(args)
-    _check_sizes(args.family, ns[0], ns[-1])
+    # the first and the last n of the range, checked before any task is built
+    _check_sizes(args.family, args.n_start,
+                 args.n_start + (args.n_stop - args.n_start) // step * step)
+    ns = list(range(args.n_start, args.n_stop + 1, step))
     return [(args.family, n, a, b) for n in ns for a in a_list for b in b_list]
 
 
@@ -370,7 +372,9 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _float_list(text: str):
-    return [float(tok) for tok in text.split(",") if tok != ""]
+    """The numbers of a comma list, -0 read as 0.0 (+ 0.0), so that --a=-0
+    writes the bytes --a 0 does, from a flag or a config alike."""
+    return [float(tok) + 0.0 for tok in text.split(",") if tok != ""]
 
 
 def _int_list(text: str):
@@ -490,13 +494,6 @@ def _apply_config(args) -> None:
             setattr(args, attr, value)
 
 
-def _plus_zero(args) -> None:
-    """-0.0 in --a or --b becomes 0.0, so --a=-0 writes the bytes --a 0 does."""
-    for attr in ("a", "b"):
-        if getattr(args, attr, None) is not None:
-            setattr(args, attr, [x + 0.0 for x in getattr(args, attr)])
-
-
 # built on the first main call, so its defaults bind the cmd_* the module then
 # holds; every parse shares them (the _fallbacks dict too), so nothing mutates them
 _PARSER = None
@@ -509,7 +506,6 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         _apply_config(args)
-        _plus_zero(args)
         return args.func(args)
     except ContractError as exc:
         print(f"contract error: {exc}", file=sys.stderr)

@@ -165,7 +165,7 @@ LANCZOS_STEPS = 24   # Krylov dimension of one cycle
 LANCZOS_CYCLES = 20  # cycles before lanczos_top gives up
 LANCZOS_TOL = 4.0    # stop at residual bound <= LANCZOS_TOL * eps * |Ritz value|
 PAIGE_SAFETY = 1e3   # a step skips its eigensolve when its bound clears the test this much
-_SECTOR_SIGN = np.array([[1.0], [-1.0]])  # row 0 takes y + y[::-1] (even), row 1 y - y[::-1]
+_SECTOR_SIGN = np.array([[1.0], [-1.0]])  # row 0 takes x + x[::-1] (even), row 1 x - x[::-1]
 
 
 def _non_finite(m: int, step: int, cycle: int) -> ComputationError:
@@ -192,18 +192,21 @@ def lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], m: int,
     commutes with it.  Then two rows run in lockstep, one per reflection
     sector, from the even and the odd part of the start, each normalised
     (both must be nonzero).  Each step makes one call to ``matvec``, on the
-    sum of the live rows' current vectors.  With ``mirror`` the product y
-    is split exactly: the even row takes (y + y[::-1]) * 0.5 and the odd
-    row (y - y[::-1]) * 0.5 (IEEE addition commutes).  The new vectors are
-    reorthogonalised twice, together, against the cycle's basis of every
-    live row: a gemv per product for one row, a gemm for two, where the
-    other row's basis adds only rounding, being orthogonal by symmetry.
-    That rounding leaves a row's vectors a small part in the other sector.
-    The split keeps it out of the row's part of each product, and
-    certified_norm certifies with the operator itself.  A lone mirror row's
-    new vector is put back into its sector, (w +- w[::-1]) * 0.5, before it
-    is normalised: with no split of a shared product, that part would grow
-    about threefold per step (to 1.9e-12 in 10 steps on a 30 x 30 operator).
+    sum of the live rows' current vectors, and steps the live rows as one
+    block on their parts of the product, one row or two alike.  With
+    ``mirror`` a row's vectors are exactly in its sector: _sector_part takes
+    the even part (x + x[::-1]) * 0.5 or the odd part (x - x[::-1]) * 0.5,
+    exactly even or odd in IEEE arithmetic (addition commutes, negation is
+    exact, and dividing by beta keeps it), of the start, of each product,
+    of each new vector after its reorthogonalisation, of each restart and
+    of the Ritz vector returned.  So each row's new vector is
+    reorthogonalised twice, by a gemv per product (one stacked matmul for
+    the live rows), against its own basis alone: the other row's is
+    orthogonal to it exactly, and nothing of one sector leaks into the
+    other (without the projection the rounding of the reorthogonalisation
+    would, growing about threefold per step once the other row stopped, to
+    1.9e-12 in 10 steps on a 30 x 30 operator).  Without ``mirror`` the
+    projection is the identity, and one row runs the same step.
 
     Each row fills its own tridiagonal T, one entry per step, and stops as
     soon as the residual bound |beta_{j+1} s_j| of the Ritz pair of largest
@@ -261,26 +264,33 @@ def lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], m: int,
         theta, s = np.linalg.eigh(product, UPLO="L")
         top = int(np.argmax(np.abs(theta)))
         return RitzPair(float(theta[top]), s[:, top], m)
-    start = np.full(m, 1.0 / math.sqrt(m)) if start is None else start / np.linalg.norm(start)
-    starts = [start]
-    if mirror:
-        starts = [start + start[::-1], start - start[::-1]]  # twice its even and odd parts
-        norms = [np.linalg.norm(x) for x in starts]
-        if not min(norms) > 0.0:
-            raise ContractError("lanczos_top needs a start with a part in each reflection sector")
-        starts = [x / norm for x, norm in zip(starts, norms)]
-    return _lanczos_rows(matvec, m, starts, mirror)
+    return _lanczos_rows(matvec, m, np.ones(m) if start is None else start, mirror)
+
+
+def _sector_part(x: np.ndarray, mirror: bool, rows=slice(None)) -> np.ndarray:
+    """With ``mirror``, the part of x along its last axis in the reflection
+    sector of each row ``rows`` selects (a slice of the rows of a block, or
+    one row's index for a vector): (x + x[::-1]) * 0.5 for the even row 0,
+    (x - x[::-1]) * 0.5 for the odd row 1, exactly even or odd in IEEE
+    arithmetic, as addition commutes and negation is exact.  Without it, x
+    itself."""
+    return (x + _SECTOR_SIGN[rows] * x[..., ::-1]) * 0.5 if mirror else x
 
 
 def _lanczos_rows(matvec: Callable[[np.ndarray], np.ndarray], m: int,
-                  starts: list, mirror: bool) -> RitzPair:
-    """lanczos_top's Lanczos loop for m > LANCZOS_STEPS: one row per unit
-    start of ``starts``, which with ``mirror`` are the even and the odd
-    row's."""
+                  start: np.ndarray, mirror: bool) -> RitzPair:
+    """lanczos_top's Lanczos loop for m > LANCZOS_STEPS: one row from
+    ``start`` normalised, or with ``mirror`` one from each unit sector part."""
     eps = float(np.finfo(float).eps)
     log_floor = math.log(PAIGE_SAFETY * LANCZOS_TOL * eps)
-    rows = len(starts)
-    basis = np.empty((LANCZOS_STEPS, rows, m))  # step-major: basis[: j + 1] spans every row's space
+    parts = _sector_part(start[None], mirror)
+    rows = len(parts)
+    basis = np.empty((rows, LANCZOS_STEPS, m))  # basis[r, : j + 1] spans row r's Krylov space
+    for r, part in enumerate(parts):
+        norm = math.sqrt(part @ part)  # np.linalg.norm, bit for bit
+        if not norm > 0.0:
+            raise ContractError("lanczos_top needs a start with a part in each reflection sector")
+        np.divide(part, norm, out=basis[r, 0])
     tri = np.zeros((rows, LANCZOS_STEPS, LANCZOS_STEPS))  # lower: alpha on the diagonal, beta below
     best, found_top = None, 0.0  # (theta, Ritz vector) of the stopped row of largest |theta|
     first, last = 0, rows  # the live rows: a row that stops is an end row
@@ -288,33 +298,29 @@ def _lanczos_rows(matvec: Callable[[np.ndarray], np.ndarray], m: int,
     for cycle in range(LANCZOS_CYCLES):
         # per row: beta_j, the sum of log beta_l for l <= j, and the hull [lo, hi]
         state = [(0.0, 0.0, math.inf, -math.inf)] * rows
-        basis[0, first:last] = starts[first:last]
         for j in range(LANCZOS_STEPS):
-            one = last - first == 1  # one live row steps a vector, two a 2-row block
-            v = basis[j, first] if one else basis[j]
-            y = matvec(v if one else v[0] + v[1])
+            # the live rows' sum, a lone row's own vector
+            y = matvec(sum([basis[r, j] for r in range(first + 1, last)], basis[first, j]))
             matvecs += 1
-            if mirror:
-                if not np.isfinite(y).all():  # checked before the split subtracts inf
-                    raise _non_finite(m, j, cycle)
-                y = (y + _SECTOR_SIGN[first:last] * y[::-1]) * 0.5  # each live row's part
-                y = y[0] if one else y
-            # v[i] @ y[i], not finite if an entry of y[i] is not
-            alphas = [float(v @ y)] if one else np.vecdot(v, y).tolist()
+            if mirror and not np.isfinite(y).all():  # checked before the split subtracts inf
+                raise _non_finite(m, j, cycle)
+            live = slice(first, last)
+            w = _sector_part(y[None], mirror, live)  # each live row's part of the product
+            alphas = np.vecdot(basis[live, j], w).tolist()  # not finite if an entry of w[i] is not
             if not math.isfinite(sum(alphas)):  # the sum is finite only if each alpha is
                 raise _non_finite(m, j, cycle)
-            q = basis[: j + 1, first] if one else basis[: j + 1].reshape(-1, m)
-            y = y - (y @ q.T) @ q  # a gemv per product for one row, a gemm for two
-            y -= (y @ q.T) @ q  # twice is enough (Kahan-Parlett)
-            if one and mirror:  # back into the row's sector, out of which its basis's rounding leaks
-                y = (y + _SECTOR_SIGN[first, 0] * y[::-1]) * 0.5
-            betas = [math.sqrt(y @ y)] if one else np.sqrt(np.vecdot(y, y)).tolist()
-            if not math.isfinite(sum(betas)):
+            q = basis[live, : j + 1]
+            w, q_t = w[:, None], q.mT  # each row against its own basis: a gemv per product
+            w = w - (w @ q_t) @ q
+            w -= (w @ q_t) @ q  # twice is enough (Kahan-Parlett)
+            w = _sector_part(w[:, 0], mirror, live)  # exactly back into each row's sector
+            squares = np.vecdot(w, w).tolist()
+            if not math.isfinite(sum(squares)):
                 raise _non_finite(m, j, cycle)
             solve = j == LANCZOS_STEPS - 1
             ceiling, lowest = found_top, math.inf  # the largest hull end, the smallest bound
-            for i in range(last - first):
-                r, alpha, beta = first + i, alphas[i], betas[i]
+            for i, r in enumerate(range(first, last)):
+                alpha, beta = alphas[i], math.sqrt(squares[i])
                 tri[r, j, j] = alpha
                 above, log_betas, lo, hi = state[r]
                 lo, hi = min(lo, alpha - above - beta), max(hi, alpha + above + beta)
@@ -328,7 +334,7 @@ def _lanczos_rows(matvec: Callable[[np.ndarray], np.ndarray], m: int,
                     if bound < lowest:
                         lowest = bound
                     if j + 1 < LANCZOS_STEPS:
-                        np.divide(y if one else y[i], beta, out=basis[j + 1, r])
+                        np.divide(w[i], beta, out=basis[r, j + 1])
                         tri[r, j + 1, j] = beta
                 else:  # an invariant space passes the test
                     solve = True
@@ -344,12 +350,12 @@ def _lanczos_rows(matvec: Callable[[np.ndarray], np.ndarray], m: int,
             for i, (r, top) in enumerate(zip(range(first, last), tops)):
                 if abs(state[r][0] * s[i, j, top]) <= floor:
                     if best is None or abs(thetas[i][top]) > found_top:
-                        best = (thetas[i][top], s[i, :, top] @ basis[: j + 1, r])
-                        found_top = abs(best[0])
+                        ritz = _sector_part(s[i, :, top] @ basis[r, : j + 1], mirror, r)
+                        best, found_top = (thetas[i][top], ritz), abs(thetas[i][top])
                     first, last = (first + 1, last) if r == first else (first, last - 1)
-                elif j == LANCZOS_STEPS - 1:
-                    starts[r] = s[i, :, top] @ basis[:, r]
-                    starts[r] /= np.linalg.norm(starts[r])
+                elif j == LANCZOS_STEPS - 1:  # restart from the Ritz vector
+                    x = _sector_part(s[i, :, top] @ basis[r], mirror, r)
+                    np.divide(x, np.linalg.norm(x), out=basis[r, 0])
             if first == last:
                 return RitzPair(*best, matvecs)
     raise ComputationError(

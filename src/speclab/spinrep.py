@@ -87,21 +87,6 @@ class HalfInt:
             raise ContractError(f"{self} - {other} is not an integer")
         return d // 2
 
-    def __add__(self, other):
-        return HalfInt(self.twice + HalfInt.coerce(other).twice)
-
-    def __sub__(self, other):
-        return HalfInt(self.twice - HalfInt.coerce(other).twice)
-
-    def __neg__(self):
-        return HalfInt(-self.twice)
-
-    def __lt__(self, other):
-        return self.twice < HalfInt.coerce(other).twice
-
-    def __le__(self, other):
-        return self.twice <= HalfInt.coerce(other).twice
-
     def __str__(self):
         return str(self.twice // 2) if self.is_integer else f"{self.twice}/2"
 

@@ -342,6 +342,24 @@ def test_out_of_bounds_requests_exit_1(tmp_path):
     assert not out.exists()
 
 
+def test_n_range_past_the_cap_exits_1_before_it_is_built(tmp_path):
+    # the first and the last n are checked before any task exists, so a range
+    # past the cap allocates nothing in proportion to its length
+    out = tmp_path / "x.csv"
+    tracemalloc.start()
+    try:
+        code = run(["norms", "--family", "ring", "--n-stop", "3000000", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and not out.exists()
+    assert peak < 1e6
+    # the last n is the range's, not --n-stop: 2040, 2049 breaks the cap, 2040 alone does not
+    base = ["norms", "--family", "ring", "--n-start", "2040", "--n-stop", "2050", "--out", str(out)]
+    assert run(base + ["--n-step", "9"]) == 1 and not out.exists()
+    assert run(base + ["--n-step", "11"]) == 0 and len(out.read_text().splitlines()) == 2
+
+
 def test_n_step_below_one_exits_1(tmp_path):
     out = tmp_path / "x.csv"
     assert run(["norms", "--n-stop", "4", "--n-step", "0", "--out", str(out)]) == 1
@@ -517,8 +535,14 @@ def test_negative_zero_threshold_writes_zero(tmp_path, argv):
         out = tmp_path / f"x{a}.csv"
         assert run([*argv, f"--a={a}", "--out", str(out)]) == 0
         outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
-    assert b"-0" not in outs[1]
+    # a config's -0.0 is read by the same list parser as the flag's
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "a": [-0.0]}))
+    out = tmp_path / "config.csv"
+    assert run([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+    outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+    assert b"-0" not in outs[1] + outs[2]
 
 
 def test_hankel_table(tmp_path):

@@ -180,19 +180,38 @@ def test_large_truncation_norm_is_bounded_certified_and_reproducible(a):
     assert truncated_norm_record(sym, 2**16) == record  # floats compared bitwise
 
 
-def _long_double_hankel(c):
-    """The m x m Hankel matrix H[i, j] = c[i + j] (len(c) = 2m - 1) in long
-    double, as a strided view of c."""
-    return sliding_window_view(c.astype(np.longdouble), (len(c) + 1) // 2)
+def _long_double_product(c, x):
+    """H x for the m x m Hankel matrix H[i, j] = c[i + j] (len(c) = 2m - 1),
+    as the Toeplitz product on the reversed x, by one rfft/irfft pair in long
+    double of the power-of-two length >= 2m - 1."""
+    m = len(x)
+    size = 1 << (2 * m - 2).bit_length()
+    c, x = c.astype(np.longdouble), x[::-1].astype(np.longdouble)
+    return np.fft.irfft(np.fft.rfft(c, size) * np.fft.rfft(x, size), size)[m - 1 : 2 * m - 1]
+
+
+@pytest.mark.parametrize("m", [33, 8000])
+def test_long_double_product_matches_the_dense_long_double_product(m):
+    # the reference of the allowance tests below, held to 1/20 eps max(Hx)
+    # against the dense long-double product (0.010 eps at m = 8000)
+    c = np.abs(_coeff_grid(HALF_CIRCLE, -(2 * np.arange(2 * m - 1) + 1)))
+    x = 1.0 / np.sqrt(np.arange(1.0, m + 1))
+    dense = sliding_window_view(c.astype(np.longdouble), m) @ x.astype(np.longdouble)
+    fast = _long_double_product(c, x)
+    assert np.max(np.abs(fast - dense)) <= 0.05 * np.finfo(float).eps * np.max(dense)
 
 
 # the odd block's m = ceil(n/2) at a = 0 and m = n at a != 0; 2m - 1 just above
 # a power of two (m = 33, 69, 321, 513, 643, 1025, 2049: lengths 2^a 5^c), with
-# factors 3 (m = 1300: 3072 = 2^10 3; 2570: 5184 = 2^6 3^4) and at powers of
-# two (m = 32, 2048)
+# factors 3 (m = 1300: 3072 = 2^10 3; 2570: 5184 = 2^6 3^4), at powers of two
+# (m = 32, 2048, 2^17) and at the largest m of the longest lengths with factors
+# 3 and 5 below the cap's 2^18 (m = 20736: 41472 = 2^9 3^4; 51840: 103680 =
+# 2^8 3^4 5; 82944: 165888 = 2^11 3^4; 86400: 172800 = 2^8 3^3 5^2; 103680:
+# 207360 = 2^9 3^4 5), which read 1.63, 0.60, 1.70, 1.38 and 1.41 eps
 @pytest.mark.parametrize("a, n", [
     (0.0, 64), (0.0, 65), (0.0, 137), (0.0, 641), (0.0, 1025), (0.0, 1285), (0.0, 2049),
     (0.0, 2599), (0.0, 4096), (0.0, 4097), (0.0, 5140), (0.3, 643), (0.3, 777), (0.3, 1300),
+    (0.0, 41472), (0.0, 103680), (0.0, 165888), (0.0, 172800), (0.0, 207360), (0.0, 2**18),
 ])
 def test_fft_matvec_within_the_rounding_allowance(a, n):
     # the Hankel matrix c[i + j] applied as the Toeplitz FFT product on the
@@ -204,11 +223,13 @@ def test_fft_matvec_within_the_rounding_allowance(a, n):
     c = _coeff_grid(sym, -lags)
     x = 1.0 / np.sqrt(np.arange(1.0, m + 1))
     fast = toeplitz_matvec(c, m)(x[::-1])
-    exact = _long_double_hankel(c) @ x
+    exact = _long_double_product(c, x)
     assert np.max(np.abs(fast - exact)) <= FFT_ALLOWANCE * np.finfo(float).eps * np.max(np.abs(fast))
 
 
-@pytest.mark.parametrize("k", [1286, 5138])
+# the top m = K/2 of each length, wide = m + 1 (K = 41470 ... 207358 at the
+# lengths above, 4.80, 2.05, 2.13, 2.45 and 2.91 eps; 2^18 - 2 at 2^18)
+@pytest.mark.parametrize("k", [1286, 5138, 41470, 103678, 165886, 172798, 207358, 2**18 - 2])
 def test_se2_gram_within_the_rounding_allowance(k):
     # the SE(2) block's Gram operator C C^T x = (G G [x; 0])[:m], two FFT
     # products (m = K/2 = 643: length 1600 = 2^6 5^2; 2569: 5184 = 2^6 3^4),
@@ -219,8 +240,7 @@ def test_se2_gram_within_the_rounding_allowance(k):
     y = np.zeros(wide)
     y[:m] = 1.0 / np.sqrt(np.arange(1.0, m + 1))
     fast = square(square(y))[:m]
-    g = _long_double_hankel(c)
-    exact = (g @ (g @ y.astype(np.longdouble)))[:m]
+    exact = _long_double_product(c, _long_double_product(c, y))[:m]
     assert np.max(np.abs(fast - exact)) <= GRAM_ALLOWANCE * np.finfo(float).eps * np.max(fast)
 
 

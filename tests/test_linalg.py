@@ -409,9 +409,9 @@ def test_mirror_sector_that_turns_invariant_leaves_the_product(m, scale, sector)
     # are held to the larger top of both rows, as the shared product's
     # rounding leaves it a floor near eps * 0.16.  Every later product is of
     # the other row's vector alone, put back into its sector on every step,
-    # so its part in the stopped sector stays at rounding (at most 1.2e-16
-    # here; 1.9e-12 and growing threefold per step without the projection),
-    # where the stopped row's unit vector would add a part of order 1/sqrt(m).
+    # so its part in the stopped sector is exactly 0 (1.9e-12 and growing
+    # threefold per step without the projection), where the stopped row's
+    # unit vector would add a part of order 1/sqrt(m).
     flip = 1.0 if sector == "even" else -1.0
     g = _sector_gram(m, m, 0.04, 0.16) if sector == "even" else _sector_gram(m, m, 0.16, 0.04)
     calls = []
@@ -426,7 +426,7 @@ def test_mirror_sector_that_turns_invariant_leaves_the_product(m, scale, sector)
     assert record.lower - 16 * np.finfo(float).eps <= dense
     assert len(calls) > 3
     # every product but the first and the certificate's, the last
-    assert all(np.max(np.abs(x + flip * x[::-1])) <= 1e-14 for x in calls[1:-1])
+    assert all(not np.any(x + flip * x[::-1]) for x in calls[1:-1])
 
 
 def test_mirror_start_needs_a_part_in_each_sector():
@@ -455,6 +455,38 @@ def test_mirror_takes_fewer_products_on_the_ring_and_heisenberg(monkeypatch):
         plain = lanczos_top(matvec, m, start)
         assert abs(math.sqrt(plain.value) - report.norm) <= 1e-15
         assert report.record.matvecs - 1 < 0.8 * plain.matvecs, (report.family, plain.matvecs)
+
+
+def _exactly_even_or_odd(v):
+    return np.array_equal(v, v[::-1]) or np.array_equal(v, -v[::-1])
+
+
+def test_mirror_ritz_vector_is_exactly_even_or_odd(monkeypatch):
+    # each row's start, new vectors, restarts and Ritz vector are put back
+    # into its sector, (x +- x[::-1]) * 0.5, which IEEE arithmetic keeps
+    # exactly even or odd: on the ring and Heisenberg Gram operators, on a
+    # _sector_gram at odd m, and on an operator whose rows restart
+    runs = []
+    kernel = linalg.lanczos_top
+
+    def spy(matvec, m, start=None, mirror=False):
+        runs.append((kernel(matvec, m, start, mirror), m, mirror))
+        return runs[-1][0]
+
+    monkeypatch.setattr(linalg, "lanczos_top", spy)
+    for a in (0.0, 0.3):
+        models.ring_commutator(200, 200, a)
+        models.heisenberg_commutator(320, a)
+    monkeypatch.undo()
+    g = _sector_gram(121, 121, 0.09, 0.16)
+    runs.append((lanczos_top(lambda x: x @ g, 121, np.linspace(1.0, 2.0, 121), True), 121, True))
+    d = np.linspace(-1.0, 0.5, 100)
+    d = np.concatenate([d, d[::-1]])  # each sector's spectrum is d's: Lanczos restarts
+    restarted = lanczos_top(_diagonal(d), 200, np.linspace(1.0, 2.0, 200), True)
+    assert restarted.matvecs > LANCZOS_STEPS and abs(restarted.value + 1.0) <= 1e-14
+    runs.append((restarted, 200, True))
+    assert len(runs) == 6 and all(mirror and m > LANCZOS_STEPS for _, m, mirror in runs)
+    assert all(_exactly_even_or_odd(ritz.vector) for ritz, *_ in runs)
 
 
 def _kernel_cases(m):
@@ -524,42 +556,40 @@ def _lanczos_top_reference(matvec, m, start=None, trace=None, mirror=False):
     """lanczos_top with numpy's symmetric eigensolver on every step's
     tridiagonal, the loop the kernel ran before it skipped the steps Paige's
     bound rules out: one row, or with ``mirror`` the even and the odd row in
-    lockstep on one product per step, reorthogonalised together, each solved
-    on its own.  ``trace``
-    collects (cycle, step, |beta s_j|, LANCZOS_TOL eps max_r |theta_r|) of
-    each row and step."""
+    lockstep on one product per step, each reorthogonalised against its own
+    basis alone and its new vector, restart and Ritz vector put back into its
+    sector, (x +- x[::-1]) * 0.5, on every step, each solved on its own.
+    ``trace`` collects (cycle, step, |beta s_j|, LANCZOS_TOL eps max_r
+    |theta_r|) of each row and step."""
     if m <= LANCZOS_STEPS:
         theta, s = np.linalg.eigh(matvec(np.eye(m)), UPLO="L")
         top = int(np.argmax(np.abs(theta)))
         return RitzPair(float(theta[top]), s[:, top], m)
-    start = np.full(m, 1.0 / math.sqrt(m)) if start is None else start / np.linalg.norm(start)
-    starts = [start + start[::-1], start - start[::-1]] if mirror else [start]
-    starts = [x / np.linalg.norm(x) for x in starts] if mirror else starts
+    start = np.ones(m) if start is None else start
+    if mirror:
+        sector = [lambda x: (x + x[::-1]) * 0.5, lambda x: (x - x[::-1]) * 0.5]
+    else:
+        sector = [lambda x: x]
+    starts = [f(start) / np.linalg.norm(f(start)) for f in sector]
     k = len(starts)
     eps = np.finfo(float).eps
-    basis = np.empty((LANCZOS_STEPS, k, m))
+    basis = np.empty((k, LANCZOS_STEPS, m))
     tri = np.zeros((k, LANCZOS_STEPS, LANCZOS_STEPS))
     best, live, matvecs = None, list(range(k)), 0
     for cycle in range(LANCZOS_CYCLES):
         for r in live:
-            basis[0, r] = starts[r]
+            basis[r, 0] = starts[r]
         for j in range(LANCZOS_STEPS):
-            y = matvec(basis[j, live].sum(axis=0))
+            y = matvec(basis[live, j].sum(axis=0))
             matvecs += 1
-            parts = [(y - y[::-1] if r else y + y[::-1]) * 0.5 for r in live] if mirror else [y]
-            for r, w in zip(live, parts):
-                tri[r, j, j] = basis[j, r] @ w
-            # both live rows' new vectors against both rows' bases at once
-            w = parts[0] if len(live) == 1 else np.array(parts)
-            q = basis[: j + 1, live[0] : live[-1] + 1].reshape(-1, m)
-            w = w - (w @ q.T) @ q
-            w = w - (w @ q.T) @ q
-            if mirror and len(live) == 1:  # a lone row's vector, back into its sector
-                w = (w - w[::-1] if live[0] else w + w[::-1]) * 0.5
             steps = []
-            for r, x in zip(live, [w] if len(live) == 1 else w):
+            for r in live:
+                w, q = sector[r](y), basis[r, : j + 1]
+                tri[r, j, j] = q[j] @ w
+                w = w - (w @ q.T) @ q
+                w = sector[r](w - (w @ q.T) @ q)
                 theta, s = np.linalg.eigh(tri[r, : j + 1, : j + 1], UPLO="L")
-                steps.append((r, x, np.linalg.norm(x), theta, s, int(np.argmax(np.abs(theta)))))
+                steps.append((r, w, np.linalg.norm(w), theta, s, int(np.argmax(np.abs(theta)))))
             floor = LANCZOS_TOL * eps * max([abs(theta[top]) for *_, theta, s, top in steps]
                                             + ([abs(best[0])] if best else []))
             live = []
@@ -569,14 +599,14 @@ def _lanczos_top_reference(matvec, m, start=None, trace=None, mirror=False):
                     trace.append((cycle, j, residual, floor))
                 if residual <= floor:  # the larger top so far; on a tie, the first
                     if best is None or abs(theta[top]) > abs(best[0]):
-                        best = (float(theta[top]), s[:, top] @ basis[: j + 1, r])
+                        best = (float(theta[top]), sector[r](s[:, top] @ basis[r, : j + 1]))
                     continue
                 live.append(r)
                 if j + 1 < LANCZOS_STEPS:
-                    basis[j + 1, r] = w / beta
+                    basis[r, j + 1] = w / beta
                     tri[r, j + 1, j] = beta
                 else:
-                    starts[r] = s[:, top] @ basis[:, r]
+                    starts[r] = sector[r](s[:, top] @ basis[r])
                     starts[r] /= np.linalg.norm(starts[r])
             if not live:
                 return RitzPair(*best, matvecs)
